@@ -38,6 +38,7 @@ from .spectral import (
     SpectralDecomposition,
     SpectrumDistribution,
     decompose,
+    operator_norm_upper,
     spectral_radius,
     spectrum_distribution,
     tail_truncate,

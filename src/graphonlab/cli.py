@@ -288,7 +288,8 @@ def _cmd_decompose(args) -> dict:
         _check("R_cut_upper_within_F", certs.R_cut.upper, f_at_run, "le"),
         _check("SE_sup_norm", certs.SE_linf, 1.0 + 1e-9, "le"),
     ]
-    if clustering is not None:
+    # an infinite bound (past the float range, under --max-parts inf) is vacuous
+    if clustering is not None and math.isfinite(clustering.step_count_bound):
         checks.append(_check("step_count_within_bound", float(sf.parts),
                              clustering.step_count_bound, "le"))
     results = {
@@ -486,6 +487,10 @@ def _experiment_sphere(args) -> tuple[dict, list]:
             })
             checks.append(
                 _check(f"quasirandom_dim{dim}_seed{seed}", bracket.lower, bound, "le")
+            )
+            # the certified form: the upper end of the bracket is within the bound
+            checks.append(
+                _check(f"quasirandom_upper_dim{dim}_seed{seed}", bracket.upper, bound, "le")
             )
     results = {"dims": dims, "count": count, "seeds": seeds,
                "f": args.f or "threshold:0", "runs": runs}

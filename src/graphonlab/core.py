@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyPartError,
     InvalidSpaceError,
+    NonFiniteError,
     SymmetrizedWarning,
     WeightMismatchError,
 )
@@ -29,6 +30,11 @@ MIN_ATOM_WEIGHT = 1e-14
 # it the input is genuinely asymmetric and rejected.
 SILENT_SKEW = 1e-12
 HARD_SKEW = 1e-9
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"{what} must be finite (no NaN or inf)")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -47,7 +53,7 @@ class DiscreteSpace:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidSpaceError("weights must be a nonempty vector")
-        if np.any(w < MIN_ATOM_WEIGHT):
+        if not np.all(w >= MIN_ATOM_WEIGHT):  # also rejects NaN; inf fails the sum
             raise InvalidSpaceError(
                 f"atom weights must be >= {MIN_ATOM_WEIGHT}; got min {w.min()}"
             )
@@ -89,6 +95,7 @@ class Kernel:
             raise DimensionMismatchError(
                 f"values shape {v.shape} does not match space size {self.space.n}"
             )
+        _require_finite(v, "kernel values")
         if not np.array_equal(v, v.T):
             raise AsymmetricMatrixError(
                 "Kernel requires an exactly symmetric matrix; "
@@ -110,6 +117,7 @@ def kernel_from_matrix(values, weights=None) -> Kernel:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {v.shape}")
+    _require_finite(v, "matrix entries")  # before the skew test, which NaN passes
     space = (
         DiscreteSpace.uniform(v.shape[0])
         if weights is None
@@ -155,6 +163,7 @@ class StepFunction:
             raise DimensionMismatchError("part_of must assign a label to every atom")
         if block.shape != (s, s) or pw.shape != (s,):
             raise DimensionMismatchError("block must be s x s and part_weights length s")
+        _require_finite(block, "block values")
         if labels.min() < 0 or labels.max() >= s:
             raise EmptyPartError("part labels must lie in [0, s)")
         if not np.array_equal(block, block.T):

@@ -25,7 +25,7 @@ from .core import (
     triangle_graph,
     weighted_norm,
 )
-from .cutnorm import CutNormConfig, cutnorm_bracket
+from .cutnorm import CutNormConfig, _sign_chunk, cutnorm_bracket
 from .errors import IrrationalWeightsError
 from .homdensity import hom_density_step
 
@@ -100,16 +100,6 @@ def common_refinement(
 
 # ---------------------------------------------------------------------------
 # norm evaluation helpers (uniform weights on the refined grid)
-
-
-def _sign_matrix(m: int) -> np.ndarray:
-    """All +-1 vectors with first coordinate +1, as rows."""
-    codes = np.arange(1 << (m - 1), dtype=np.int64)
-    out = np.empty((codes.size, m))
-    out[:, 0] = 1.0
-    for bit in range(m - 1):
-        out[:, bit + 1] = np.where((codes >> bit) & 1, -1.0, 1.0)
-    return out
 
 
 def _batched_norms(diffs: np.ndarray, m: int, norm: str,
@@ -211,7 +201,7 @@ def delta_bracket(
 
     if m <= EXACT_PERMUTATION_LIMIT:
         perms = np.array(list(itertools.permutations(range(m))), dtype=int)
-        signs = _sign_matrix(m) if norm == "cut" else None
+        signs = _sign_chunk(0, 1 << (m - 1), m) if norm == "cut" else None
         best = math.inf
         best_perm = perms[0]
         chunk = 4096

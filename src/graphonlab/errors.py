@@ -9,6 +9,10 @@ class InvalidSpaceError(GraphonError):
     """Weight vector is not a strictly positive probability vector."""
 
 
+class NonFiniteError(GraphonError):
+    """Input holds a NaN or infinite value."""
+
+
 class AsymmetricMatrixError(GraphonError):
     """Input matrix deviates from symmetry by more than the hard tolerance."""
 

@@ -243,7 +243,10 @@ def cluster_eigenvectors(
     vecs = dec.eigenvectors[:, keep]
     lams = dec.eigenvalues[keep]
     m = max(float(np.max(np.abs(vecs))), float(np.max(np.abs(lams))))
-    bound = (20.0 * k * m**3 / eps) ** k
+    try:
+        bound = (20.0 * k * m**3 / eps) ** k
+    except OverflowError:  # past the float range, e.g. k in the hundreds
+        bound = math.inf
     if bound > max_parts:
         raise GridOverflowError(
             f"nominal step bound {bound:.3e} exceeds the cap {max_parts:.3e}; "

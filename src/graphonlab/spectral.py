@@ -78,12 +78,17 @@ def _cluster_ranges(abs_sorted: np.ndarray, tol: float) -> tuple:
     return tuple(ranges)
 
 
+def _symmetrized(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """D^{1/2} K D^{1/2} and D^{1/2}: the Euclidean-symmetric matrix with
+    the spectrum of the kernel operator. Kernel values are exactly symmetric
+    and float products commute, so the product is exactly symmetric too."""
+    rootw = np.sqrt(kernel.space.weights)
+    return kernel.values * np.outer(rootw, rootw), rootw
+
+
 def decompose(kernel: Kernel) -> SpectralDecomposition:
     """Full weighted eigendecomposition with multiplicity clusters."""
-    w = kernel.space.weights
-    rootw = np.sqrt(w)
-    sym = kernel.values * np.outer(rootw, rootw)
-    sym = (sym + sym.T) / 2.0
+    sym, rootw = _symmetrized(kernel)
     try:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -113,16 +118,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _validate(dec: SpectralDecomposition) -> None:
+    # "not err <= tol" so that a NaN error fails the check
     w = dec.kernel.space.weights
     f = dec.eigenvectors
     gram = (f * w[:, None]).T @ f
     err = float(np.max(np.abs(gram - np.eye(dec.n))))
-    if err > ORTHONORMALITY_TOL:
+    if not err <= ORTHONORMALITY_TOL:
         raise EigenSolverError(f"weighted orthonormality off by {err:.3e}")
     recon = (f * dec.eigenvalues) @ f.T
     diff = dec.kernel.values - recon
-    l2 = math.sqrt(max(0.0, float(w @ (diff * diff) @ w)))
-    if l2 > RECONSTRUCTION_TOL:
+    l2 = math.sqrt(float(w @ (diff * diff) @ w))
+    if not l2 <= RECONSTRUCTION_TOL:
         raise EigenSolverError(f"spectral reconstruction off by {l2:.3e}")
 
 
@@ -165,6 +171,32 @@ def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
 def spectral_radius(dec: SpectralDecomposition) -> float:
     """Largest |eigenvalue|."""
     return abs(float(dec.eigenvalues[0]))
+
+
+def operator_norm_upper(kernel: Kernel) -> float:
+    """Certified upper bound on the operator norm (spectral radius) of the
+    kernel, from eigenvalues alone: max |eigvalsh(D^{1/2} K D^{1/2})| plus
+    a backward-error margin of (n + 3) eps ||D^{1/2} K D^{1/2}||_F.
+
+    eigvalsh is backward stable: its eigenvalues are exact for sym + E with
+    ||E||_2 <= p(n) eps ||sym||_2, p(n) of order n (LAPACK Users' Guide,
+    section 4.7). Forming sym rounds each entry by at most 3 eps relative,
+    a perturbation of 2-norm at most 3 eps ||sym||_F. By Weyl's inequality
+    neither moves an eigenvalue by more than its 2-norm, and ||sym||_2 <=
+    ||sym||_F. This margin replaces the eigenvector validation of
+    decompose, which a radius-only path does not have. A result that is not
+    finite is reported as inf, which is still an upper bound.
+    """
+    sym, _ = _symmetrized(kernel)
+    try:
+        vals = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
+    with np.errstate(over="ignore"):  # an overflowing norm gives inf below
+        fro = float(np.linalg.norm(sym))
+    margin = (kernel.n + 3) * float(np.finfo(float).eps) * fro
+    bound = float(np.max(np.abs(vals))) + margin
+    return bound if math.isfinite(bound) else math.inf
 
 
 def gap_midpoints(dec: SpectralDecomposition) -> list[float]:

@@ -264,6 +264,7 @@ def test_criterion_10_sphere_quasirandomness():
                 centered = Kernel(k.space, k.values - p)
                 est = cutnorm_heuristic(centered, restarts=32, seed=seed)
                 assert est.lower <= bound
+                assert est.upper <= bound
         elapsed = time.monotonic() - start
         assert elapsed <= 300.0, f"ran {elapsed:.1f}s, budget 300s"
 

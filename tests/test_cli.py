@@ -101,6 +101,20 @@ class TestSubcommands:
         assert all(c["pass"] for c in rep["checks"])
         assert json.loads(out) == rep
 
+    @pytest.mark.parametrize("cap", ["1e6", "inf"])
+    def test_decompose_high_rank(self, tmp_path, rng, capsys, cap):
+        # noise kernel: the clustering bound (20km^3/eps)^k exceeds the float
+        # range; the report still comes out, with a partition only when the
+        # part cap is infinite
+        path = tmp_path / "noise.txt"
+        path.write_text(format_matrix(kernel_from_matrix(random_symmetric(rng, 150))))
+        code, out = run_cli(["decompose", "--input", str(path), "--epsilon", "0.3",
+                             "--max-parts", cap], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert (rep["results"]["partition"] is None) == (cap == "1e6")
+        assert all(c["pass"] for c in rep["checks"])
+
     def test_density_step_exact(self, step_file, capsys):
         code, out = run_cli(
             ["density", "--input", step_file, "--graph", "triangle"], capsys
@@ -173,6 +187,8 @@ class TestSubcommands:
         )
         assert code == EXIT_OK
         rep = json.loads(out)
+        names = {c["name"] for c in rep["checks"]}
+        assert {"quasirandom_dim2_seed1", "quasirandom_upper_dim2_seed1"} <= names
         assert all(c["pass"] for c in rep["checks"])
 
     def test_experiment_wrandom_small(self, capsys):

@@ -18,6 +18,7 @@ from graphonlab.errors import (
     AsymmetricMatrixError,
     EmptyPartError,
     InvalidSpaceError,
+    NonFiniteError,
     SymmetrizedWarning,
     WeightMismatchError,
 )
@@ -38,6 +39,11 @@ class TestDiscreteSpace:
     def test_rejects_tiny_weight(self):
         with pytest.raises(InvalidSpaceError):
             DiscreteSpace(np.array([1e-16, 1.0 - 1e-16]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(InvalidSpaceError):
+            DiscreteSpace(np.array([bad, 0.5]))
 
     def test_immutable(self):
         sp = DiscreteSpace.uniform(3)
@@ -70,6 +76,17 @@ class TestKernelConstruction:
         with pytest.raises(Exception):
             kernel_from_matrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("m", [
+        [[np.inf, 0], [0, 1]],
+        [[np.nan, 0], [0, 1]],
+        [[0, -np.inf], [-np.inf, 0]],
+    ])
+    def test_non_finite_rejected(self, m):
+        with pytest.raises(NonFiniteError):
+            kernel_from_matrix(m)
+        with pytest.raises(NonFiniteError):
+            Kernel(DiscreteSpace.uniform(2), np.array(m, dtype=float))
+
     def test_custom_weights(self):
         k = kernel_from_matrix([[1, 0], [0, 1]], weights=[0.25, 0.75])
         assert np.allclose(k.space.weights, [0.25, 0.75])
@@ -80,6 +97,10 @@ class TestStepFunctions:
         sf = step_function(DiscreteSpace.uniform(3), [0, 0, 0], [[0.4]])
         k = expand_step(sf)
         assert np.all(k.values == 0.4)
+
+    def test_non_finite_block_rejected(self):
+        with pytest.raises(NonFiniteError):
+            step_function(DiscreteSpace.uniform(2), [0, 1], [[np.inf, 0.0], [0.0, 1.0]])
 
     def test_expand_block_identity(self):
         sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1], [[1.0, 0.0], [0.0, 1.0]])

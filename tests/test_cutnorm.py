@@ -13,12 +13,14 @@ from graphonlab import (
     cutnorm_heuristic,
     decompose,
     kernel_from_matrix,
+    operator_norm_upper,
     spectral_radius,
     step_function,
     tail_truncate,
     expand_step,
     DiscreteSpace,
 )
+from graphonlab.cutnorm import _ascend
 from graphonlab.errors import DimensionMismatchError, TooLargeError
 from graphonlab.spectral import gap_midpoints
 
@@ -68,6 +70,27 @@ class TestBilinearForm:
         k = kernel_from_matrix(np.eye(3))
         with pytest.raises(DimensionMismatchError):
             bilinear_form(np.ones(2), k, np.ones(3))
+
+
+def sequential_ascent(kernel, restarts, seed):
+    """Reference for the batched ascent: one restart at a time, one
+    matrix-vector product per half sweep, the value recomputed as f.(Ag).
+    Returns the (value, f, g) fixed point of every restart."""
+    w = kernel.space.weights
+    a = kernel.values * np.outer(w, w)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        g = np.random.default_rng(child).integers(0, 2, size=kernel.n) * 2.0 - 1.0
+        value, f = -1.0, None
+        while True:
+            f_new = np.where(a @ g >= 0.0, 1.0, -1.0)
+            g_new = np.where(a @ f_new >= 0.0, 1.0, -1.0)
+            new_value = float(f_new @ (a @ g_new))
+            if new_value <= value:
+                break
+            f, g, value = f_new, g_new, new_value
+        out.append((value, f, g))
+    return out
 
 
 class TestExact:
@@ -173,6 +196,50 @@ class TestHeuristic:
         b = cutnorm_heuristic(k, restarts=6, seed=42)
         assert a.lower == b.lower
         assert np.array_equal(a.witness_g, b.witness_g)
+
+    def test_batched_matches_sequential_reference(self, rng):
+        # same start vectors, same fixed point per restart; only the
+        # summation order of the products differs, so values agree to rounding
+        for n in (15, 40, 90):
+            k = kernel_from_matrix(random_symmetric(rng, n))
+            ref = sequential_ascent(k, 8, n)
+            w = k.space.weights
+            g0 = [np.random.default_rng(c).integers(0, 2, size=n) * 2.0 - 1.0
+                  for c in np.random.SeedSequence(n).spawn(8)]
+            fs, gs, values = _ascend(k.values * np.outer(w, w), np.column_stack(g0))
+            for r, (value, f, g) in enumerate(ref):
+                assert values[r] == pytest.approx(value, abs=1e-12)
+                assert np.array_equal(fs[:, r], f)
+                assert np.array_equal(gs[:, r], g)
+            est = cutnorm_heuristic(k, restarts=8, seed=n)
+            assert est.lower == pytest.approx(max(v for v, _, _ in ref), abs=1e-12)
+
+    def test_lower_is_witness_value(self, rng):
+        for n in (5, 30):
+            w = rng.uniform(0.5, 1.5, n)
+            k = kernel_from_matrix(random_symmetric(rng, n), weights=w / w.sum())
+            est = cutnorm_heuristic(k, restarts=6, seed=2)
+            assert est.lower == bilinear_form(est.witness_f, k, est.witness_g)
+            assert set(np.unique(np.concatenate([est.witness_f, est.witness_g]))) <= {-1.0, 1.0}
+
+    def test_upper_bounds_exact(self, rng):
+        for n in range(1, 13):
+            weights = [None, rng.uniform(0.2, 2.0, n)]
+            for w in weights:
+                k = kernel_from_matrix(random_symmetric(rng, n),
+                                       weights=None if w is None else w / w.sum())
+                est = cutnorm_heuristic(k, restarts=4, seed=n)
+                assert est.upper >= cutnorm_exact(k).lower
+                assert est.upper <= operator_norm_upper(k)
+
+    def test_upper_never_nan(self, rng):
+        # entries near the float range: the radius overflows to inf, the
+        # bracket falls back to the L1 norm and stays ordered
+        k = kernel_from_matrix(np.sign(random_symmetric(rng, 30)) * 1e300)
+        est = cutnorm_heuristic(k, restarts=4, seed=0)
+        assert not np.isnan(est.upper)
+        assert est.lower <= est.upper
+        assert est.method == "heuristic+L1"
 
     def test_upper_is_min_of_bounds(self, rng):
         from graphonlab import weighted_norm

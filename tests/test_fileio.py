@@ -14,6 +14,8 @@ from graphonlab.fileio import (
     write_text_atomic,
 )
 
+from graphonlab.errors import InvalidSpaceError, NonFiniteError
+
 from conftest import random_symmetric
 
 
@@ -48,6 +50,12 @@ class TestMatrixFormat:
         with pytest.raises(FormatError):
             parse_matrix("two\n0 1\n1 0\n")
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteError):
+            parse_matrix("2\ninf 0\n0 1\n")
+        with pytest.raises(InvalidSpaceError):
+            parse_matrix("2\nweights: nan 0.5\n0 1\n1 0\n")
+
 
 class TestStepFormat:
     def test_round_trip(self):
@@ -70,6 +78,10 @@ class TestStepFormat:
     def test_header_required(self):
         with pytest.raises(FormatError):
             parse_step("2\n1 1\n0.5\n")
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteError):
+            parse_step("parts: 2\n1 1 2 2\ninf 0.1\n0.1 0.4\n")
 
 
 class TestGraphFormat:

@@ -191,6 +191,17 @@ class TestClusterEigenvectors:
         with pytest.raises(GridOverflowError):
             cluster_eigenvectors(dec, lam, 0.01, max_parts=1000)
 
+    def test_grid_bound_past_float_range(self, rng):
+        # a noise kernel keeps rank k ~ 140 at eps 0.3; (20km^3/eps)^k is
+        # past the float range and must overflow the cap, not raise
+        # OverflowError
+        k = kernel_from_matrix(random_symmetric(rng, 150))
+        reg = regularity_decompose(k, F_quarter, 0.3)
+        dec = decompose(k)
+        assert dec.rank_above(reg.lam) > 100
+        with pytest.raises(GridOverflowError):
+            cluster_eigenvectors(dec, reg.lam, 0.3)
+
 
 def brute_force_automorphism_count(values):
     """Oracle: try every permutation (tiny n only)."""

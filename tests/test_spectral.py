@@ -6,14 +6,15 @@ from graphonlab import (
     apply_permutation,
     decompose,
     kernel_from_matrix,
+    operator_norm_upper,
     spectral_radius,
     spectrum_distribution,
     tail_truncate,
     weighted_norm,
 )
 from graphonlab.ensembles import cayley_kernel
-from graphonlab.errors import AllZeroSpectrum, ThresholdSplitsCluster
-from graphonlab.spectral import gap_midpoints
+from graphonlab.errors import AllZeroSpectrum, EigenSolverError, ThresholdSplitsCluster
+from graphonlab.spectral import SpectralDecomposition, _validate, gap_midpoints
 
 from conftest import random_symmetric
 
@@ -181,6 +182,36 @@ class TestSpectralRadius:
         k = kernel_from_matrix(random_symmetric(rng, 10))
         rad = spectral_radius(decompose(k))
         assert rad == pytest.approx(power_iteration_radius(k), abs=1e-8)
+
+
+    def test_operator_norm_upper_bounds_radius(self, rng):
+        for n in (1, 2, 5, 12, 40):
+            w = rng.uniform(0.5, 1.5, n)
+            k = kernel_from_matrix(random_symmetric(rng, n), weights=w / w.sum())
+            rad = spectral_radius(decompose(k))
+            upper = operator_norm_upper(k)
+            assert rad <= upper <= rad + 1e-12
+
+    def test_operator_norm_upper_overflow_is_inf(self, rng):
+        k = kernel_from_matrix(np.sign(random_symmetric(rng, 6)) * 1e300)
+        assert operator_norm_upper(k) == np.inf
+
+
+class TestValidate:
+    @pytest.mark.parametrize("which", ["eigenvectors", "eigenvalues"])
+    def test_nan_fails(self, which):
+        # a NaN error must fail validation, not compare as within tolerance
+        k = kernel_from_matrix(np.eye(3))
+        vals = np.full(3, 1.0 / 3.0)  # K = I acts as f -> f/3 under weights 1/3
+        vecs = np.eye(3) * np.sqrt(3.0)
+        if which == "eigenvectors":
+            vecs[0, 0] = np.nan
+        else:
+            vals[0] = np.nan
+        with pytest.raises(EigenSolverError):
+            _validate(SpectralDecomposition(k, vals, vecs, ((0, 3),)))
+        _validate(SpectralDecomposition(k, np.full(3, 1.0 / 3.0), np.eye(3) * np.sqrt(3.0),
+                                        ((0, 3),)))
 
 
 class TestSpectrumDistribution:
