@@ -271,7 +271,7 @@ def _cmd_decompose(args) -> dict:
     F, f_desc = parse_F(args.F)
     eps = args.epsilon
     reg = regularity_decompose(kernel, F, eps)
-    dec = decompose(kernel)
+    dec = reg.spectral
     try:
         clustering = cluster_eigenvectors(dec, reg.lam, eps, max_parts=args.max_parts)
         sf = clustering.step

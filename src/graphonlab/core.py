@@ -132,7 +132,8 @@ def kernel_from_matrix(values, weights=None) -> Kernel:
         warnings.warn(
             f"symmetrizing input with skew {skew:.3e}", SymmetrizedWarning
         )
-    return Kernel(space, (v + v.T) / 2.0)
+    # at zero skew v is exactly symmetric, and averaging could overflow
+    return Kernel(space, (v + v.T) / 2.0 if skew > 0 else v)
 
 
 def symmetric_kernel(values: np.ndarray, space: DiscreteSpace) -> Kernel:

@@ -34,6 +34,20 @@ def _lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
+def _numbers(lines: list[str], shape: tuple[int, int], dtype=float) -> np.ndarray:
+    """The whitespace-separated numbers on lines, parsed in one numpy call,
+    as an array of the given shape. Unreadable or ragged text and any other
+    shape raise FormatError."""
+    try:  # no lines at all is an empty array, which loadtxt would warn about
+        a = (np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None) if any(lines)
+             else np.empty((0, shape[1]), dtype))
+    except ValueError as exc:
+        raise FormatError(f"unreadable numbers: {exc}") from exc
+    if a.shape != shape:
+        raise FormatError(f"expected {shape[0]}x{shape[1]} numbers, got {a.shape[0]}x{a.shape[1]}")
+    return a
+
+
 def parse_matrix(text: str) -> Kernel:
     lines = _lines(text)
     if not lines:
@@ -45,19 +59,11 @@ def parse_matrix(text: str) -> Kernel:
     pos = 1
     weights = None
     if pos < len(lines) and lines[pos].startswith("weights:"):
-        weights = np.array(lines[pos].split(":", 1)[1].split(), dtype=float)
-        if weights.size != n:
-            raise FormatError(f"expected {n} weights, got {weights.size}")
+        weights = _numbers([lines[pos].split(":", 1)[1]], (1, n))[0]
         pos += 1
     if len(lines) - pos != n:
         raise FormatError(f"expected {n} matrix rows, got {len(lines) - pos}")
-    rows = []
-    for ln in lines[pos:]:
-        row = np.array(ln.split(), dtype=float)
-        if row.size != n:
-            raise FormatError(f"expected {n} entries per row, got {row.size}")
-        rows.append(row)
-    return kernel_from_matrix(np.vstack(rows), weights)
+    return kernel_from_matrix(_numbers(lines[pos:], (n, n)), weights)
 
 
 def format_matrix(kernel: Kernel) -> str:
@@ -80,19 +86,14 @@ def parse_step(text: str) -> StepFunction:
         raise FormatError("unreadable part count") from exc
     if len(lines) < 2 + s:
         raise FormatError(f"expected a label line and {s} block rows")
-    raw = np.array(lines[1].split(), dtype=int)
+    n = len(lines[1].split())
+    raw = _numbers(lines[1:2], (1, n), dtype=int)[0]
     uniq, labels = np.unique(raw, return_inverse=True)
     if uniq.size != s:
         raise FormatError(f"label line uses {uniq.size} parts, header says {s}")
-    block = []
-    for ln in lines[2 : 2 + s]:
-        row = np.array(ln.split(), dtype=float)
-        if row.size != s:
-            raise FormatError(f"expected {s} block entries per row, got {row.size}")
-        block.append(row)
-    block = np.vstack(block)
+    block = _numbers(lines[2 : 2 + s], (s, s))
     block = (block + block.T) / 2.0
-    return step_function(DiscreteSpace.uniform(raw.size), labels, block)
+    return step_function(DiscreteSpace.uniform(n), labels, block)
 
 
 def format_step(sf: StepFunction) -> str:
@@ -107,17 +108,11 @@ def parse_graph(text: str) -> SimpleGraph:
     lines = _lines(text)
     if not lines:
         raise FormatError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("first line must be 'k m'")
-    k, m = int(head[0]), int(head[1])
+    k, m = (int(x) for x in _numbers(lines[:1], (1, 2), dtype=int)[0])
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = set()
-    for ln in lines[1:]:
-        u, v = (int(t) for t in ln.split())
-        edges.add((u, v))
-    return SimpleGraph(k, frozenset(edges))
+    edges = _numbers(lines[1:], (m, 2), dtype=int).tolist()
+    return SimpleGraph(k, frozenset(tuple(e) for e in edges))
 
 
 def format_graph(graph: SimpleGraph) -> str:

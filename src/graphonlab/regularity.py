@@ -57,7 +57,7 @@ ENTRY_CLASS_TOL = 1e-12
 class ThresholdSchedule:
     lam: float
     lam_next: float
-    delta_floor: float
+    delta_floor: float  # the last probe taken
     probes: tuple
     energies: tuple
 
@@ -80,9 +80,10 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
     mids = gap_midpoints(dec)
     j_max = math.ceil(1.0 / eps**2) + 1
 
+    full_rank = dec.rank_above(0.0)
     probes = [_snap_down(1.0, mids)]
     f_prev = None
-    while True:
+    while len(probes) <= j_max:
         t = probes[-1]
         f_val = float(F(t, eps))
         if f_val <= 0.0:
@@ -94,17 +95,13 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
             )
         f_prev = f_val
         probes.append(_snap_down(min(f_val, t / 2.0), mids))
-        if len(probes) >= j_max + 1:
+        if dec.rank_above(t) == full_rank:  # flat energy below t: (t, next) qualifies
             break
 
     energies = [dec.energy_above(t) for t in probes]
-    pair = None
-    for j in range(len(probes) - 1):
-        if energies[j + 1] - energies[j] <= eps**2:
-            pair = j
-            break
-    if pair is None:  # cannot happen for energy <= 1; guards rounding at the boundary
-        pair = len(probes) - 2
+    # the default cannot happen for energy <= 1; it guards rounding at the boundary
+    pair = next((j for j in range(len(probes) - 1)
+                 if energies[j + 1] - energies[j] <= eps**2), len(probes) - 2)
     return ThresholdSchedule(
         lam=probes[pair],
         lam_next=probes[pair + 1],
@@ -136,6 +133,11 @@ class Certificates:
 
 @dataclass(frozen=True)
 class RegularityDecomposition:
+    """M = S + E + R with its thresholds and certificates. delta_floor is the
+    last threshold probed: the one after the first probe under every nonzero
+    |lambda|, or after ceil(1/eps^2) + 1 steps if that comes first. spectral
+    is the eigendecomposition of M that S and E were cut from; reuse it."""
+
     S: Kernel
     E: Kernel
     R: Kernel
@@ -144,6 +146,7 @@ class RegularityDecomposition:
     delta_floor: float
     epsilon: float
     certificates: Certificates
+    spectral: SpectralDecomposition
 
 
 def regularity_decompose(
@@ -195,6 +198,7 @@ def regularity_decompose(
         delta_floor=sched.delta_floor,
         epsilon=eps,
         certificates=certs,
+        spectral=dec,
     )
 
 
@@ -259,8 +263,7 @@ def cluster_eigenvectors(
     _, labels = np.unique(idx, axis=0, return_inverse=True)
     labels = labels.ravel().astype(int)
 
-    g = symmetric_kernel((vecs * lams) @ vecs.T, dec.kernel.space)
-    sf = quotient_average(g, labels)
+    sf = quotient_average(tail_truncate(dec, lam), labels)
     return ClusteringResult(
         step=sf, epsilon1=width, step_count_bound=bound, rank=k, scale=m
     )
@@ -433,8 +436,7 @@ def symmetry_decompose(
     error, hence stays within eps.
     """
     reg = regularity_decompose(kernel, F, eps, cut_config=cut_config)
-    dec = decompose(kernel)
-    clustering = cluster_eigenvectors(dec, reg.lam, eps, max_parts=max_parts)
+    clustering = cluster_eigenvectors(reg.spectral, reg.lam, eps, max_parts=max_parts)
     action = automorphisms(kernel, max_n=aut_limit)
     t_kernel = expand_step(clustering.step)
     rows = []

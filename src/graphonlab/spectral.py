@@ -125,8 +125,9 @@ def _validate(dec: SpectralDecomposition) -> None:
     err = float(np.max(np.abs(gram - np.eye(dec.n))))
     if not err <= ORTHONORMALITY_TOL:
         raise EigenSolverError(f"weighted orthonormality off by {err:.3e}")
-    recon = (f * dec.eigenvalues) @ f.T
-    diff = dec.kernel.values - recon
+    # measured on K / s, so a kernel of any scale meets the tolerance of |K| <= 1
+    s = max(1.0, float(np.max(np.abs(dec.kernel.values))))
+    diff = dec.kernel.values / s - (f * (dec.eigenvalues / s)) @ f.T
     l2 = math.sqrt(float(w @ (diff * diff) @ w))
     if not l2 <= RECONSTRUCTION_TOL:
         raise EigenSolverError(f"spectral reconstruction off by {l2:.3e}")

@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import graphonlab.cli
+import graphonlab.regularity
 from graphonlab import kernel_from_matrix, step_function, DiscreteSpace
 from graphonlab.cli import (
     EXIT_CHECK_FAILED,
@@ -114,6 +116,28 @@ class TestSubcommands:
         rep = json.loads(out)
         assert (rep["results"]["partition"] is None) == (cap == "1e6")
         assert all(c["pass"] for c in rep["checks"])
+
+    @pytest.mark.parametrize("eps", ["0.3", "0.1", "0.05", "0.02", "0.01"])
+    def test_decompose_small_eps(self, tmp_path, capsys, eps):
+        # every eps <= ~0.07 used to exit 3: the threshold probes underflowed
+        # to 0 and F(0) = 0 raised NonDecreasingF
+        path = tmp_path / "m.txt"
+        a = random_symmetric(np.random.default_rng(40), 40)
+        path.write_text(format_matrix(kernel_from_matrix(a)))
+        code, out = run_cli(["decompose", "--input", str(path), "--epsilon", eps], capsys)
+        assert code == EXIT_OK
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+
+    def test_decompose_one_decomposition(self, matrix_file, capsys, monkeypatch):
+        calls = []
+        real = graphonlab.regularity.decompose
+        for module in (graphonlab.regularity, graphonlab.cli):
+            monkeypatch.setattr(module, "decompose", lambda k: calls.append(k) or real(k))
+        code, out = run_cli(["decompose", "--input", matrix_file, "--epsilon", "0.3",
+                             "--max-parts", "inf"], capsys)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert len(json.loads(out)["results"]["eigenvalues"]) == 8
 
     def test_density_step_exact(self, step_file, capsys):
         code, out = run_cli(
@@ -316,6 +340,14 @@ class TestExitCodes:
     def test_usage_error_on_unknown_flag(self, capsys):
         assert run_cli(["spectrum", "--nope"], capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", ["2\n0 abc\n1 0\n", "2\n0 1\n1\n"])
+    def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
+        # a non-numeric token or a ragged row is bad input (exit 2), not a
+        # numeric failure (exit 3)
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert run_cli(["spectrum", "--input", str(path)], capsys)[0] == EXIT_USAGE
+
     def test_numeric_failure(self, tmp_path, capsys):
         # entries outside [-1, 1] break the decomposition precondition
         path = tmp_path / "m.txt"
@@ -379,3 +411,19 @@ class TestDeterminism:
         outs = [subprocess.run(c, capture_output=True, check=True).stdout for c in cmds]
         assert outs[0] == outs[1]
         json.loads(outs[0])
+
+
+def test_numpy_is_the_only_runtime_dependency(matrix_file):
+    # a fresh interpreter: modules loaded by site before the import do not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import graphonlab, graphonlab.cli\n"
+        "graphonlab.cli.main(['spectrum', '--input', sys.argv[1]])\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'graphonlab'}\n"
+        "sys.stderr.write(repr(sorted(loaded - allowed)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, matrix_file],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr.endswith("[]"), proc.stderr

@@ -87,6 +87,11 @@ class TestKernelConstruction:
         with pytest.raises(NonFiniteError):
             Kernel(DiscreteSpace.uniform(2), np.array(m, dtype=float))
 
+    def test_huge_symmetric_entries_kept(self, rng):
+        # (v + v.T) / 2 overflowed to inf for finite entries above ~9e307
+        v = np.sign(random_symmetric(rng, 6)) * 1.7e308
+        assert np.array_equal(kernel_from_matrix(v).values, v)
+
     def test_custom_weights(self):
         k = kernel_from_matrix([[1, 0], [0, 1]], weights=[0.25, 0.75])
         assert np.allclose(k.space.weights, [0.25, 0.75])

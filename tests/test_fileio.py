@@ -50,6 +50,23 @@ class TestMatrixFormat:
         with pytest.raises(FormatError):
             parse_matrix("two\n0 1\n1 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "2\n0 abc\n1 0\n",  # non-numeric token
+        "2\n0 1\n1\n",  # ragged row
+        "2\n0 1 2\n1 0 3\n",  # rows of the wrong length
+        "2\nweights: 0.5 x\n0 1\n1 0\n",
+        "2\nweights:\n0 1\n1 0\n",
+    ])
+    def test_unreadable_numbers(self, text):
+        with pytest.raises(FormatError):
+            parse_matrix(text)
+
+    def test_one_call_parse_matches_per_row(self, rng):
+        # reference: the per-row float parse the one-call parse replaced
+        text = format_matrix(kernel_from_matrix(random_symmetric(rng, 9)))
+        rows = [np.array(ln.split(), dtype=float) for ln in text.splitlines()[1:]]
+        assert np.array_equal(parse_matrix(text).values, np.vstack(rows))
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             parse_matrix("2\ninf 0\n0 1\n")
@@ -83,6 +100,15 @@ class TestStepFormat:
         with pytest.raises(NonFiniteError):
             parse_step("parts: 2\n1 1 2 2\ninf 0.1\n0.1 0.4\n")
 
+    @pytest.mark.parametrize("text", [
+        "parts: 2\n1 1 2 2\n0.9 abc\n0.1 0.4\n",
+        "parts: 2\n1 1 2 2\n0.9 0.1\n0.1\n",
+        "parts: 2\n1 1 x 2\n0.9 0.1\n0.1 0.4\n",
+    ])
+    def test_unreadable_numbers(self, text):
+        with pytest.raises(FormatError):
+            parse_step(text)
+
 
 class TestGraphFormat:
     def test_round_trip(self):
@@ -101,6 +127,14 @@ class TestGraphFormat:
     def test_edge_count_mismatch(self):
         with pytest.raises(FormatError):
             parse_graph("3 2\n1 2\n")
+
+    def test_no_edges(self):
+        assert parse_graph("3 0\n").edges == frozenset()
+
+    @pytest.mark.parametrize("text", ["3\n", "a 1\n1 2\n", "3 1\n1 x\n", "3 1\n1 2 3\n"])
+    def test_unreadable_numbers(self, text):
+        with pytest.raises(FormatError):
+            parse_graph(text)
 
 
 class TestHelpers:

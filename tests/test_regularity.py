@@ -21,6 +21,7 @@ from graphonlab import (
 )
 from graphonlab.ensembles import cayley_kernel
 from graphonlab.errors import GridOverflowError, NonDecreasingF, TooLargeError
+import graphonlab.regularity as regularity_module
 from graphonlab.regularity import _threshold_schedule
 
 from conftest import cycle_adjacency, petersen_adjacency, random_symmetric
@@ -88,6 +89,21 @@ class TestChooseThreshold:
         dec = decompose(normalized_l2(rng, 10))
         sched = _threshold_schedule(dec, F_quarter, 0.3)
         assert sched.delta_floor <= sched.lam_next <= sched.lam
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.05, 0.02, 0.01])
+    def test_small_eps(self, eps):
+        # probing past the smallest nonzero |lambda| let F = eps*lambda/4
+        # underflow to 0 for every eps <= ~0.07 (NonDecreasingF)
+        a = random_symmetric(np.random.default_rng(40), 40)
+        dec = decompose(kernel_from_matrix(a))
+        sched = _threshold_schedule(dec, F_quarter, eps)
+        assert sched.delta_floor == sched.probes[-1]
+        assert dec.rank_above(sched.probes[-2]) == dec.rank_above(0.0)
+        assert sched.lam_next <= F_quarter(sched.lam, eps)
+        assert dec.energy_above(sched.lam_next) - dec.energy_above(sched.lam) <= eps**2
+        reg = regularity_decompose(dec.kernel, F_quarter, eps)
+        assert reg.certificates.E_l2 <= eps
+        assert reg.certificates.R_cut.upper <= F_quarter(reg.lam, eps)
 
 
 class TestRegularityDecompose:
@@ -252,6 +268,16 @@ class TestAutomorphisms:
 
 
 class TestSymmetryDecompose:
+    def test_one_decomposition(self, monkeypatch):
+        calls = []
+        real = regularity_module.decompose
+        monkeypatch.setattr(regularity_module, "decompose",
+                            lambda k: calls.append(k) or real(k))
+        k = cayley_kernel(8, np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
+        reg, _, _ = symmetry_decompose(k, F_quarter, 0.3, max_parts=float("inf"))
+        assert len(calls) == 1
+        assert reg.spectral.kernel is k
+
     def test_cayley_z8_exact_invariance(self):
         k = cayley_kernel(8, np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
         reg, clustering, report = symmetry_decompose(

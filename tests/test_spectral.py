@@ -198,6 +198,14 @@ class TestSpectralRadius:
 
 
 class TestValidate:
+    def test_large_scale_kernel(self, rng):
+        # an absolute reconstruction tolerance rejected this correct
+        # decomposition ("off by 1.8e+135")
+        a = random_symmetric(rng, 40)
+        big = decompose(kernel_from_matrix(1e150 * a)).eigenvalues
+        ref = decompose(kernel_from_matrix(a)).eigenvalues
+        assert np.max(np.abs(np.sort(big) / 1e150 - np.sort(ref))) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("which", ["eigenvectors", "eigenvalues"])
     def test_nan_fails(self, which):
         # a NaN error must fail validation, not compare as within tolerance
