@@ -132,8 +132,9 @@ def kernel_from_matrix(values, weights=None) -> Kernel:
         warnings.warn(
             f"symmetrizing input with skew {skew:.3e}", SymmetrizedWarning
         )
-    # at zero skew v is exactly symmetric, and averaging could overflow
-    return Kernel(space, (v + v.T) / 2.0 if skew > 0 else v)
+    # at zero skew v is exactly symmetric, and averaging could overflow; the
+    # copy keeps the caller's array writable and the kernel's values its own
+    return Kernel(space, (v + v.T) / 2.0 if skew > 0 else v.copy())
 
 
 def symmetric_kernel(values: np.ndarray, space: DiscreteSpace) -> Kernel:

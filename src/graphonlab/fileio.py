@@ -34,18 +34,24 @@ def _lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
-def _numbers(lines: list[str], shape: tuple[int, int], dtype=float) -> np.ndarray:
-    """The whitespace-separated numbers on lines, parsed in one numpy call,
-    as an array of the given shape. Unreadable or ragged text and any other
-    shape raise FormatError."""
-    try:  # no lines at all is an empty array, which loadtxt would warn about
-        a = (np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None) if any(lines)
-             else np.empty((0, shape[1]), dtype))
+def _floats(lines: list[str], shape: tuple[int, int]) -> np.ndarray:
+    """The decimals on one or more lines, parsed in one numpy call, as an
+    array of the given shape. Unreadable or ragged text and any other shape
+    raise FormatError."""
+    try:
+        a = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
     except ValueError as exc:
         raise FormatError(f"unreadable numbers: {exc}") from exc
     if a.shape != shape:
         raise FormatError(f"expected {shape[0]}x{shape[1]} numbers, got {a.shape[0]}x{a.shape[1]}")
     return a
+
+
+def _ints(tokens: list[str]) -> list[int]:
+    try:  # int() rejects "1.5" and "1.0"; a float parse would truncate them
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise FormatError(f"unreadable integer: {exc}") from exc
 
 
 def parse_matrix(text: str) -> Kernel:
@@ -56,14 +62,21 @@ def parse_matrix(text: str) -> Kernel:
         n = int(lines[0])
     except ValueError as exc:
         raise FormatError(f"first line must be the size, got {lines[0]!r}") from exc
+    if n < 1:
+        raise FormatError(f"size must be positive, got {n}")
     pos = 1
     weights = None
     if pos < len(lines) and lines[pos].startswith("weights:"):
-        weights = _numbers([lines[pos].split(":", 1)[1]], (1, n))[0]
+        try:
+            weights = np.array(lines[pos].split(":", 1)[1].split(), dtype=float)
+        except ValueError as exc:
+            raise FormatError(f"unreadable weights: {exc}") from exc
+        if weights.size != n:
+            raise FormatError(f"expected {n} weights, got {weights.size}")
         pos += 1
     if len(lines) - pos != n:
         raise FormatError(f"expected {n} matrix rows, got {len(lines) - pos}")
-    return kernel_from_matrix(_numbers(lines[pos:], (n, n)), weights)
+    return kernel_from_matrix(_floats(lines[pos:], (n, n)), weights)
 
 
 def format_matrix(kernel: Kernel) -> str:
@@ -86,14 +99,13 @@ def parse_step(text: str) -> StepFunction:
         raise FormatError("unreadable part count") from exc
     if len(lines) < 2 + s:
         raise FormatError(f"expected a label line and {s} block rows")
-    n = len(lines[1].split())
-    raw = _numbers(lines[1:2], (1, n), dtype=int)[0]
+    raw = np.array(_ints(lines[1].split()))
     uniq, labels = np.unique(raw, return_inverse=True)
     if uniq.size != s:
         raise FormatError(f"label line uses {uniq.size} parts, header says {s}")
-    block = _numbers(lines[2 : 2 + s], (s, s))
+    block = _floats(lines[2 : 2 + s], (s, s))
     block = (block + block.T) / 2.0
-    return step_function(DiscreteSpace.uniform(n), labels, block)
+    return step_function(DiscreteSpace.uniform(raw.size), labels, block)
 
 
 def format_step(sf: StepFunction) -> str:
@@ -108,11 +120,19 @@ def parse_graph(text: str) -> SimpleGraph:
     lines = _lines(text)
     if not lines:
         raise FormatError("empty graph file")
-    k, m = (int(x) for x in _numbers(lines[:1], (1, 2), dtype=int)[0])
+    head = _ints(lines[0].split())
+    if len(head) != 2:
+        raise FormatError("first line must be 'k m'")
+    k, m = head
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = _numbers(lines[1:], (m, 2), dtype=int).tolist()
-    return SimpleGraph(k, frozenset(tuple(e) for e in edges))
+    edges = set()
+    for ln in lines[1:]:
+        edge = _ints(ln.split())
+        if len(edge) != 2:
+            raise FormatError(f"edge line must be 'u v', got {ln!r}")
+        edges.add(tuple(edge))
+    return SimpleGraph(k, frozenset(edges))
 
 
 def format_graph(graph: SimpleGraph) -> str:

@@ -99,9 +99,13 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
             break
 
     energies = [dec.energy_above(t) for t in probes]
-    # the default cannot happen for energy <= 1; it guards rounding at the boundary
-    pair = next((j for j in range(len(probes) - 1)
-                 if energies[j + 1] - energies[j] <= eps**2), len(probes) - 2)
+    pair = None
+    for j in range(len(probes) - 1):
+        if energies[j + 1] - energies[j] <= eps**2:
+            pair = j
+            break
+    if pair is None:  # cannot happen for energy <= 1; guards rounding at the boundary
+        pair = len(probes) - 2
     return ThresholdSchedule(
         lam=probes[pair],
         lam_next=probes[pair + 1],

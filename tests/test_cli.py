@@ -340,7 +340,7 @@ class TestExitCodes:
     def test_usage_error_on_unknown_flag(self, capsys):
         assert run_cli(["spectrum", "--nope"], capsys)[0] == EXIT_USAGE
 
-    @pytest.mark.parametrize("text", ["2\n0 abc\n1 0\n", "2\n0 1\n1\n"])
+    @pytest.mark.parametrize("text", ["2\n0 abc\n1 0\n", "2\n0 1\n1\n", "0\n"])
     def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
         # a non-numeric token or a ragged row is bad input (exit 2), not a
         # numeric failure (exit 3)

@@ -92,6 +92,18 @@ class TestKernelConstruction:
         v = np.sign(random_symmetric(rng, 6)) * 1.7e308
         assert np.array_equal(kernel_from_matrix(v).values, v)
 
+    @pytest.mark.parametrize("skew", [0.0, 1e-13])
+    def test_input_array_stays_writable_and_unshared(self, rng, skew):
+        big = np.zeros((8, 8))
+        big[:6, :6] = random_symmetric(rng, 6)
+        big[0, 1] += skew
+        for a in (big[:6, :6], big[:6, :6].copy()):
+            k = kernel_from_matrix(a)
+            kept = k.values.copy()
+            a += 0.5  # raised 'assignment destination is read-only' at zero skew
+            big[2, 3] = 9.0
+            assert np.array_equal(k.values, kept)
+
     def test_custom_weights(self):
         k = kernel_from_matrix([[1, 0], [0, 1]], weights=[0.25, 0.75])
         assert np.allclose(k.space.weights, [0.25, 0.75])

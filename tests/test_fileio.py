@@ -56,6 +56,8 @@ class TestMatrixFormat:
         "2\n0 1 2\n1 0 3\n",  # rows of the wrong length
         "2\nweights: 0.5 x\n0 1\n1 0\n",
         "2\nweights:\n0 1\n1 0\n",
+        "0\n",  # no atoms
+        "-1\n",
     ])
     def test_unreadable_numbers(self, text):
         with pytest.raises(FormatError):
@@ -104,6 +106,8 @@ class TestStepFormat:
         "parts: 2\n1 1 2 2\n0.9 abc\n0.1 0.4\n",
         "parts: 2\n1 1 2 2\n0.9 0.1\n0.1\n",
         "parts: 2\n1 1 x 2\n0.9 0.1\n0.1 0.4\n",
+        "parts: 2\n1 1.5 2 2\n0.9 0.1\n0.1 0.4\n",  # labels are integers
+        "parts: 2\n1 1 2.0 2\n0.9 0.1\n0.1 0.4\n",
     ])
     def test_unreadable_numbers(self, text):
         with pytest.raises(FormatError):
@@ -131,7 +135,10 @@ class TestGraphFormat:
     def test_no_edges(self):
         assert parse_graph("3 0\n").edges == frozenset()
 
-    @pytest.mark.parametrize("text", ["3\n", "a 1\n1 2\n", "3 1\n1 x\n", "3 1\n1 2 3\n"])
+    @pytest.mark.parametrize("text", [
+        "3\n", "a 1\n1 2\n", "3 1\n1 x\n", "3 1\n1 2 3\n",
+        "3 1.0\n1 2\n", "3 1\n1.5 2\n", "3 1\n1.9 2\n",  # no truncation
+    ])
     def test_unreadable_numbers(self, text):
         with pytest.raises(FormatError):
             parse_graph(text)
