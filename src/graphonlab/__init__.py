@@ -21,6 +21,7 @@ from .core import (
     SimpleGraph,
     StepFunction,
     apply_permutation,
+    builtin_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,

@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 check failed (a bound was violated), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -20,38 +21,22 @@ import time
 
 import numpy as np
 
-from . import fileio, svgplot
-from .core import (
-    DiscreteSpace,
-    Kernel,
-    SimpleGraph,
-    apply_permutation,
-    complete_graph,
-    cycle_graph,
-    edge_graph,
-    expand_step,
-    path_graph,
-    quotient_average,
-    step_function,
-    triangle_graph,
-    weighted_mean,
-    weighted_norm,
-)
-from .cutnorm import CutNormConfig, cutnorm_bracket, cutnorm_exact, cutnorm_heuristic
+from . import experiments, fileio, svgplot
+from .core import SimpleGraph, builtin_graph, expand_step, weighted_mean, weighted_norm
+from .cutnorm import CutNormConfig, cutnorm_bracket
 from .distance import DeltaConfig, delta_bracket
 from .ensembles import (
     ProfileFunction,
     cayley_kernel,
     circle_halfplane_kernel,
-    dilation_perm,
     sphere_kernel,
     w_random_graph,
-    w_random_sample,
 )
 from .errors import GraphonError, GridOverflowError
+from .experiments import builtin_rank3_step
 from .homdensity import cycle_density_spectral, hom_density_mc, hom_density_step
 from .regularity import cluster_eigenvectors, regularity_decompose
-from .spectral import decompose, spectral_radius, tail_truncate
+from .spectral import decompose, spectral_radius
 
 SCHEMA_VERSION = "graphonlab.report/1"
 
@@ -184,40 +169,42 @@ def parse_F(spec: str):
     return F, {"c": c, "lambda_power": p, "eps_power": q}
 
 
+def _number_list(spec: str, kind=int) -> list:
+    """Comma-separated numbers of one kind; unreadable or empty text is a
+    usage error."""
+    try:
+        values = [kind(x) for x in spec.split(",") if x.strip()]
+    except ValueError as exc:
+        raise UsageError(f"unreadable number list {spec!r}") from exc
+    if not values:
+        raise UsageError(f"empty number list {spec!r}")
+    return values
+
+
 def parse_profile(spec: str) -> ProfileFunction:
     """'threshold:c', 'linear', 'cos:c0,c1,...' or 'table:v0,v1,...'."""
     if spec == "linear":
         return ProfileFunction.linear()
     if ":" in spec:
         kind, arg = spec.split(":", 1)
-        if kind == "threshold":
-            return ProfileFunction.threshold(float(arg))
+        values = _number_list(arg, float)
+        if kind == "threshold" and len(values) == 1:
+            return ProfileFunction.threshold(values[0])
         if kind == "cos":
-            return ProfileFunction.cosine_series([float(x) for x in arg.split(",")])
+            return ProfileFunction.cosine_series(values)
         if kind == "table":
-            return ProfileFunction.from_table([float(x) for x in arg.split(",")])
+            return ProfileFunction.from_table(values)
     raise UsageError(f"unreadable profile spec {spec!r}")
 
 
-_BUILTIN_GRAPHS = {"edge": edge_graph, "triangle": triangle_graph,
-                   "K4": lambda: complete_graph(4)}
-
-
 def parse_graph_arg(spec: str) -> SimpleGraph:
-    if spec in _BUILTIN_GRAPHS:
-        return _BUILTIN_GRAPHS[spec]()
-    m = re.match(r"^(path|cycle)_(\d+)$", spec)
-    if m:
-        k = int(m.group(2))
-        return path_graph(k) if m.group(1) == "path" else cycle_graph(k)
+    """A builtin template graph by name, else a graph file."""
+    with contextlib.suppress(ValueError):
+        return builtin_graph(spec)
     try:
         return fileio.load_graph(spec)
     except OSError as exc:
         raise UsageError(f"graph {spec!r} is neither a builtin nor a readable file") from exc
-
-
-def _int_list(spec: str) -> list[int]:
-    return [int(x) for x in spec.split(",") if x.strip()]
 
 
 def _require_seed(args) -> int:
@@ -383,7 +370,7 @@ def _cmd_make(args) -> dict:
     if ens == "cayley":
         if args.f is None or args.n is None:
             raise UsageError("cayley needs --n and --f v0,v1,...")
-        vals = [float(x) for x in args.f.split(",")]
+        vals = _number_list(args.f, float)
         kernel = cayley_kernel(args.n, vals)
         params = {"n": args.n, "f": vals}
     elif ens == "circle":
@@ -423,194 +410,25 @@ def _cmd_make(args) -> dict:
                    results, [])
 
 
-# ---------------------------------------------------------------------------
-# experiments
-
-
-def _experiment_circle(args) -> tuple[dict, list]:
-    n = args.n or 64
-    ks = _int_list(args.ks or "3,5")
-    seed = _require_seed(args)
-    kernel = circle_halfplane_kernel(n)
-    dec = decompose(kernel)
-    densities = {j: cycle_density_spectral(dec, j).value for j in range(3, 9)}
-    runs = []
-    checks = []
-    coarse_labels = (np.arange(n) * 16) // n
-    for k in ks:
-        perm = dilation_perm(n, k)
-        permuted = apply_permutation(kernel, perm)
-        dec_p = decompose(permuted)
-        delta_density = max(
-            abs(cycle_density_spectral(dec_p, j).value - densities[j])
-            for j in range(3, 9)
-        )
-        diff = Kernel(kernel.space, permuted.values - kernel.values)
-        bracket = cutnorm_heuristic(diff, restarts=32, seed=seed)
-        quot = quotient_average(diff, coarse_labels)
-        small = Kernel(DiscreteSpace(quot.part_weights), quot.block)
-        exact16 = cutnorm_exact(small)
-        lower = max(bracket.lower, exact16.lower)
-        runs.append({
-            "k": k,
-            "max_density_delta": delta_density,
-            "cut_lower": lower,
-            "cut_lower_heuristic": bracket.lower,
-            "cut_lower_coarse_exact": exact16.lower,
-            "cut_upper": bracket.upper,
-        })
-        checks.append(_check(f"density_agreement_k{k}", delta_density, 1e-9, "le"))
-        checks.append(_check(f"cut_separation_k{k}", lower, 0.05, "ge"))
-    results = {"n": n, "cycle_densities": densities, "runs": runs}
-    return results, checks
-
-
-def _experiment_sphere(args) -> tuple[dict, list]:
-    dims = _int_list(args.dims or "2,3,4")
-    count = args.count or 1500
-    base_seed = _require_seed(args)
-    seeds = _int_list(args.seeds) if args.seeds else [base_seed + i for i in range(3)]
-    profile = parse_profile(args.f or "threshold:0")
-    runs = []
-    checks = []
-    for dim in dims:
-        bound = 1.0 / math.sqrt(dim + 1) + 0.05
-        for seed in seeds:
-            kernel = sphere_kernel(dim, profile, count, seed)
-            p = weighted_mean(kernel)
-            centered = Kernel(kernel.space, kernel.values - p)
-            bracket = cutnorm_heuristic(centered, restarts=32, seed=seed)
-            runs.append({
-                "dim": dim, "seed": seed, "edge_density": p,
-                "cut_lower": bracket.lower, "cut_upper": bracket.upper,
-                "bound": bound,
-            })
-            checks.append(
-                _check(f"quasirandom_dim{dim}_seed{seed}", bracket.lower, bound, "le")
-            )
-            # the certified form: the upper end of the bracket is within the bound
-            checks.append(
-                _check(f"quasirandom_upper_dim{dim}_seed{seed}", bracket.upper, bound, "le")
-            )
-    results = {"dims": dims, "count": count, "seeds": seeds,
-               "f": args.f or "threshold:0", "runs": runs}
-    return results, checks
-
-
-def builtin_rank3_step():
-    """Default W-random source: a rank-3 step kernel with a clear spectral
-    gap (weighted eigenvalues well above the sampling noise floor)."""
-    space = DiscreteSpace.uniform(4)
-    labels = np.array([0, 1, 2, 2])
-    block = np.array([
-        [0.90, 0.40, 0.10],
-        [0.40, 0.70, 0.30],
-        [0.10, 0.30, 0.80],
-    ])
-    return step_function(space, labels, block)
-
-
-def _experiment_wrandom(args) -> tuple[dict, list]:
-    counts = _int_list(args.counts or "100,400,1600")
-    base_seed = _require_seed(args)
-    runs_per_count = args.runs or 5
-    seeds = [base_seed + i for i in range(runs_per_count)]
-    if args.input:
-        sf = fileio.load_step(args.input)
-    else:
-        sf = builtin_rank3_step()
-    source = expand_step(sf)
-    dec_w = decompose(source)
-    nonzero = np.abs(dec_w.eigenvalues) > dec_w.cluster_tolerance
-    rank_w = int(np.sum(nonzero))
-    lam_mid = float(np.min(np.abs(dec_w.eigenvalues[nonzero]))) / 2.0
-    truncated_w = tail_truncate(dec_w, lam_mid)
-    ref_block = quotient_average(truncated_w, sf.part_of)
-    pw = sf.part_weights
-    top = min(10, source.n)
-    ref_eigs = dec_w.eigenvalues[:top]
-
-    labels_of_atom = sf.part_of
-    per_count: dict[int, dict] = {}
-    track = min(10, min(counts))
-    checks = []
-    for count in counts:
-        ranks = []
-        dists = []
-        eig_rows = []
-        for seed in seeds:
-            sample, atoms = w_random_sample(source, count, seed)
-            dec_s = decompose(sample)
-            ranks.append(dec_s.rank_above(lam_mid))
-            truncated_s = tail_truncate(dec_s, lam_mid)
-            sample_labels = labels_of_atom[atoms]
-            quot = quotient_average(truncated_s, sample_labels)
-            diff = quot.block - ref_block.block
-            dists.append(float(np.sqrt(np.sum(np.outer(pw, pw) * diff * diff))))
-            eig_rows.append(dec_s.eigenvalues[:track])
-        med = float(np.median(np.array(eig_rows), axis=0)[0])
-        per_count[count] = {
-            "ranks": ranks,
-            "median_rank": float(np.median(ranks)),
-            "aligned_l2": dists,
-            "median_aligned_l2": float(np.median(dists)),
-            "median_top_eigenvalues": np.median(np.array(eig_rows), axis=0),
-            "median_top_eigenvalue": med,
-        }
-    last = counts[-1]
-    for seed, r in zip(seeds, per_count[last]["ranks"]):
-        checks.append(
-            _check(f"rank_error_at_{last}_seed{seed}",
-                   float(abs(r - rank_w)), 0.0, "le")
-        )
-    checks.append(
-        _check(
-            "aligned_l2_decreases",
-            per_count[last]["median_aligned_l2"],
-            per_count[counts[0]]["median_aligned_l2"],
-            "le",
-        )
-    )
-    trajectories = [
-        [float(per_count[c]["median_top_eigenvalues"][i]) for c in counts]
-        for i in range(track)
-    ]
-    results = {
-        "counts": counts,
-        "seeds": seeds,
-        "source_rank": rank_w,
-        "lambda_mid": lam_mid,
-        "source_top_eigenvalues": ref_eigs,
-        "per_count": {str(c): per_count[c] for c in counts},
-        "sample_sizes": counts,
-        "trajectories": trajectories,
-        "reference": ref_eigs,
-    }
-    return results, checks
-
-
-def _experiment_regularity(args) -> tuple[dict, list]:
-    if args.epsilon is None:
-        raise UsageError("regularity experiment needs --epsilon")
-    report = _cmd_decompose(args)
-    return report["results"], report["checks"]
-
-
-_EXPERIMENTS = {
-    "circle": _experiment_circle,
-    "sphere": _experiment_sphere,
-    "wrandom-convergence": _experiment_wrandom,
-    "regularity": _experiment_regularity,
-}
-
-
 def _cmd_experiment(args) -> dict:
-    if args.name not in _EXPERIMENTS:
-        raise UsageError(f"unknown experiment {args.name!r}")
-    results, checks = _EXPERIMENTS[args.name](args)
+    seed = _require_seed(args)
+    if args.name == "circle":
+        results, checks = experiments.circle(
+            args.n or 64, _number_list(args.ks or "3,5"), seed)
+    elif args.name == "sphere":
+        f = args.f or "threshold:0"
+        seeds = _number_list(args.seeds) if args.seeds else [seed + i for i in range(3)]
+        results, checks = experiments.sphere(
+            _number_list(args.dims or "2,3,4"), args.count or 1500, seeds, parse_profile(f))
+        results["f"] = f
+    else:
+        source = fileio.load_step(args.input) if args.input else builtin_rank3_step()
+        seeds = [seed + i for i in range(args.runs or 5)]
+        results, checks = experiments.wrandom_convergence(
+            source, _number_list(args.counts or "100,400,1600"), seeds)
     echoed = _echo(args, ["name", "n", "ks", "dims", "count", "counts", "runs",
-                          "seeds", "seed", "f", "input", "epsilon", "F"])
-    return _report("experiment", echoed, results, checks)
+                          "seeds", "seed", "f", "input"])
+    return _report("experiment", echoed, results, [_check(*c) for c in checks])
 
 
 def _cmd_plot(args) -> dict:
@@ -670,8 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="RNG seed; required for stochastic subcommands")
     common.add_argument("--threads", type=int, default=1,
                         help="execution hint; results never depend on it")
-    common.add_argument("--exact-limit", dest="exact_limit", type=int, default=22,
-                        help="largest n for exact cut-norm enumeration")
     common.add_argument("--timing", action="store_true",
                         help="record wall-clock runtime in the report "
                              "(breaks byte-level reproducibility)")
@@ -685,7 +501,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("spectrum", parents=[common],
                    help="eigenvalues, clusters and sup norms")
 
-    p_cut = sub.add_parser("cutnorm", parents=[common], help="cut-norm bracket")
+    exact = argparse.ArgumentParser(add_help=False)
+    exact.add_argument("--exact-limit", dest="exact_limit", type=int, default=22,
+                       help="largest n for exact cut-norm enumeration")
+
+    p_cut = sub.add_parser("cutnorm", parents=[common, exact], help="cut-norm bracket")
     p_cut.add_argument("--restarts", type=int, default=32)
 
     p_dec = sub.add_parser("decompose", parents=[common],
@@ -701,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="builtin (edge, triangle, K4, path_k, cycle_k) or file")
     p_den.add_argument("--samples", type=int, default=None)
 
-    p_dist = sub.add_parser("distance", parents=[common],
+    p_dist = sub.add_parser("distance", parents=[common, exact],
                             help="rearrangement distance bracket")
     p_dist.add_argument("first", help="step-function file")
     p_dist.add_argument("second", help="step-function file")
@@ -720,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", parents=[common], help="experiment driver")
     p_exp.add_argument("--name", required=True,
-                       choices=sorted(_EXPERIMENTS))
+                       choices=["circle", "sphere", "wrandom-convergence"])
     p_exp.add_argument("--n", type=int, default=None)
     p_exp.add_argument("--ks", default=None, help="circle: dilation factors")
     p_exp.add_argument("--dims", default=None, help="sphere: dimensions")
@@ -728,10 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--counts", default=None, help="wrandom: sample sizes")
     p_exp.add_argument("--runs", type=int, default=None, help="wrandom: seeds per size")
     p_exp.add_argument("--seeds", default=None, help="sphere: explicit seed list")
-    p_exp.add_argument("--f", default=None)
-    p_exp.add_argument("--epsilon", type=float, default=None)
-    p_exp.add_argument("--F", default="0.25*lambda*eps")
-    p_exp.add_argument("--max-parts", dest="max_parts", type=float, default=1e6)
+    p_exp.add_argument("--f", default=None, help="sphere: profile spec")
 
     p_plot = sub.add_parser("plot", parents=[common], help="render a report series")
     p_plot.add_argument("--kind", required=True,

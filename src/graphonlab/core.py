@@ -8,6 +8,7 @@ operation is pure, and everything is safe for concurrent reads.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -72,11 +73,6 @@ class DiscreteSpace:
             raise InvalidSpaceError("atom count must be positive")
         return DiscreteSpace(np.full(n, 1.0 / n))
 
-    def same_as(self, other: "DiscreteSpace", tol: float = WEIGHT_SUM_TOL) -> bool:
-        return self.n == other.n and bool(
-            np.all(np.abs(self.weights - other.weights) <= tol)
-        )
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -109,20 +105,26 @@ class Kernel:
 
 
 def kernel_from_matrix(values, weights=None) -> Kernel:
-    """Build a Kernel from a square matrix, validating symmetry.
-
-    Skew up to 1e-12 is absorbed silently, up to 1e-9 symmetrized with a
-    warning, anything larger is rejected. Weights default to uniform.
-    """
+    """Build a Kernel from a square matrix: skew up to 1e-12 is absorbed
+    silently, up to 1e-9 with a warning, anything larger is rejected.
+    Weights default to uniform."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {v.shape}")
-    _require_finite(v, "matrix entries")  # before the skew test, which NaN passes
+    v = _symmetrize_input(v)
     space = (
         DiscreteSpace.uniform(v.shape[0])
         if weights is None
         else DiscreteSpace(np.asarray(weights, dtype=float))
     )
+    return Kernel(space, v)
+
+
+def _symmetrize_input(v: np.ndarray) -> np.ndarray:
+    """The skew ladder for a square matrix read from outside: skew up to
+    SILENT_SKEW is averaged away silently, up to HARD_SKEW with a
+    SymmetrizedWarning, anything larger raises AsymmetricMatrixError."""
+    _require_finite(v, "matrix entries")  # before the skew test, which NaN passes
     skew = float(np.max(np.abs(v - v.T))) if v.size else 0.0
     if skew > HARD_SKEW:
         raise AsymmetricMatrixError(
@@ -133,8 +135,8 @@ def kernel_from_matrix(values, weights=None) -> Kernel:
             f"symmetrizing input with skew {skew:.3e}", SymmetrizedWarning
         )
     # at zero skew v is exactly symmetric, and averaging could overflow; the
-    # copy keeps the caller's array writable and the kernel's values its own
-    return Kernel(space, (v + v.T) / 2.0 if skew > 0 else v.copy())
+    # copy keeps the caller's array writable and the result its own
+    return (v + v.T) / 2.0 if skew > 0 else v.copy()
 
 
 def symmetric_kernel(values: np.ndarray, space: DiscreteSpace) -> Kernel:
@@ -264,11 +266,6 @@ def weighted_mean(kernel: Kernel) -> float:
     return float(w @ kernel.values @ w)
 
 
-def shift_kernel(kernel: Kernel, c: float) -> Kernel:
-    """Subtract a constant from every entry (used for quasirandomness checks)."""
-    return Kernel(kernel.space, kernel.values - c)
-
-
 @dataclass(frozen=True)
 class SimpleGraph:
     """A finite simple graph on vertices 1..k given by its edge set."""
@@ -316,6 +313,19 @@ def edge_graph() -> SimpleGraph:
 
 def triangle_graph() -> SimpleGraph:
     return cycle_graph(3)
+
+
+def builtin_graph(name: str) -> SimpleGraph:
+    """Template graph by name: 'edge', 'triangle', 'K4', 'path_k' or
+    'cycle_k'. An unknown or invalid name raises ValueError."""
+    fixed = {"edge": edge_graph, "triangle": triangle_graph, "K4": lambda: complete_graph(4)}
+    if name in fixed:
+        return fixed[name]()
+    m = re.fullmatch(r"(path|cycle)_(\d+)", name)
+    if m is None:
+        raise ValueError(f"unknown template graph {name!r}")
+    k = int(m.group(2))
+    return path_graph(k) if m.group(1) == "path" else cycle_graph(k)
 
 
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:

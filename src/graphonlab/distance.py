@@ -18,11 +18,7 @@ from .core import (
     Kernel,
     SimpleGraph,
     StepFunction,
-    complete_graph,
-    cycle_graph,
-    edge_graph,
-    path_graph,
-    triangle_graph,
+    builtin_graph,
     weighted_norm,
 )
 from .cutnorm import CutNormConfig, _sign_chunk, cutnorm_bracket
@@ -31,13 +27,8 @@ from .homdensity import hom_density_step
 
 EXACT_PERMUTATION_LIMIT = 8
 GRID_TOL = 1e-9
-_LOWER_BOUND_GRAPHS: tuple[SimpleGraph, ...] = (
-    edge_graph(),
-    path_graph(3),
-    triangle_graph(),
-    cycle_graph(4),
-    cycle_graph(5),
-    complete_graph(4),
+_LOWER_BOUND_GRAPHS: tuple[SimpleGraph, ...] = tuple(
+    builtin_graph(name) for name in ("edge", "path_3", "triangle", "cycle_4", "cycle_5", "K4")
 )
 
 
@@ -116,7 +107,7 @@ def _batched_norms(diffs: np.ndarray, m: int, norm: str,
 
 def _single_norm(diff: np.ndarray, space: DiscreteSpace, norm: str,
                  cut_config: CutNormConfig) -> float:
-    kern = Kernel(space, (diff + diff.T) / 2.0)
+    kern = Kernel(space, diff)
     if norm == "cut":
         return float(cutnorm_bracket(kern, cut_config).upper)
     return weighted_norm(kern, norm)

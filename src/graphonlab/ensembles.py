@@ -151,8 +151,7 @@ def sphere_kernel(dim: int, f: ProfileFunction, N: int, seed: int = 0) -> Kernel
     gram = x @ x.T
     gram = (gram + gram.T) / 2.0
     np.fill_diagonal(gram, 1.0)
-    values = f(np.clip(gram, -1.0, 1.0))
-    return symmetric_kernel(values, DiscreteSpace.uniform(N))
+    return Kernel(DiscreteSpace.uniform(N), f(np.clip(gram, -1.0, 1.0)))
 
 
 def w_random_graph(kernel: Kernel, N: int, seed: int = 0) -> Kernel:

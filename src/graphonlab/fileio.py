@@ -19,6 +19,7 @@ from .core import (
     Kernel,
     SimpleGraph,
     StepFunction,
+    _symmetrize_input,
     kernel_from_matrix,
     step_function,
 )
@@ -103,8 +104,7 @@ def parse_step(text: str) -> StepFunction:
     uniq, labels = np.unique(raw, return_inverse=True)
     if uniq.size != s:
         raise FormatError(f"label line uses {uniq.size} parts, header says {s}")
-    block = _floats(lines[2 : 2 + s], (s, s))
-    block = (block + block.T) / 2.0
+    block = _symmetrize_input(_floats(lines[2 : 2 + s], (s, s)))
     return step_function(DiscreteSpace.uniform(raw.size), labels, block)
 
 

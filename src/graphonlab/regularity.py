@@ -25,7 +25,6 @@ from .core import (
     apply_permutation,
     expand_step,
     quotient_average,
-    symmetric_kernel,
     weighted_norm,
 )
 from .cutnorm import CutNormConfig, CutNormEstimate, cutnorm_bracket
@@ -177,8 +176,8 @@ def regularity_decompose(
     clamped = bool(np.max(np.abs(se)) > 1.0)
     if clamped:
         se = np.clip(se, -1.0, 1.0)
-    e_kernel = symmetric_kernel(se - s_kernel.values, kernel.space)
-    r_kernel = symmetric_kernel(kernel.values - se, kernel.space)
+    e_kernel = Kernel(kernel.space, se - s_kernel.values)
+    r_kernel = Kernel(kernel.space, kernel.values - se)
     e_l2 = weighted_norm(e_kernel, "L2")
     violated = e_l2 > eps
     if violated:

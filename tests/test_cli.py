@@ -348,6 +348,27 @@ class TestExitCodes:
         path.write_text(text)
         assert run_cli(["spectrum", "--input", str(path)], capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--name", "circle", "--ks", "3,x", "--seed", "0"],
+        ["experiment", "--name", "sphere", "--dims", "2,x", "--seed", "0"],
+        ["experiment", "--name", "sphere", "--seeds", "1,z", "--seed", "0"],
+        ["experiment", "--name", "sphere", "--f", "threshold:abc", "--seed", "0"],
+        ["experiment", "--name", "wrandom-convergence", "--counts", "50,y", "--seed", "0"],
+        ["experiment", "--name", "regularity", "--input", "{matrix}", "--epsilon", "0.3"],
+        ["make", "--ensemble", "cayley", "--n", "4", "--f", "0,1,a,1", "--output", "{out}"],
+        ["make", "--ensemble", "sphere", "--dim", "2", "--N", "30", "--f", "threshold:abc",
+         "--seed", "0", "--output", "{out}"],
+        ["density", "--input", "{step}", "--graph", "cycle_2"],
+        ["density", "--input", "{step}", "--graph", "path_0"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--exact-limit", "40"],
+    ])
+    def test_malformed_or_ignored_flag_is_usage_error(self, argv, matrix_file, step_file,
+                                                      tmp_path, capsys):
+        files = {"{matrix}": matrix_file, "{step}": step_file,
+                 "{out}": str(tmp_path / "k.txt")}
+        argv = [files.get(a, a) for a in argv]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
     def test_numeric_failure(self, tmp_path, capsys):
         # entries outside [-1, 1] break the decomposition precondition
         path = tmp_path / "m.txt"

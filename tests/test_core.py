@@ -8,6 +8,8 @@ from graphonlab import (
     Kernel,
     PermutationAction,
     apply_permutation,
+    builtin_graph,
+    cycle_graph,
     expand_step,
     kernel_from_matrix,
     quotient_average,
@@ -222,3 +224,24 @@ class TestWeightedNorms:
         linf = weighted_norm(k, "Linf")
         assert l1 <= l2 + 1e-12
         assert l2 <= linf + 1e-12
+
+
+class TestTemplateGraphs:
+    @pytest.mark.parametrize("name,k,edges", [
+        ("edge", 2, {(1, 2)}),
+        ("triangle", 3, {(1, 2), (2, 3), (1, 3)}),
+        ("K4", 4, {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}),
+        ("path_3", 3, {(1, 2), (2, 3)}),
+        ("path_1", 1, set()),
+        ("cycle_5", 5, set(cycle_graph(5).edges)),
+    ])
+    def test_builtin_names(self, name, k, edges):
+        g = builtin_graph(name)
+        assert g.k == k
+        assert g.edges == frozenset(edges)
+
+    @pytest.mark.parametrize("name", ["cycle_2", "path_0", "k4", "cycle_", "cycle_3x",
+                                      "graph.txt"])
+    def test_unknown_or_invalid_name(self, name):
+        with pytest.raises(ValueError):
+            builtin_graph(name)

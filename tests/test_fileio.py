@@ -14,7 +14,12 @@ from graphonlab.fileio import (
     write_text_atomic,
 )
 
-from graphonlab.errors import InvalidSpaceError, NonFiniteError
+from graphonlab.errors import (
+    AsymmetricMatrixError,
+    InvalidSpaceError,
+    NonFiniteError,
+    SymmetrizedWarning,
+)
 
 from conftest import random_symmetric
 
@@ -101,6 +106,21 @@ class TestStepFormat:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             parse_step("parts: 2\n1 1 2 2\ninf 0.1\n0.1 0.4\n")
+
+    def test_asymmetric_block_rejected(self):
+        # the skew ladder of matrix files: skew 1.0 is an error, not averaged
+        with pytest.raises(AsymmetricMatrixError):
+            parse_step("parts: 2\n1 1 2 2\n0 1\n0 0\n")
+
+    def test_small_skew_symmetrized_with_warning(self):
+        with pytest.warns(SymmetrizedWarning):
+            sf = parse_step("parts: 2\n1 1 2 2\n0 1\n0.9999999999 0\n")
+        assert sf.block[0, 1] == sf.block[1, 0] == pytest.approx(0.99999999995, abs=0)
+
+    def test_huge_symmetric_block_kept_exactly(self):
+        # averaging a symmetric block of +-1.7e308 would overflow to inf
+        sf = parse_step("parts: 2\n1 1 2 2\n1.7e308 -1.7e308\n-1.7e308 1.7e308\n")
+        assert np.array_equal(sf.block, [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
 
     @pytest.mark.parametrize("text", [
         "parts: 2\n1 1 2 2\n0.9 abc\n0.1 0.4\n",
