@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Rearrangement distances between step functions: expand both on a common
 uniform refinement, search alignments, and bracket the infimum with a
-density-gap lower bound for the cut norm.
+counting-lemma lower bound for the cut norm.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ b = delta_bracket(orig, relabeled, "L2")
 print(f"\nrelabeled copy: upper = {b.upper:.1e} via alignment {b.alignment}")
 
 # Distinct constants have no alignment freedom: the distance is |p - q| in
-# every norm, and the density-gap certificate is strictly positive.
+# every norm, and the counting-lemma certificate is strictly positive.
 cp = step_function(DiscreteSpace.uniform(1), [0], [[0.2]])
 cq = step_function(DiscreteSpace.uniform(1), [0], [[0.7]])
 for norm in ("L1", "L2", "cut"):

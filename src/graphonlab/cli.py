@@ -181,6 +181,22 @@ def _number_list(spec: str, kind=int) -> list:
     return values
 
 
+@contextlib.contextmanager
+def _flag_range():
+    """Around a constructor called on flag values alone: its ValueError
+    says a flag is out of range, which is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _at_least(flag: str, low: int, *values) -> None:
+    for v in values:
+        if v < low:
+            raise UsageError(f"{flag} must be at least {low}, got {v}")
+
+
 def parse_profile(spec: str) -> ProfileFunction:
     """'threshold:c', 'linear', 'cos:c0,c1,...' or 'table:v0,v1,...'."""
     if spec == "linear":
@@ -188,12 +204,13 @@ def parse_profile(spec: str) -> ProfileFunction:
     if ":" in spec:
         kind, arg = spec.split(":", 1)
         values = _number_list(arg, float)
-        if kind == "threshold" and len(values) == 1:
-            return ProfileFunction.threshold(values[0])
-        if kind == "cos":
-            return ProfileFunction.cosine_series(values)
-        if kind == "table":
-            return ProfileFunction.from_table(values)
+        with _flag_range():
+            if kind == "threshold" and len(values) == 1:
+                return ProfileFunction.threshold(values[0])
+            if kind == "cos":
+                return ProfileFunction.cosine_series(values)
+            if kind == "table":
+                return ProfileFunction.from_table(values)
     raise UsageError(f"unreadable profile spec {spec!r}")
 
 
@@ -371,19 +388,22 @@ def _cmd_make(args) -> dict:
         if args.f is None or args.n is None:
             raise UsageError("cayley needs --n and --f v0,v1,...")
         vals = _number_list(args.f, float)
-        kernel = cayley_kernel(args.n, vals)
+        with _flag_range():
+            kernel = cayley_kernel(args.n, vals)
         params = {"n": args.n, "f": vals}
     elif ens == "circle":
         if args.n is None:
             raise UsageError("circle needs --n (divisible by 4)")
-        kernel = circle_halfplane_kernel(args.n)
+        with _flag_range():
+            kernel = circle_halfplane_kernel(args.n)
         params = {"n": args.n}
     elif ens == "sphere":
         if args.dim is None or args.count is None:
             raise UsageError("sphere needs --dim and --N")
         seed = _require_seed(args)
         profile = parse_profile(args.f or "threshold:0")
-        kernel = sphere_kernel(args.dim, profile, args.count, seed)
+        with _flag_range():
+            kernel = sphere_kernel(args.dim, profile, args.count, seed)
         params = {"dim": args.dim, "count": args.count, "f": args.f or "threshold:0"}
     elif ens == "wrandom":
         if args.count is None:
@@ -394,7 +414,8 @@ def _cmd_make(args) -> dict:
             source = expand_step(fileio.load_step(source_path))
         else:
             source = fileio.load_kernel(source_path)
-        kernel = w_random_graph(source, args.count, seed)
+        with _flag_range():  # a count below 1, or source values outside [0, 1]
+            kernel = w_random_graph(source, args.count, seed)
         params = {"count": args.count, "source": source_path}
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown ensemble {ens!r}")
@@ -412,20 +433,32 @@ def _cmd_make(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     seed = _require_seed(args)
+    # the experiments do numeric work, so flag ranges are checked up front
     if args.name == "circle":
-        results, checks = experiments.circle(
-            args.n or 64, _number_list(args.ks or "3,5"), seed)
+        n = 64 if args.n is None else args.n
+        ks = _number_list(args.ks or "3,5")
+        if n < 4 or n % 4:
+            raise UsageError(f"--n must be at least 4 and divisible by 4, got {n}")
+        if any(math.gcd(k, n) != 1 for k in ks):
+            raise UsageError(f"every --ks factor must be coprime to n = {n}")
+        results, checks = experiments.circle(n, ks, seed)
     elif args.name == "sphere":
         f = args.f or "threshold:0"
         seeds = _number_list(args.seeds) if args.seeds else [seed + i for i in range(3)]
-        results, checks = experiments.sphere(
-            _number_list(args.dims or "2,3,4"), args.count or 1500, seeds, parse_profile(f))
+        dims = _number_list(args.dims or "2,3,4")
+        count = 1500 if args.count is None else args.count
+        _at_least("--dims", 1, *dims)
+        _at_least("--count", 2, count)
+        results, checks = experiments.sphere(dims, count, seeds, parse_profile(f))
         results["f"] = f
     else:
         source = fileio.load_step(args.input) if args.input else builtin_rank3_step()
-        seeds = [seed + i for i in range(args.runs or 5)]
+        counts = _number_list(args.counts or "100,400,1600")
+        runs = 5 if args.runs is None else args.runs
+        _at_least("--counts", 1, *counts)
+        _at_least("--runs", 1, runs)
         results, checks = experiments.wrandom_convergence(
-            source, _number_list(args.counts or "100,400,1600"), seeds)
+            source, counts, [seed + i for i in range(runs)])
     echoed = _echo(args, ["name", "n", "ks", "dims", "count", "counts", "runs",
                           "seeds", "seed", "f", "input"])
     return _report("experiment", echoed, results, [_check(*c) for c in checks])
@@ -434,9 +467,15 @@ def _cmd_experiment(args) -> dict:
 def _cmd_plot(args) -> dict:
     if args.output is None:
         raise UsageError("plot needs --output for the SVG file")
-    with open(_require_input(args), "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    results = report.get("results", {})
+    path = _require_input(args)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise fileio.FormatError(f"{path}: not a JSON report: {exc}") from exc
+    results = report.get("results", {}) if isinstance(report, dict) else None
+    if not isinstance(results, dict):
+        raise fileio.FormatError(f"{path}: not a graphonlab report")
     if args.kind == "spectrum":
         if "eigenvalues" not in results or "clusters" not in results:
             raise UsageError("report has no spectrum series")

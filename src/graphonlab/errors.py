@@ -38,6 +38,11 @@ class ThresholdSplitsCluster(GraphonError):
     eigenvalue cluster; move it to a spectral-gap midpoint."""
 
 
+class EigenvectorsNotKept(GraphonError):
+    """A truncation threshold lies below the vectors_above of a partial
+    decomposition, which holds no eigenvectors there."""
+
+
 class AllZeroSpectrum(GraphonError):
     """The kernel has no nonzero eigenvalue to build a distribution from."""
 

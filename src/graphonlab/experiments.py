@@ -135,7 +135,8 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
         eig_rows = []
         for seed in seeds:
             sample, atoms = w_random_sample(source, count, seed)
-            dec_s = decompose(sample)
+            # only the eigenvectors above lam_mid are read
+            dec_s = decompose(sample, vectors_above=lam_mid)
             ranks.append(dec_s.rank_above(lam_mid))
             truncated_s = tail_truncate(dec_s, lam_mid)
             sample_labels = labels_of_atom[atoms]

@@ -235,8 +235,7 @@ def cluster_eigenvectors(
         raise ValueError("eps must be positive")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    keep = _split_check(dec, lam)
-    k = int(np.sum(keep))
+    k = _split_check(dec, lam)
     n = dec.n
     if k == 0:
         # zero retained part: one part, value zero
@@ -247,8 +246,8 @@ def cluster_eigenvectors(
             np.array([1.0]),
         )
         return ClusteringResult(step=sf, epsilon1=0.0, step_count_bound=1.0, rank=0, scale=0.0)
-    vecs = dec.eigenvectors[:, keep]
-    lams = dec.eigenvalues[keep]
+    vecs = dec.eigenvectors[:, :k]
+    lams = dec.eigenvalues[:k]
     m = max(float(np.max(np.abs(vecs))), float(np.max(np.abs(lams))))
     try:
         bound = (20.0 * k * m**3 / eps) ** k

@@ -6,12 +6,18 @@ weighted inner product (f,g) = sum_v w_v f(v) g(v). Solving the symmetrized
 problem D^{1/2} K D^{1/2} (D = diag of weights) and mapping eigenvectors
 back through D^{-1/2} yields weight-orthonormal eigenvectors and the exact
 reconstruction K = sum_i lambda_i f_i f_i^T.
+
+decompose(kernel, vectors_above=t) keeps only the eigenvectors with
+|lambda| > t. It takes every eigenvalue from eigvalsh and the kept
+eigenvectors from Rayleigh-Ritz on a block Krylov basis, certified by their
+residual and the Davis-Kahan sin-theta theorem at O(n^2 r) cost instead of
+the O(n^3) eigh and reconstruction check of the full path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from .core import DiscreteSpace, Kernel, symmetric_kernel
 from .errors import (
     AllZeroSpectrum,
     EigenSolverError,
+    EigenvectorsNotKept,
     ThresholdSplitsCluster,
 )
 
@@ -30,6 +37,15 @@ CLUSTER_TOL_FACTOR = 1e-8
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 
+# Partial decompositions: the block Krylov basis, in blocks of r +
+# KRYLOV_OVERSAMPLE vectors, may hold at most n / KRYLOV_BASIS_FRACTION
+# vectors. When the spectrum predicts more blocks than that (n small, r a
+# large fraction of n, or a slow rate), or the certificate fails, decompose
+# falls back to the full eigh.
+KRYLOV_BASIS_FRACTION = 4
+KRYLOV_OVERSAMPLE = 4
+KRYLOV_SEED = 0  # the start block is fixed, so reruns give identical bytes
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -39,12 +55,20 @@ class SpectralDecomposition:
     eigenvalues[i]; clusters is a list of (start, stop) index ranges
     grouping numerically equal |lambda| (within a cluster, positive
     eigenvalues come first so equal signed values are contiguous).
+
+    A partial decomposition (vectors_above = t) holds all eigenvalues but
+    only the leading eigenvectors, those with |lambda| > t. projector_error
+    is then the certified bound on the Hilbert-Schmidt distance between the
+    projector onto their span and the exact spectral projector, or None when
+    they came from eigh and passed its reconstruction check.
     """
 
     kernel: Kernel
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple
+    vectors_above: float | None = None
+    projector_error: float | None = None
 
     @property
     def n(self) -> int:
@@ -66,8 +90,11 @@ class SpectralDecomposition:
         return int(np.sum(np.abs(self.eigenvalues) > threshold))
 
 
-def _cluster_ranges(abs_sorted: np.ndarray, tol: float) -> tuple:
-    """Group consecutive |lambda| values whose gap is at most tol."""
+def _cluster_ranges(sorted_vals: np.ndarray) -> tuple:
+    """Group consecutive |lambda| values, in spectral order, whose gap is at
+    most the cluster tolerance."""
+    abs_sorted = np.abs(sorted_vals)
+    tol = CLUSTER_TOL_FACTOR * max(abs(float(sorted_vals[0])), 1.0)
     ranges = []
     start = 0
     for i in range(1, abs_sorted.size):
@@ -86,8 +113,44 @@ def _symmetrized(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     return kernel.values * np.outer(rootw, rootw), rootw
 
 
-def decompose(kernel: Kernel) -> SpectralDecomposition:
-    """Full weighted eigendecomposition with multiplicity clusters."""
+def decompose(kernel: Kernel, vectors_above: float | None = None) -> SpectralDecomposition:
+    """Weighted eigendecomposition with multiplicity clusters.
+
+    With vectors_above = t, only the eigenvectors with |lambda| > t are
+    kept, and t must not split a cluster. The eigenvalues then come from
+    eigvalsh and the eigenvectors from a certified block Krylov solve; when
+    that solve does not fit or its certificate fails, both come from the
+    full eigh, as without t.
+    """
+    if vectors_above is None:
+        return _eigh_decomposition(kernel)
+    sym, rootw = _symmetrized(kernel)
+    try:
+        vals = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
+    vals = vals[_spectral_order(vals)]
+    dec = SpectralDecomposition(kernel, _readonly(vals), np.empty((kernel.n, 0)),
+                                _cluster_ranges(vals), vectors_above)
+    r = _split_check(dec, vectors_above)
+    found = _certified_ritz(sym, vals, r, _validation_scale(kernel))
+    if found is not None:
+        x, bound = found
+        return replace(dec, eigenvectors=_readonly(x / rootw[:, None]),
+                       projector_error=bound)
+    full = _eigh_decomposition(kernel)
+    r = _split_check(full, vectors_above)
+    return replace(full, eigenvectors=_readonly(full.eigenvectors[:, :r]),
+                   vectors_above=vectors_above)
+
+
+def _spectral_order(vals: np.ndarray) -> np.ndarray:
+    """Decreasing |lambda|; within equal |lambda|, positive values first."""
+    return np.lexsort((-vals, -np.abs(vals)))
+
+
+def _eigh_decomposition(kernel: Kernel) -> SpectralDecomposition:
+    """Every eigenpair from eigh, checked by _validate."""
     sym, rootw = _symmetrized(kernel)
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -95,26 +158,178 @@ def decompose(kernel: Kernel) -> SpectralDecomposition:
         raise EigenSolverError(f"eigh failed to converge: {exc}") from exc
     # back-transform to weight-orthonormal eigenvectors
     vecs = vecs / rootw[:, None]
-    # decreasing |lambda|; within equal |lambda|, positive values first
-    order = np.lexsort((-vals, -np.abs(vals)))
+    order = _spectral_order(vals)
     vals = vals[order]
     vecs = vecs[:, order]
     dec = SpectralDecomposition(
         kernel=kernel,
         eigenvalues=_readonly(vals),
         eigenvectors=_readonly(vecs),
-        clusters=_cluster_ranges(
-            np.abs(vals), CLUSTER_TOL_FACTOR * max(abs(float(vals[0])), 1.0)
-        ),
+        clusters=_cluster_ranges(vals),
     )
     _validate(dec)
     return dec
+
+
+def _eigvalsh_margin(sym: np.ndarray) -> float:
+    """(n + 3) eps ||sym||_F: a bound on how far an eigvalsh eigenvalue of
+    sym, or of the unrounded D^{1/2} K D^{1/2}, lies from an exact one.
+
+    eigvalsh is backward stable: its eigenvalues are exact for sym + E with
+    ||E||_2 <= p(n) eps ||sym||_2, p(n) of order n (LAPACK Users' Guide,
+    section 4.7). Forming sym rounds each entry by at most 3 eps relative,
+    a perturbation of 2-norm at most 3 eps ||sym||_F. By Weyl's inequality
+    neither moves an eigenvalue by more than its 2-norm, and ||sym||_2 <=
+    ||sym||_F. An overflowing norm gives inf.
+    """
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(sym))
+    return (sym.shape[0] + 3) * float(np.finfo(float).eps) * fro
+
+
+def _error_bounds(resid: float, gram_err: float, vals: np.ndarray, r: int,
+                  margin: float) -> tuple[float, float]:
+    """Davis-Kahan bounds for n x r columns X approximating the eigenvectors
+    of a symmetric A for its r eigenvalues largest in modulus.
+
+    vals are eigvalsh's eigenvalues of A in spectral order, each within
+    margin of an exact one; ||A X - X diag(vals[:r])||_F <= resid and
+    ||X^T X - I||_F <= gram_err. Let U span the exact eigenvectors matched
+    to vals[:r] and write X = U C + E Z with E spanning the others. Every
+    other exact eigenvalue has modulus at most |vals[r]| + margin, so it is
+    at least delta = |vals[r-1]| - |vals[r]| - margin away from each of
+    vals[:r], and the sin-theta theorem in Frobenius form (Davis & Kahan,
+    SIAM J. Numer. Anal. 7, 1970) gives ||Z||_F <= z = resid / delta.
+    Expanding in the basis (U, E), with c = sqrt(1 + gram_err) >= ||C||_2,
+    ||I - C C^T||_F <= z^2 + gram_err and L = |vals[0]| + margin:
+
+    - projector: ||X X^T - U U^T||_F <= p = 2 c z + 2 z^2 + gram_err;
+    - truncation: ||X diag(vals[:r]) X^T - U Lambda U^T||_F <= c resid + L p.
+
+    Both are inf when delta is not positive.
+    """
+    below = abs(float(vals[r])) if r < vals.size else 0.0
+    delta = abs(float(vals[r - 1])) - below - margin
+    if not delta > 0:
+        return math.inf, math.inf
+    z = resid / delta
+    c = math.sqrt(1.0 + gram_err)
+    projector = 2.0 * c * z + 2.0 * z * z + gram_err
+    return projector, c * resid + (abs(float(vals[0])) + margin) * projector
+
+
+def _certified_ritz(sym: np.ndarray, vals: np.ndarray, r: int,
+                    scale: float) -> tuple[np.ndarray, float] | None:
+    """Eigenvectors of sym for vals[:r], as n x r columns, with their
+    certified projector error, or None when the Krylov solve would not fit
+    its basis or the certificate fails.
+
+    The certificate holds the columns to the standard of _validate: weighted
+    orthonormality within ORTHONORMALITY_TOL, and a truncation error bound
+    within RECONSTRUCTION_TOL on the scale K / s. The residual is measured
+    afresh, plus a margin of (n + 3) eps ||sym||_F ||X||_F for the rounding
+    of the product sym X.
+    """
+    n = sym.shape[0]
+    if r == 0:
+        return np.empty((n, 0)), 0.0
+    b = r + KRYLOV_OVERSAMPLE
+    blocks = n // (KRYLOV_BASIS_FRACTION * b)
+    margin = _eigvalsh_margin(sym)
+    # the bound the exact eigenvectors would get: if even it fails, stop here
+    best = _error_bounds(margin * math.sqrt(r), 0.0, vals, r, margin)[1]
+    if blocks == 0 or not best / scale <= RECONSTRUCTION_TOL:
+        return None
+    expected = _krylov_blocks(vals, r, b)
+    if expected > blocks:
+        return None
+    x = _block_krylov(sym, r, blocks, expected, margin)
+    if x is None:
+        return None
+    gram = x.T @ x - np.eye(r)
+    if not float(np.max(np.abs(gram))) <= ORTHONORMALITY_TOL:
+        return None
+    resid = float(np.linalg.norm((x.T @ sym).T - x * vals[:r]))
+    resid += margin * float(np.linalg.norm(x))
+    projector, truncation = _error_bounds(resid, float(np.linalg.norm(gram)), vals, r, margin)
+    if not truncation / scale <= RECONSTRUCTION_TOL:
+        return None
+    return x, projector
+
+
+def _krylov_blocks(vals: np.ndarray, r: int, b: int) -> float:
+    """Blocks of b vectors a Krylov solve should need to bring the Ritz
+    residual of the top r eigenvectors from about 1 down to eps.
+
+    The classical Chebyshev bound for block Krylov methods: on the rest of
+    the spectrum, |lambda| <= rho = |vals[b]|, a Chebyshev polynomial grows
+    by g + sqrt(g^2 - 1) per block at g = |vals[r-1]| / rho. Two blocks are
+    added to get under way; inf when g <= 1.
+    """
+    top, rho = abs(float(vals[r - 1])), abs(float(vals[b]))
+    if rho == 0.0:
+        return 2
+    g = top / rho
+    if not g > 1.0:
+        return math.inf
+    rate = math.log(g + math.sqrt(g * g - 1.0))
+    return math.ceil(-math.log(np.finfo(float).eps) / rate) + 2
+
+
+def _block_krylov(sym: np.ndarray, r: int, blocks: int, expected: int,
+                  margin: float) -> np.ndarray | None:
+    """Ritz vectors (n x r) for the r eigenvalues of sym largest in modulus:
+    Rayleigh-Ritz on a block Krylov basis with full reorthogonalisation,
+    grown one block of r + KRYLOV_OVERSAMPLE vectors at a time until the
+    Ritz residual reaches the rounding level. The residual is first checked
+    four blocks before the expected count. None if it does not get there
+    within the given number of blocks.
+
+    Vectors are kept as rows, and sym being symmetric, the product A Q is
+    formed as Q^T A, which runs faster for thin Q.
+    """
+    n = sym.shape[0]
+    b = r + KRYLOV_OVERSAMPLE
+    basis = np.empty((blocks * b, n))
+    rayleigh = np.zeros((blocks * b, blocks * b))  # V^T A V, lower triangle
+    start = np.random.default_rng(KRYLOV_SEED).standard_normal((n, b))
+    q = np.linalg.qr(start)[0].T
+    floor = margin / (n + 3)  # eps ||sym||_F: an exact eigenvector's residual
+    previous = math.inf
+    for j in range(blocks):
+        lo, hi = j * b, (j + 1) * b
+        basis[lo:hi] = q
+        v = basis[:hi]
+        w = q @ sym
+        h = w @ v.T
+        rayleigh[lo:hi, :hi] = h
+        w -= h @ v  # the part of A Q_j outside the basis
+        if j + 1 >= expected - 4:
+            theta, y = np.linalg.eigh(rayleigh[:hi, :hi])
+            y = y[:, _spectral_order(theta)[:r]]
+            # A V y - V y theta = (A Q_j - V h^T) y_j, from the last block alone
+            resid = float(np.linalg.norm(y[lo:hi].T @ w))
+            # done at the rounding level, or once below the margin it stalls
+            if resid <= floor or previous / 2 < resid <= margin:
+                return (y.T @ v).T
+            previous = resid
+        q = np.linalg.qr(w.T)[0].T
+        # once more against the basis: where A Q_j barely leaves it, the
+        # rounding of the first pass is a large part of the new block
+        q = np.linalg.qr((q - (q @ v.T) @ v).T)[0].T
+    return None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _validation_scale(kernel: Kernel) -> float:
+    """s = max(1, max|K|): errors are measured on K / s, so a kernel of any
+    scale meets the tolerance of |K| <= 1."""
+    return max(1.0, float(np.max(np.abs(kernel.values))))
 
 
 def _validate(dec: SpectralDecomposition) -> None:
@@ -125,33 +340,40 @@ def _validate(dec: SpectralDecomposition) -> None:
     err = float(np.max(np.abs(gram - np.eye(dec.n))))
     if not err <= ORTHONORMALITY_TOL:
         raise EigenSolverError(f"weighted orthonormality off by {err:.3e}")
-    # measured on K / s, so a kernel of any scale meets the tolerance of |K| <= 1
-    s = max(1.0, float(np.max(np.abs(dec.kernel.values))))
+    s = _validation_scale(dec.kernel)
     diff = dec.kernel.values / s - (f * (dec.eigenvalues / s)) @ f.T
     l2 = math.sqrt(float(w @ (diff * diff) @ w))
     if not l2 <= RECONSTRUCTION_TOL:
         raise EigenSolverError(f"spectral reconstruction off by {l2:.3e}")
 
 
-def _split_check(dec: SpectralDecomposition, threshold: float) -> np.ndarray:
-    """Boolean mask of retained indices; raises if a cluster straddles."""
+def _split_check(dec: SpectralDecomposition, threshold: float) -> int:
+    """Number of leading eigenpairs with |lambda| above the threshold;
+    raises if a cluster straddles it, or if a partial decomposition holds
+    no eigenvectors there."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
+    if dec.vectors_above is not None and threshold < dec.vectors_above:
+        raise EigenvectorsNotKept(
+            f"threshold {threshold!r} is below vectors_above={dec.vectors_above!r}: "
+            "this decomposition holds no eigenvectors there; decompose again "
+            "with a lower vectors_above"
+        )
     abs_lam = np.abs(dec.eigenvalues)
-    keep = np.zeros(dec.n, dtype=bool)
+    kept = 0
     for start, stop in dec.clusters:
         lo = float(abs_lam[start:stop].min())
         hi = float(abs_lam[start:stop].max())
         if lo > threshold:
-            keep[start:stop] = True
-        elif hi <= threshold:
-            pass
-        else:
+            kept = stop
+        elif hi > threshold:
             raise ThresholdSplitsCluster(
                 f"threshold {threshold!r} falls inside the cluster "
                 f"[{lo!r}, {hi!r}]; move it to a spectral-gap midpoint"
             )
-    return keep
+        else:
+            break  # the clusters come in decreasing |lambda|
+    return kept
 
 
 def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
@@ -159,13 +381,14 @@ def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
 
     The threshold must not split a multiplicity cluster, so the result is a
     sum of whole eigenspace projectors and does not depend on the basis
-    chosen inside degenerate eigenspaces.
+    chosen inside degenerate eigenspaces. On a partial decomposition it must
+    not lie below vectors_above.
     """
-    keep = _split_check(dec, threshold)
-    if not np.any(keep):
+    k = _split_check(dec, threshold)
+    if k == 0:
         return Kernel(dec.kernel.space, np.zeros((dec.n, dec.n)))
-    f = dec.eigenvectors[:, keep]
-    lam = dec.eigenvalues[keep]
+    f = dec.eigenvectors[:, :k]
+    lam = dec.eigenvalues[:k]
     return symmetric_kernel((f * lam) @ f.T, dec.kernel.space)
 
 
@@ -177,26 +400,17 @@ def spectral_radius(dec: SpectralDecomposition) -> float:
 def operator_norm_upper(kernel: Kernel) -> float:
     """Certified upper bound on the operator norm (spectral radius) of the
     kernel, from eigenvalues alone: max |eigvalsh(D^{1/2} K D^{1/2})| plus
-    a backward-error margin of (n + 3) eps ||D^{1/2} K D^{1/2}||_F.
-
-    eigvalsh is backward stable: its eigenvalues are exact for sym + E with
-    ||E||_2 <= p(n) eps ||sym||_2, p(n) of order n (LAPACK Users' Guide,
-    section 4.7). Forming sym rounds each entry by at most 3 eps relative,
-    a perturbation of 2-norm at most 3 eps ||sym||_F. By Weyl's inequality
-    neither moves an eigenvalue by more than its 2-norm, and ||sym||_2 <=
-    ||sym||_F. This margin replaces the eigenvector validation of
-    decompose, which a radius-only path does not have. A result that is not
-    finite is reported as inf, which is still an upper bound.
+    the backward-error margin of _eigvalsh_margin. The margin replaces the
+    eigenvector validation of decompose, which a radius-only path does not
+    have. A result that is not finite is reported as inf, which is still an
+    upper bound.
     """
     sym, _ = _symmetrized(kernel)
     try:
         vals = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
-    with np.errstate(over="ignore"):  # an overflowing norm gives inf below
-        fro = float(np.linalg.norm(sym))
-    margin = (kernel.n + 3) * float(np.finfo(float).eps) * fro
-    bound = float(np.max(np.abs(vals))) + margin
+    bound = float(np.max(np.abs(vals))) + _eigvalsh_margin(sym)
     return bound if math.isfinite(bound) else math.inf
 
 

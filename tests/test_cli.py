@@ -369,6 +369,42 @@ class TestExitCodes:
         argv = [files.get(a, a) for a in argv]
         assert run_cli(argv, capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--name", "circle", "--n", "30", "--seed", "0"],
+        ["experiment", "--name", "circle", "--n", "0", "--seed", "0"],
+        ["experiment", "--name", "circle", "--n", "32", "--ks", "4", "--seed", "0"],
+        ["experiment", "--name", "sphere", "--dims", "0", "--count", "50", "--seeds", "1",
+         "--seed", "0"],
+        ["experiment", "--name", "sphere", "--count", "1", "--seeds", "1", "--seed", "0"],
+        ["experiment", "--name", "sphere", "--f", "table:1", "--seed", "0"],
+        ["experiment", "--name", "wrandom-convergence", "--counts", "0,10", "--seed", "0"],
+        ["experiment", "--name", "wrandom-convergence", "--counts", "10,20", "--runs", "0",
+         "--seed", "0"],
+        ["make", "--ensemble", "sphere", "--dim", "2", "--N", "10", "--f", "table:1",
+         "--seed", "0", "--output", "{out}"],
+        ["make", "--ensemble", "sphere", "--dim", "0", "--N", "10", "--seed", "0",
+         "--output", "{out}"],
+        ["make", "--ensemble", "circle", "--n", "6", "--output", "{out}"],
+        ["make", "--ensemble", "cayley", "--n", "3", "--f", "0,1", "--output", "{out}"],
+        ["make", "--ensemble", "wrandom", "--N", "0", "--input", "{step}", "--seed", "0",
+         "--output", "{out}"],
+    ])
+    def test_flag_out_of_range_is_usage_error(self, argv, step_file, tmp_path, capsys):
+        # a flag value the constructors reject is a usage error (exit 2), not a
+        # numeric failure (exit 3); --n 0 and --runs 0 used to fall back to
+        # the defaults silently
+        files = {"{step}": step_file, "{out}": str(tmp_path / "k.txt")}
+        argv = [files.get(a, a) for a in argv]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["3\n0 1 0\n1 0 1\n0 1 0\n", "[1, 2]", "\xff"])
+    def test_plot_of_a_file_that_is_no_report_is_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="latin-1")
+        argv = ["plot", "--input", str(path), "--kind", "spectrum",
+                "--output", str(tmp_path / "x.svg")]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
     def test_numeric_failure(self, tmp_path, capsys):
         # entries outside [-1, 1] break the decomposition precondition
         path = tmp_path / "m.txt"
@@ -441,7 +477,12 @@ def test_numpy_is_the_only_runtime_dependency(matrix_file):
         "before = set(sys.modules)\n"
         "import graphonlab, graphonlab.cli\n"
         "graphonlab.cli.main(['spectrum', '--input', sys.argv[1]])\n"
+        # n = 800 takes the eigvalsh + block Krylov path of decompose
+        "graphonlab.cli.main(['experiment', '--name', 'wrandom-convergence',\n"
+        "                     '--counts', '60,800', '--runs', '1', '--seed', '0'])\n"
         "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        # shims that numpy.random's Cython-compiled modules register; no package
+        "loaded = {m for m in loaded if m != 'cython_runtime' and not m.startswith('_cython_')}\n"
         "allowed = set(sys.stdlib_module_names) | {'numpy', 'graphonlab'}\n"
         "sys.stderr.write(repr(sorted(loaded - allowed)))\n"
     )

@@ -6,6 +6,7 @@ import pytest
 from graphonlab import DiscreteSpace, step_function
 from graphonlab.distance import (
     DeltaConfig,
+    _density_gap_lower,
     common_refinement,
     delta_bracket,
 )
@@ -151,5 +152,35 @@ class TestDeltaBracket:
         sf2 = step_function(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
         b = delta_bracket(sf1, sf2, "cut")
         assert 0.0 <= b.lower <= b.upper + 1e-12
-        assert b.lower_certificate == "density-gap"
+        assert b.lower_certificate == "counting-lemma"
         assert b.norm == "cut"
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (0.0, 2.5), (-3.0, 3.0)])
+def test_counting_lemma_lower_is_below_the_exact_distance(lo, hi):
+    # small refinements give the exact minimum over alignments;
+    # the raw lower bound, before the min clamp of delta_bracket, must stay
+    # below it (up to float noise: a constant shift attains equality)
+    rng = np.random.default_rng([7, int(10 * hi)])
+    for labels1, labels2 in [([0, 0, 1, 1], [0, 1, 1, 1]),
+                             ([0, 1, 2, 2, 2, 2], [0, 0, 0, 1, 1, 2]),
+                             ([0, 1, 1, 2, 3, 3], [0, 0, 1, 1, 2, 2])]:
+        for _ in range(4):
+            space = DiscreteSpace.uniform(len(labels1))
+            sf1 = step_function(space, labels1, random_symmetric(rng, max(labels1) + 1, lo, hi))
+            sf2 = step_function(space, labels2, random_symmetric(rng, max(labels2) + 1, lo, hi))
+            b = delta_bracket(sf1, sf2, "cut")
+            assert b.regime == "exact"
+            raw = _density_gap_lower(sf1, sf2)
+            assert 0.0 <= raw <= b.upper * (1 + 1e-12) + 1e-15, (raw, b.upper)
+
+
+def test_counting_lemma_constant_shift_is_tight():
+    # t(edge, .) is the mean, so for W and W + c the edge gap is exactly |c|,
+    # the cut distance
+    space = DiscreteSpace.uniform(2)
+    block = np.array([[0.3, 0.6], [0.6, 0.1]])
+    b = delta_bracket(step_function(space, [0, 1], block),
+                      step_function(space, [0, 1], block + 0.25), "cut")
+    assert b.lower == pytest.approx(0.25, rel=1e-12)
+    assert b.upper == pytest.approx(0.25, rel=1e-12)

@@ -12,9 +12,22 @@ from graphonlab import (
     tail_truncate,
     weighted_norm,
 )
+from graphonlab import experiments
+from graphonlab.cli import canonical_json
 from graphonlab.ensembles import cayley_kernel
-from graphonlab.errors import AllZeroSpectrum, EigenSolverError, ThresholdSplitsCluster
-from graphonlab.spectral import SpectralDecomposition, _validate, gap_midpoints
+from graphonlab.errors import (
+    AllZeroSpectrum,
+    EigenSolverError,
+    EigenvectorsNotKept,
+    ThresholdSplitsCluster,
+)
+from graphonlab.regularity import cluster_eigenvectors
+from graphonlab.spectral import (
+    RECONSTRUCTION_TOL,
+    SpectralDecomposition,
+    _validate,
+    gap_midpoints,
+)
 
 from conftest import random_symmetric
 
@@ -245,3 +258,144 @@ class TestSpectrumDistribution:
         dec = decompose(kernel_from_matrix(np.zeros((3, 3))))
         with pytest.raises(AllZeroSpectrum):
             spectrum_distribution(dec)
+
+
+# ---------------------------------------------------------------------------
+# partial decompositions: decompose(kernel, vectors_above=t)
+
+
+def _with_spectrum(rng, n, top, rest):
+    """Q diag(top + rest) Q^T for a random orthogonal Q (uniform weights)."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.concatenate([top, rest])
+    a = (q * lam) @ q.T
+    return kernel_from_matrix(n * (a + a.T) / 2.0)
+
+
+def _spiked(rng, n, spikes, weights=None):
+    """Planted eigenvalues plus a bounded symmetric noise kernel."""
+    u = np.linalg.qr(rng.standard_normal((n, len(spikes))))[0] * np.sqrt(n)
+    return kernel_from_matrix((u * spikes) @ u.T + 0.3 * random_symmetric(rng, n),
+                              weights=weights)
+
+
+def _partial_corpus():
+    """(name, kernel, threshold, takes the Krylov path)."""
+    rng = np.random.default_rng(2024)
+    out = []
+    k = _spiked(rng, 400, [0.8, -0.5, 0.3])
+    out.append(("random", k, 0.2, True))
+    w = rng.uniform(0.5, 1.5, 400)
+    k = _spiked(rng, 400, [0.7, 0.4], weights=w / w.sum())
+    out.append(("random-weighted", k, 0.2, True))
+    # a pure noise kernel: the top eigenvalue barely leaves the bulk, so the
+    # Krylov solve would need too many blocks
+    k = kernel_from_matrix(random_symmetric(rng, 300))
+    lam = np.sort(np.abs(np.linalg.eigvalsh(k.values / 300)))[::-1]
+    out.append(("random-noise", k, float(lam[0] + lam[1]) / 2, False))
+    k = _with_spectrum(rng, 300, [0.6, -0.45, 0.3], np.zeros(297))
+    out.append(("low-rank", k, 0.1, True))
+    k = _with_spectrum(rng, 500, [-0.9, -0.6, -0.5], -rng.uniform(0.0, 0.05, 497))
+    out.append(("negative-definite", k, 0.25, True))
+    k = _spiked(rng, 400, [0.8, -0.5, 0.3])
+    out.append(("scale-1e150", kernel_from_matrix(1e150 * k.values), 0.2e150, True))
+    # f(x) = cos(2 pi x/n) + 0.5 cos(4 pi x/n) + even noise: frequencies j and
+    # n - j give the top cluster {1/2, 1/2} and the next {1/4, 1/4}
+    n = 240
+    x = np.arange(n)
+    noise = rng.uniform(-0.01, 0.01, n)
+    f = np.cos(2 * np.pi * x / n) + 0.5 * np.cos(4 * np.pi * x / n) + (noise + noise[-x]) / 2
+    out.append(("circulant-degenerate", cayley_kernel(n, f), 0.375, True))
+    # eigenvalues 0.5 and 0.5 - 1e-6 are separate clusters, too close to certify
+    k = _with_spectrum(rng, 300, [0.9, 0.5, 0.5 - 1e-6], rng.uniform(-0.3, 0.3, 297))
+    out.append(("tiny-gap", k, 0.5 - 5e-7, False))
+    return out
+
+
+PARTIAL_CORPUS = _partial_corpus()
+
+
+class TestPartialDecompose:
+    @pytest.mark.parametrize("case", PARTIAL_CORPUS, ids=[c[0] for c in PARTIAL_CORPUS])
+    def test_matches_eigvalsh_and_eigh(self, case):
+        _, kernel, t, krylov = case
+        dec = decompose(kernel, vectors_above=t)
+        full = decompose(kernel)
+        r = full.rank_above(t)
+        assert r > 0
+        assert dec.vectors_above == t
+        assert dec.eigenvectors.shape == (kernel.n, r)
+        assert (dec.projector_error is not None) == krylov
+        if not krylov:  # the fallback is the full eigh, cut to r columns
+            assert np.array_equal(dec.eigenvalues, full.eigenvalues)
+            assert dec.clusters == full.clusters
+            assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, :r])
+            return
+        rootw = np.sqrt(kernel.space.weights)
+        vals = np.linalg.eigvalsh(kernel.values * np.outer(rootw, rootw))
+        vals = vals[np.lexsort((-vals, -np.abs(vals)))]
+        assert np.array_equal(dec.eigenvalues, vals)
+        assert dec.clusters == full.clusters
+        # projectors in the Euclidean frame D^{1/2} f
+        x = dec.eigenvectors * rootw[:, None]
+        u = full.eigenvectors[:, :r] * rootw[:, None]
+        assert np.linalg.norm(x @ x.T - u @ u.T) <= dec.projector_error < 1e-9
+        # the truncations agree to the tolerance of the reconstruction check
+        s = max(1.0, float(np.max(np.abs(kernel.values))))
+        diff = (tail_truncate(dec, t).values - tail_truncate(full, t).values) / s
+        w = kernel.space.weights
+        assert np.sqrt(w @ (diff * diff) @ w) <= RECONSTRUCTION_TOL
+
+    def test_reruns_give_identical_bytes(self):
+        _, kernel, t, _ = PARTIAL_CORPUS[0]
+        a = decompose(kernel, vectors_above=t)
+        b = decompose(kernel, vectors_above=t)
+        assert a.projector_error is not None
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+    def test_threshold_above_the_spectrum_keeps_no_vectors(self):
+        _, kernel, _, _ = PARTIAL_CORPUS[0]
+        dec = decompose(kernel, vectors_above=10.0)
+        assert dec.eigenvectors.shape == (kernel.n, 0)
+        assert dec.projector_error == 0.0
+        assert np.all(tail_truncate(dec, 10.0).values == 0.0)
+
+    def test_truncation_below_vectors_above_raises(self):
+        _, kernel, t, _ = PARTIAL_CORPUS[0]
+        dec = decompose(kernel, vectors_above=t)
+        with pytest.raises(EigenvectorsNotKept, match="vectors_above"):
+            tail_truncate(dec, t / 2)
+        with pytest.raises(EigenvectorsNotKept):
+            cluster_eigenvectors(dec, t / 2, 0.3)
+        # at or above t the kept vectors suffice
+        full = decompose(kernel)
+        for lam in (t, 0.4):
+            diff = tail_truncate(dec, lam).values - tail_truncate(full, lam).values
+            assert np.max(np.abs(diff)) < 1e-9
+
+    def test_threshold_inside_a_cluster_raises(self):
+        k = kernel_from_matrix(np.diag([1.0, 1.0 + 2e-10]))
+        with pytest.raises(ThresholdSplitsCluster):
+            decompose(k, vectors_above=0.5 + 5e-11)
+
+    def test_wrandom_convergence_equals_the_full_path(self, monkeypatch):
+        # n = 800 takes the Krylov path, n = 60 falls back; after rounding
+        # the report is the one the full eigh gives
+        taken = []
+
+        def partial(kernel, vectors_above=None):
+            dec = decompose(kernel, vectors_above=vectors_above)
+            taken.append(dec.projector_error is not None)
+            return dec
+
+        args = (experiments.builtin_rank3_step(), [60, 800], [0, 1])
+        monkeypatch.setattr(experiments, "decompose", partial)
+        fast = canonical_json(dict(zip(("results", "checks"),
+                                       experiments.wrandom_convergence(*args))))
+        monkeypatch.setattr(experiments, "decompose", lambda kernel, vectors_above=None:
+                            decompose(kernel))
+        slow = canonical_json(dict(zip(("results", "checks"),
+                                       experiments.wrandom_convergence(*args))))
+        assert fast == slow
+        assert taken == [False, False, False, True, True]
