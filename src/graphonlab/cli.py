@@ -182,12 +182,13 @@ def _number_list(spec: str, kind=int) -> list:
 
 
 @contextlib.contextmanager
-def _flag_range():
-    """Around a constructor called on flag values alone: its ValueError
-    says a flag is out of range, which is a usage error."""
+def _flag_range(*also: type[Exception]):
+    """Around a constructor called on flag values alone: its ValueError, or
+    an error of the types in also, says a flag is out of range, which is a
+    usage error."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, *also) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -224,10 +225,41 @@ def parse_graph_arg(spec: str) -> SimpleGraph:
         raise UsageError(f"graph {spec!r} is neither a builtin nor a readable file") from exc
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise UsageError("this subcommand is stochastic; --seed is required")
-    return args.seed
+# The flags, by dest, that a case reads beyond those every case of its
+# subcommand reads; True marks one the case cannot run without.
+_EXPERIMENT_FLAGS = {
+    "circle": {"n": False, "ks": False},
+    "sphere": {"dims": False, "count": False, "seeds": False, "f": False},
+    "wrandom-convergence": {"counts": False, "runs": False, "input": False},
+}
+_ENSEMBLE_FLAGS = {
+    "cayley": {"n": True, "f": True},
+    "circle": {"n": True},
+    "sphere": {"dim": True, "count": True, "f": False, "seed": True},
+    "wrandom": {"count": True, "input": True, "seed": True},
+}
+_DENSITY_FLAGS = {"step": {}, "matrix": {"samples": True, "seed": True}}
+
+# Where the output goes and how the run executes: never echoed, so reports
+# are byte-identical across thread counts.
+_UNECHOED = ("command", "output", "report", "threads", "timing")
+
+
+def _inputs(args, case: str | None = None, table: dict | None = None) -> dict:
+    """The report's inputs: every flag the run was given, by dest, less the
+    execution details. With a table of the flags each case reads, a given
+    flag that this case does not read, or a required one left out, is a
+    usage error."""
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in _UNECHOED}
+    if table is not None:
+        reads = table[case]
+        stray = sorted(set().union(*table.values()).intersection(given) - set(reads))
+        if stray:
+            raise UsageError(f"{args.command} {case} does not read {', '.join(stray)}")
+        missing = [dest for dest, needed in reads.items() if needed and dest not in given]
+        if missing:
+            raise UsageError(f"{args.command} {case} needs {', '.join(missing)}")
+    return given
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +267,7 @@ def _require_seed(args) -> int:
 
 
 def _cmd_spectrum(args) -> dict:
-    kernel = fileio.load_kernel(_require_input(args))
+    kernel = fileio.load_kernel(args.input)
     dec = decompose(kernel)
     sup_norms = np.max(np.abs(dec.eigenvectors), axis=0)
     results = {
@@ -247,13 +279,13 @@ def _cmd_spectrum(args) -> dict:
         "spectral_radius": spectral_radius(dec),
         "l2_norm": weighted_norm(kernel, "L2"),
     }
-    return _report("spectrum", _echo(args, ["input"]), results, [])
+    return _report("spectrum", _inputs(args), results, [])
 
 
 def _cmd_cutnorm(args) -> dict:
-    seed = _require_seed(args)
-    kernel = fileio.load_kernel(_require_input(args))
-    config = CutNormConfig(exact_limit=args.exact_limit, restarts=args.restarts, seed=seed)
+    kernel = fileio.load_kernel(args.input)
+    config = CutNormConfig(exact_limit=args.exact_limit, restarts=args.restarts,
+                           seed=args.seed)
     est = cutnorm_bracket(kernel, config)
     results = {
         "lower": est.lower,
@@ -262,16 +294,11 @@ def _cmd_cutnorm(args) -> dict:
         "witness_f": [int(x) for x in est.witness_f],
         "witness_g": [int(x) for x in est.witness_g],
     }
-    return _report(
-        "cutnorm",
-        _echo(args, ["input", "exact_limit", "restarts", "seed"]),
-        results,
-        [],
-    )
+    return _report("cutnorm", _inputs(args), results, [])
 
 
 def _cmd_decompose(args) -> dict:
-    kernel = fileio.load_kernel(_require_input(args))
+    kernel = fileio.load_kernel(args.input)
     F, f_desc = parse_F(args.F)
     eps = args.epsilon
     reg = regularity_decompose(kernel, F, eps)
@@ -320,25 +347,19 @@ def _cmd_decompose(args) -> dict:
             "part_weights": sf.part_weights,
         },
     }
-    return _report(
-        "decompose", _echo(args, ["input", "epsilon", "F", "max_parts"]), results, checks
-    )
+    return _report("decompose", _inputs(args), results, checks)
 
 
 def _cmd_density(args) -> dict:
-    path = _require_input(args)
+    kind = fileio.sniff_kind(args.input)
+    inputs = _inputs(args, "step" if kind == "step" else "matrix", _DENSITY_FLAGS)
     graph = parse_graph_arg(args.graph)
-    kind = fileio.sniff_kind(path)
     results: dict = {"graph": args.graph, "vertices": graph.k, "edges": graph.edge_count}
     if kind == "step":
-        sf = fileio.load_step(path)
-        est = hom_density_step(graph, sf)
+        est = hom_density_step(graph, fileio.load_step(args.input))
     else:
-        kernel = fileio.load_kernel(path)
-        seed = _require_seed(args)
-        if args.samples is None:
-            raise UsageError("matrix input needs --samples for the Monte Carlo estimate")
-        est = hom_density_mc(graph, kernel, args.samples, seed)
+        kernel = fileio.load_kernel(args.input)
+        est = hom_density_mc(graph, kernel, args.samples, args.seed)
         cyc = re.match(r"^cycle_(\d+)$", args.graph)
         if cyc:
             spectral = cycle_density_spectral(decompose(kernel), int(cyc.group(1)))
@@ -347,20 +368,17 @@ def _cmd_density(args) -> dict:
         {"value": est.value, "stderr": est.stderr, "samples": est.samples,
          "method": est.method}
     )
-    return _report(
-        "density", _echo(args, ["input", "graph", "samples", "seed"]), results, []
-    )
+    return _report("density", inputs, results, [])
 
 
 def _cmd_distance(args) -> dict:
     sf1 = fileio.load_step(args.first)
     sf2 = fileio.load_step(args.second)
-    seed = _require_seed(args)
     norm = {"l1": "L1", "l2": "L2", "cut": "cut"}[args.norm]
     config = DeltaConfig(
         max_atoms=args.max_atoms,
-        seed=seed,
-        cut=CutNormConfig(exact_limit=args.exact_limit, seed=seed),
+        seed=args.seed,
+        cut=CutNormConfig(exact_limit=args.exact_limit, seed=args.seed),
     )
     bracket = delta_bracket(sf1, sf2, norm, config)
     results = {
@@ -372,53 +390,35 @@ def _cmd_distance(args) -> dict:
         "regime": bracket.regime,
         "lower_certificate": bracket.lower_certificate,
     }
-    return _report(
-        "distance",
-        _echo(args, ["first", "second", "norm", "max_atoms", "seed"]),
-        results,
-        [],
-    )
+    return _report("distance", _inputs(args), results, [])
 
 
 def _cmd_make(args) -> dict:
-    if args.output is None:
-        raise UsageError("make needs --output for the kernel file")
     ens = args.ensemble
+    inputs = _inputs(args, ens, _ENSEMBLE_FLAGS)
     if ens == "cayley":
-        if args.f is None or args.n is None:
-            raise UsageError("cayley needs --n and --f v0,v1,...")
         vals = _number_list(args.f, float)
-        with _flag_range():
+        with _flag_range(GraphonError):  # e.g. an --f that is not even
             kernel = cayley_kernel(args.n, vals)
         params = {"n": args.n, "f": vals}
     elif ens == "circle":
-        if args.n is None:
-            raise UsageError("circle needs --n (divisible by 4)")
         with _flag_range():
             kernel = circle_halfplane_kernel(args.n)
         params = {"n": args.n}
     elif ens == "sphere":
-        if args.dim is None or args.count is None:
-            raise UsageError("sphere needs --dim and --N")
-        seed = _require_seed(args)
-        profile = parse_profile(args.f or "threshold:0")
+        f = args.f or "threshold:0"
+        profile = parse_profile(f)
         with _flag_range():
-            kernel = sphere_kernel(args.dim, profile, args.count, seed)
-        params = {"dim": args.dim, "count": args.count, "f": args.f or "threshold:0"}
-    elif ens == "wrandom":
-        if args.count is None:
-            raise UsageError("wrandom needs --N and --input (source kernel)")
-        seed = _require_seed(args)
-        source_path = _require_input(args)
-        if fileio.sniff_kind(source_path) == "step":
-            source = expand_step(fileio.load_step(source_path))
+            kernel = sphere_kernel(args.dim, profile, args.count, args.seed)
+        params = {"dim": args.dim, "count": args.count, "f": f}
+    else:  # wrandom
+        if fileio.sniff_kind(args.input) == "step":
+            source = expand_step(fileio.load_step(args.input))
         else:
-            source = fileio.load_kernel(source_path)
+            source = fileio.load_kernel(args.input)
         with _flag_range():  # a count below 1, or source values outside [0, 1]
-            kernel = w_random_graph(source, args.count, seed)
-        params = {"count": args.count, "source": source_path}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown ensemble {ens!r}")
+            kernel = w_random_graph(source, args.count, args.seed)
+        params = {"count": args.count, "source": args.input}
     fileio.write_text_atomic(args.output, fileio.format_matrix(kernel))
     results = {
         "ensemble": ens,
@@ -427,12 +427,12 @@ def _cmd_make(args) -> dict:
         "edge_density": weighted_mean(kernel),
         "written": args.output,
     }
-    return _report("make", _echo(args, ["ensemble", "n", "dim", "count", "f", "seed"]),
-                   results, [])
+    return _report("make", inputs, results, [])
 
 
 def _cmd_experiment(args) -> dict:
-    seed = _require_seed(args)
+    inputs = _inputs(args, args.name, _EXPERIMENT_FLAGS)
+    seed = args.seed
     # the experiments do numeric work, so flag ranges are checked up front
     if args.name == "circle":
         n = 64 if args.n is None else args.n
@@ -459,15 +459,11 @@ def _cmd_experiment(args) -> dict:
         _at_least("--runs", 1, runs)
         results, checks = experiments.wrandom_convergence(
             source, counts, [seed + i for i in range(runs)])
-    echoed = _echo(args, ["name", "n", "ks", "dims", "count", "counts", "runs",
-                          "seeds", "seed", "f", "input"])
-    return _report("experiment", echoed, results, [_check(*c) for c in checks])
+    return _report("experiment", inputs, results, [_check(*c) for c in checks])
 
 
 def _cmd_plot(args) -> dict:
-    if args.output is None:
-        raise UsageError("plot needs --output for the SVG file")
-    path = _require_input(args)
+    path = args.input
     with open(path, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
@@ -494,42 +490,33 @@ def _cmd_plot(args) -> dict:
         )
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown plot kind {args.kind!r}")
-    return _report("plot", _echo(args, ["input", "kind"]),
-                   {"written": args.output, "kind": args.kind}, [])
+    return _report("plot", _inputs(args), {"written": args.output, "kind": args.kind}, [])
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 
 
-def _require_input(args) -> str:
-    if getattr(args, "input", None) is None:
-        raise UsageError("--input is required")
-    return args.input
-
-
-def _echo(args, names: list[str]) -> dict:
-    # --threads and --output are execution details, never echoed: reports
-    # must be byte-identical across thread counts.
-    out = {}
-    for name in names:
-        val = getattr(args, name, None)
-        if val is not None:
-            out[name] = val
-    return out
+def _flag(name: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(name, **kwargs)
+    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="input file (matrix, step or report)")
-    common.add_argument("--output", help="output file (report JSON, kernel or SVG)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed; required for stochastic subcommands")
-    common.add_argument("--threads", type=int, default=1,
-                        help="execution hint; results never depend on it")
-    common.add_argument("--timing", action="store_true",
-                        help="record wall-clock runtime in the report "
-                             "(breaks byte-level reproducibility)")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--threads", type=int, default=1,
+                     help="execution hint; results never depend on it")
+    run.add_argument("--timing", action="store_true",
+                     help="record wall-clock runtime in the report "
+                          "(breaks byte-level reproducibility)")
+    report = _flag("--output", dest="report", help="also write the report JSON here")
+    source = _flag("--input", required=True, help="input file (matrix, step or report)")
+    seed = _flag("--seed", type=int, required=True, help="RNG seed")
+    case_seed = _flag("--seed", type=int, help="RNG seed; required where the run samples")
+    exact = _flag("--exact-limit", dest="exact_limit", type=int, default=22,
+                  help="largest n for exact cut-norm enumeration")
 
     parser = argparse.ArgumentParser(
         prog="graphonlab",
@@ -537,61 +524,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("spectrum", parents=[common],
+    sub.add_parser("spectrum", parents=[run, report, source],
                    help="eigenvalues, clusters and sup norms")
 
-    exact = argparse.ArgumentParser(add_help=False)
-    exact.add_argument("--exact-limit", dest="exact_limit", type=int, default=22,
-                       help="largest n for exact cut-norm enumeration")
-
-    p_cut = sub.add_parser("cutnorm", parents=[common, exact], help="cut-norm bracket")
+    p_cut = sub.add_parser("cutnorm", parents=[run, report, source, seed, exact],
+                           help="cut-norm bracket")
     p_cut.add_argument("--restarts", type=int, default=32)
 
-    p_dec = sub.add_parser("decompose", parents=[common],
+    p_dec = sub.add_parser("decompose", parents=[run, report, source],
                            help="regularity decomposition with certificates")
     p_dec.add_argument("--epsilon", type=float, required=True)
     p_dec.add_argument("--F", default="0.25*lambda*eps",
                        help="target family c*lambda^p*eps^q")
     p_dec.add_argument("--max-parts", dest="max_parts", type=float, default=1e6)
-    p_dec.add_argument("--report", dest="output", help=argparse.SUPPRESS)
+    p_dec.add_argument("--report", dest="report", help=argparse.SUPPRESS)
 
-    p_den = sub.add_parser("density", parents=[common], help="homomorphism density")
+    p_den = sub.add_parser("density", parents=[run, report, source, case_seed],
+                           help="homomorphism density")
     p_den.add_argument("--graph", required=True,
                        help="builtin (edge, triangle, K4, path_k, cycle_k) or file")
-    p_den.add_argument("--samples", type=int, default=None)
+    p_den.add_argument("--samples", type=int, help="matrix input: Monte Carlo samples")
 
-    p_dist = sub.add_parser("distance", parents=[common, exact],
+    p_dist = sub.add_parser("distance", parents=[run, report, seed, exact],
                             help="rearrangement distance bracket")
     p_dist.add_argument("first", help="step-function file")
     p_dist.add_argument("second", help="step-function file")
     p_dist.add_argument("--norm", choices=["l1", "l2", "cut"], default="cut")
     p_dist.add_argument("--max-atoms", dest="max_atoms", type=int, default=64)
 
-    p_make = sub.add_parser("make", parents=[common], help="build an ensemble kernel")
-    p_make.add_argument("--ensemble", required=True,
-                        choices=["cayley", "circle", "sphere", "wrandom"])
-    p_make.add_argument("--n", type=int, default=None)
-    p_make.add_argument("--dim", type=int, default=None)
-    p_make.add_argument("--N", dest="count", type=int, default=None,
-                        help="sample count")
-    p_make.add_argument("--f", default=None,
-                        help="cayley: comma values; sphere: profile spec")
+    p_make = sub.add_parser("make", parents=[run, case_seed], help="build an ensemble kernel")
+    p_make.add_argument("--ensemble", required=True, choices=list(_ENSEMBLE_FLAGS))
+    p_make.add_argument("--output", required=True, help="kernel file to write")
+    p_make.add_argument("--n", type=int)
+    p_make.add_argument("--dim", type=int)
+    p_make.add_argument("--N", dest="count", type=int, help="sample count")
+    p_make.add_argument("--f", help="cayley: comma values; sphere: profile spec")
+    p_make.add_argument("--input", help="wrandom: source kernel (matrix or step)")
 
-    p_exp = sub.add_parser("experiment", parents=[common], help="experiment driver")
-    p_exp.add_argument("--name", required=True,
-                       choices=["circle", "sphere", "wrandom-convergence"])
-    p_exp.add_argument("--n", type=int, default=None)
-    p_exp.add_argument("--ks", default=None, help="circle: dilation factors")
-    p_exp.add_argument("--dims", default=None, help="sphere: dimensions")
-    p_exp.add_argument("--count", type=int, default=None)
-    p_exp.add_argument("--counts", default=None, help="wrandom: sample sizes")
-    p_exp.add_argument("--runs", type=int, default=None, help="wrandom: seeds per size")
-    p_exp.add_argument("--seeds", default=None, help="sphere: explicit seed list")
-    p_exp.add_argument("--f", default=None, help="sphere: profile spec")
+    p_exp = sub.add_parser("experiment", parents=[run, report, seed],
+                           help="experiment driver")
+    p_exp.add_argument("--name", required=True, choices=list(_EXPERIMENT_FLAGS))
+    p_exp.add_argument("--n", type=int)
+    p_exp.add_argument("--ks", help="circle: dilation factors")
+    p_exp.add_argument("--dims", help="sphere: dimensions")
+    p_exp.add_argument("--count", type=int)
+    p_exp.add_argument("--counts", help="wrandom: sample sizes")
+    p_exp.add_argument("--runs", type=int, help="wrandom: seeds per size")
+    p_exp.add_argument("--seeds", help="sphere: explicit seed list")
+    p_exp.add_argument("--f", help="sphere: profile spec")
+    p_exp.add_argument("--input", help="wrandom: source step file")
 
-    p_plot = sub.add_parser("plot", parents=[common], help="render a report series")
+    p_plot = sub.add_parser("plot", parents=[run, source], help="render a report series")
     p_plot.add_argument("--kind", required=True,
                         choices=["spectrum", "partition", "trajectory"])
+    p_plot.add_argument("--output", required=True, help="SVG file to write")
     return parser
 
 
@@ -631,8 +617,8 @@ def main(argv=None) -> int:
     else:
         print(f"runtime: {elapsed:.3f}s", file=sys.stderr)
     text = canonical_json(report)
-    if args.output and args.command != "plot" and args.command != "make":
-        fileio.write_text_atomic(args.output, text)
+    if getattr(args, "report", None):
+        fileio.write_text_atomic(args.report, text)
     sys.stdout.write(text)
     failed = [c for c in report["checks"] if not c["pass"]]
     return EXIT_CHECK_FAILED if failed else EXIT_OK

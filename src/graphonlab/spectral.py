@@ -113,6 +113,15 @@ def _symmetrized(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     return kernel.values * np.outer(rootw, rootw), rootw
 
 
+def _eigvalsh(kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_symmetrized(kernel) and the eigenvalues of its matrix, ascending."""
+    sym, rootw = _symmetrized(kernel)
+    try:
+        return sym, rootw, np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
+
+
 def decompose(kernel: Kernel, vectors_above: float | None = None) -> SpectralDecomposition:
     """Weighted eigendecomposition with multiplicity clusters.
 
@@ -124,11 +133,7 @@ def decompose(kernel: Kernel, vectors_above: float | None = None) -> SpectralDec
     """
     if vectors_above is None:
         return _eigh_decomposition(kernel)
-    sym, rootw = _symmetrized(kernel)
-    try:
-        vals = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
+    sym, rootw, vals = _eigvalsh(kernel)
     vals = vals[_spectral_order(vals)]
     dec = SpectralDecomposition(kernel, _readonly(vals), np.empty((kernel.n, 0)),
                                 _cluster_ranges(vals), vectors_above)
@@ -405,11 +410,7 @@ def operator_norm_upper(kernel: Kernel) -> float:
     have. A result that is not finite is reported as inf, which is still an
     upper bound.
     """
-    sym, _ = _symmetrized(kernel)
-    try:
-        vals = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
+    sym, _, vals = _eigvalsh(kernel)
     bound = float(np.max(np.abs(vals))) + _eigvalsh_margin(sym)
     return bound if math.isfinite(bound) else math.inf
 

@@ -15,35 +15,28 @@ from graphonlab import (
     DiscreteSpace,
     Kernel,
     PermutationAction,
-    apply_permutation,
     cayley_kernel,
     circle_halfplane_kernel,
     cutnorm_bracket,
     cutnorm_exact,
-    cutnorm_heuristic,
-    cycle_density_spectral,
     cycle_graph,
     decompose,
-    dilation_perm,
     expand_step,
     hom_density_step,
     invariant_dimension_report,
     kernel_from_matrix,
-    quotient_average,
     regularity_decompose,
     spectral_radius,
     spectrum_distribution,
-    sphere_kernel,
     step_function,
     symmetry_decompose,
     tail_truncate,
-    weighted_mean,
     weighted_norm,
     ProfileFunction,
     cluster_eigenvectors,
 )
-from graphonlab.cli import builtin_rank3_step, main
-from graphonlab.ensembles import w_random_sample
+from graphonlab import experiments
+from graphonlab.cli import main
 from graphonlab.spectral import gap_midpoints
 
 from conftest import cycle_adjacency, petersen_adjacency, random_symmetric
@@ -255,64 +248,40 @@ def test_criterion_09_quasirandom_action_bound():
 def test_criterion_10_sphere_quasirandomness():
     with criterion(10, "sphere quasirandomness bound"):
         start = time.monotonic()
-        profile = ProfileFunction.threshold(0.0)
-        for dim in (2, 3, 4):
-            bound = 1.0 / math.sqrt(dim + 1) + 0.05
-            for seed in (11, 12, 13):
-                k = sphere_kernel(dim, profile, 1500, seed=seed)
-                p = weighted_mean(k)
-                centered = Kernel(k.space, k.values - p)
-                est = cutnorm_heuristic(centered, restarts=32, seed=seed)
-                assert est.lower <= bound
-                assert est.upper <= bound
+        results, _ = experiments.sphere([2, 3, 4], 1500, [11, 12, 13],
+                                        ProfileFunction.threshold(0.0))
+        runs = results["runs"]
+        assert [(r["dim"], r["seed"]) for r in runs] == [
+            (dim, seed) for dim in (2, 3, 4) for seed in (11, 12, 13)]
+        for run in runs:
+            bound = 1.0 / math.sqrt(run["dim"] + 1) + 0.05
+            assert run["cut_lower"] <= bound
+            assert run["cut_upper"] <= bound
         elapsed = time.monotonic() - start
         assert elapsed <= 300.0, f"ran {elapsed:.1f}s, budget 300s"
 
 
 def test_criterion_11_circle_noncompactness_witness():
     with criterion(11, "circle non-compactness witness"):
-        n = 64
-        k = circle_halfplane_kernel(n)
-        perm = dilation_perm(n, 3)
-        moved = apply_permutation(k, perm)
-        d1, d2 = decompose(k), decompose(moved)
-        for j in range(3, 9):
-            gap = abs(cycle_density_spectral(d1, j).value
-                      - cycle_density_spectral(d2, j).value)
-            assert gap <= 1e-9
-        diff = Kernel(k.space, moved.values - k.values)
-        heur = cutnorm_heuristic(diff, restarts=32, seed=0)
-        quot = quotient_average(diff, (np.arange(n) * 16) // n)
-        small = Kernel(DiscreteSpace(quot.part_weights), quot.block)
-        lower = max(heur.lower, cutnorm_exact(small).lower)
-        assert lower >= 0.05
+        results, _ = experiments.circle(64, [3], seed=0)
+        assert set(results["cycle_densities"]) == set(range(3, 9))
+        (run,) = results["runs"]
+        assert run["k"] == 3
+        # the largest cycle-density gap over j = 3..8
+        assert run["max_density_delta"] <= 1e-9
+        assert run["cut_lower"] >= 0.05
 
 
 def test_criterion_12_wrandom_rank_and_l2_convergence():
     with criterion(12, "W-random rank and aligned L2 convergence"):
-        sf = builtin_rank3_step()
-        source = expand_step(sf)
-        dec_w = decompose(source)
-        nonzero = np.abs(dec_w.eigenvalues) > dec_w.cluster_tolerance
-        assert int(np.sum(nonzero)) == 3
-        lam_mid = float(np.min(np.abs(dec_w.eigenvalues[nonzero]))) / 2.0
-        ref = quotient_average(tail_truncate(dec_w, lam_mid), sf.part_of)
-        pw = sf.part_weights
-        medians = {}
-        for count in (100, 400, 1600):
-            ranks, dists = [], []
-            for seed in range(5):
-                sample, atoms = w_random_sample(source, count, seed)
-                dec_s = decompose(sample)
-                ranks.append(dec_s.rank_above(lam_mid))
-                quot = quotient_average(tail_truncate(dec_s, lam_mid),
-                                        np.asarray(sf.part_of)[atoms])
-                d = quot.block - ref.block
-                dists.append(float(np.sqrt(np.sum(np.outer(pw, pw) * d * d))))
-            medians[count] = float(np.median(dists))
-            if count == 1600:
-                assert all(r == 3 for r in ranks), f"ranks at 1600: {ranks}"
-        assert medians[1600] < medians[100]
+        results, _ = experiments.wrandom_convergence(
+            experiments.builtin_rank3_step(), [100, 400, 1600], list(range(5)))
+        assert results["source_rank"] == 3
+        per_count = results["per_count"]
+        ranks = per_count["1600"]["ranks"]
+        assert ranks == [3] * 5, f"ranks at 1600: {ranks}"
+        assert (per_count["1600"]["median_aligned_l2"]
+                < per_count["100"]["median_aligned_l2"])
 
 
 def test_criterion_13_byte_identical_reports(tmp_path, capsys):

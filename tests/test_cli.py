@@ -386,6 +386,7 @@ class TestExitCodes:
          "--output", "{out}"],
         ["make", "--ensemble", "circle", "--n", "6", "--output", "{out}"],
         ["make", "--ensemble", "cayley", "--n", "3", "--f", "0,1", "--output", "{out}"],
+        ["make", "--ensemble", "cayley", "--n", "3", "--f", "0,1,2", "--output", "{out}"],
         ["make", "--ensemble", "wrandom", "--N", "0", "--input", "{step}", "--seed", "0",
          "--output", "{out}"],
     ])
@@ -394,6 +395,33 @@ class TestExitCodes:
         # numeric failure (exit 3); --n 0 and --runs 0 used to fall back to
         # the defaults silently
         files = {"{step}": step_file, "{out}": str(tmp_path / "k.txt")}
+        argv = [files.get(a, a) for a in argv]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--input", "{matrix}", "--seed", "5"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--seed", "5"],
+        ["plot", "--input", "{report}", "--kind", "spectrum", "--output", "{out}",
+         "--seed", "4"],
+        ["distance", "{step}", "{step}", "--input", "nope", "--seed", "0"],
+        ["experiment", "--name", "circle", "--n", "16", "--ks", "3", "--dims", "9",
+         "--seed", "0"],
+        ["experiment", "--name", "sphere", "--dims", "2", "--count", "50", "--seeds", "1",
+         "--input", "{step}", "--seed", "0"],
+        ["make", "--ensemble", "circle", "--n", "8", "--dim", "7", "--seed", "3",
+         "--output", "{out}"],
+        ["density", "--input", "{step}", "--graph", "triangle", "--samples", "10"],
+        ["density", "--input", "{step}", "--graph", "triangle", "--seed", "1"],
+    ])
+    def test_ignored_flag_is_usage_error(self, argv, matrix_file, step_file, tmp_path,
+                                         capsys):
+        # each of these runs used to exit 0 and ignore the flag, or echo it
+        # in the report's inputs although it had no effect
+        report = tmp_path / "spectrum.json"
+        assert run_cli(["spectrum", "--input", matrix_file, "--output", str(report)],
+                       capsys)[0] == EXIT_OK
+        files = {"{matrix}": matrix_file, "{step}": step_file, "{report}": str(report),
+                 "{out}": str(tmp_path / "out")}
         argv = [files.get(a, a) for a in argv]
         assert run_cli(argv, capsys)[0] == EXIT_USAGE
 
@@ -430,6 +458,61 @@ class TestExitCodes:
             assert code == EXIT_CHECK_FAILED
         else:  # pragma: no cover - rank recovery at n=12 is not expected
             assert code == EXIT_OK
+
+
+class TestInputs:
+    def test_distance_echoes_exact_limit(self, tmp_path, capsys):
+        # 12-atom steps: with --exact-limit 22 the cut distance of the
+        # aligned difference is enumerated exactly, with 3 it is not
+        rng = np.random.default_rng(7)
+        paths = []
+        for tag in "ab":
+            block = rng.uniform(0.0, 1.0, (12, 12))
+            sf = step_function(DiscreteSpace.uniform(12), np.arange(12), (block + block.T) / 2)
+            paths.append(tmp_path / f"{tag}.step")
+            paths[-1].write_text(format_step(sf))
+        inputs = []
+        for limit in ("22", "3"):
+            code, out = run_cli(["distance", str(paths[0]), str(paths[1]), "--seed", "0",
+                                 "--exact-limit", limit], capsys)
+            assert code == EXIT_OK
+            inputs.append(json.loads(out)["inputs"])
+        assert [i["exact_limit"] for i in inputs] == [22, 3]
+        assert inputs[0] != inputs[1]
+
+    @pytest.mark.parametrize("argv, echoed", [
+        (["distance", "{step}", "{step}", "--norm", "l1", "--seed", "0"],
+         {"first", "second", "norm", "max_atoms", "exact_limit", "seed"}),
+        (["density", "--input", "{step}", "--graph", "edge"], {"input", "graph"}),
+        (["make", "--ensemble", "wrandom", "--N", "6", "--input", "{step}", "--seed", "1",
+          "--output", "{out}", "--threads", "2"], {"ensemble", "count", "input", "seed"}),
+        (["experiment", "--name", "circle", "--n", "16", "--ks", "3", "--seed", "0",
+          "--output", "{out}", "--timing"], {"name", "n", "ks", "seed"}),
+    ])
+    def test_inputs_are_the_flags_read(self, argv, echoed, step_file, tmp_path, capsys):
+        files = {"{step}": step_file, "{out}": str(tmp_path / "out")}
+        code, out = run_cli([files.get(a, a) for a in argv], capsys)
+        assert code == EXIT_OK
+        assert set(json.loads(out)["inputs"]) == echoed
+
+    @pytest.mark.parametrize("minimal, table", [
+        (["experiment", "--name", "circle", "--seed", "0"],
+         graphonlab.cli._EXPERIMENT_FLAGS),
+        (["make", "--ensemble", "circle", "--output", "k.txt"],
+         graphonlab.cli._ENSEMBLE_FLAGS),
+        (["density", "--input", "m.txt", "--graph", "edge"], graphonlab.cli._DENSITY_FLAGS),
+    ])
+    def test_case_tables_match_the_parser(self, minimal, table):
+        # every tabled flag is declared and defaults to None, so that given
+        # means typed; every declared flag is read by every case or by some
+        # case of the table, so none is unreachable
+        args = vars(graphonlab.cli._build_parser().parse_args(minimal))
+        declared = set(args) - set(graphonlab.cli._UNECHOED)
+        always = {dest for dest in declared if args[dest] is not None}
+        tabled = set().union(*table.values())
+        assert tabled <= declared
+        assert not tabled & always
+        assert declared == always | tabled
 
 
 class TestDeterminism:
