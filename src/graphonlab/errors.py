@@ -77,6 +77,10 @@ class IrrationalWeightsError(GraphonError):
     """Part weights are not representable on the refinement grid."""
 
 
+class WorkerError(GraphonError):
+    """A worker process ended before it returned the result of its unit."""
+
+
 class SymmetrizedWarning(UserWarning):
     """Input matrix had a small skew part and was symmetrized."""
 

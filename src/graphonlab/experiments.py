@@ -6,6 +6,7 @@ spectral convergence. Each is a pure function of plain values returning
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -27,8 +28,55 @@ from .ensembles import (
     sphere_kernel,
     w_random_sample,
 )
+from .errors import WorkerError
 from .homdensity import cycle_density_spectral
 from .spectral import decompose, tail_truncate
+
+# Predicted work, as the sum of n^3 over the units, below which the units run
+# in this process. On a 2-core VM four units of n = 300 (1.1e8) took as long
+# in a pool of two as in one process; below that, starting the pool (40-60
+# ms) costs more than it saves.
+POOL_MIN_WORK = 1e8
+
+
+def _worker_count(threads: int, units: int) -> int:
+    """Worker processes for units independent units: never more than were
+    asked for, than there are units, or than there are cores to run them."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(threads, units, cores))
+
+
+def _map_units(unit, calls: list[tuple], sizes: list[int], workers: int) -> list:
+    """[unit(*call) for call in calls], in index order. With more than one
+    worker, a predicted work of at least POOL_MIN_WORK and no other thread
+    in this process, the calls run in a pool of forked processes, the
+    largest first; a unit is a module-level function of its arguments alone,
+    so where it runs never changes what it returns."""
+    workers = _worker_count(workers, len(calls))
+    if workers == 1 or sum(n**3 for n in sizes) < POOL_MIN_WORK:
+        return [unit(*call) for call in calls]
+    import concurrent.futures
+    import multiprocessing
+    import threading
+
+    # fork copies only the calling thread, so a lock another thread holds
+    # stays locked in the workers; and Windows has no fork
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [unit(*call) for call in calls]
+    # fork: the workers inherit the imported numpy and the BLAS pin
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        largest_first = sorted(range(len(calls)), key=lambda i: -sizes[i])
+        futures = {i: pool.submit(unit, *calls[i]) for i in largest_first}
+        return [futures[i].result() for i in range(len(calls))]
+    except concurrent.futures.BrokenExecutor as exc:  # e.g. a worker was killed
+        raise WorkerError(f"a worker process ended without returning its unit: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
@@ -36,7 +84,8 @@ def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
     densities agree to float precision while the cut distance stays
     bounded away from zero."""
     kernel = circle_halfplane_kernel(n)
-    dec = decompose(kernel)
+    # only the eigenvalues are read
+    dec = decompose(kernel, vectors_above=math.inf)
     densities = {j: cycle_density_spectral(dec, j).value for j in range(3, 9)}
     runs = []
     checks = []
@@ -44,7 +93,7 @@ def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
     for k in ks:
         perm = dilation_perm(n, k)
         permuted = apply_permutation(kernel, perm)
-        dec_p = decompose(permuted)
+        dec_p = decompose(permuted, vectors_above=math.inf)
         delta_density = max(
             abs(cycle_density_spectral(dec_p, j).value - densities[j])
             for j in range(3, 9)
@@ -69,29 +118,37 @@ def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
     return results, checks
 
 
+def _sphere_unit(dim: int, profile: ProfileFunction, count: int,
+                 seed: int) -> tuple[float, float, float]:
+    """One sampled sphere kernel: its edge density and the cut-norm bracket
+    of the centered kernel."""
+    kernel = sphere_kernel(dim, profile, count, seed)
+    p = weighted_mean(kernel)
+    centered = Kernel(kernel.space, kernel.values - p)
+    bracket = cutnorm_heuristic(centered, restarts=32, seed=seed)
+    return p, bracket.lower, bracket.upper
+
+
 def sphere(dims: list[int], count: int, seeds: list[int],
-           profile: ProfileFunction) -> tuple[dict, list]:
+           profile: ProfileFunction, workers: int = 1) -> tuple[dict, list]:
     """Sampled sphere kernels are quasirandom: the cut norm of the centered
-    kernel stays within 1/sqrt(dim + 1) + 0.05."""
+    kernel stays within 1/sqrt(dim + 1) + 0.05. Up to workers processes
+    share the (dim, seed) kernels; the result does not depend on how many."""
+    units = [(dim, seed) for dim in dims for seed in seeds]
+    found = _map_units(_sphere_unit, [(dim, profile, count, seed) for dim, seed in units],
+                       [count] * len(units), workers)
     runs = []
     checks = []
-    for dim in dims:
+    for (dim, seed), (p, lower, upper) in zip(units, found):
         bound = 1.0 / math.sqrt(dim + 1) + 0.05
-        for seed in seeds:
-            kernel = sphere_kernel(dim, profile, count, seed)
-            p = weighted_mean(kernel)
-            centered = Kernel(kernel.space, kernel.values - p)
-            bracket = cutnorm_heuristic(centered, restarts=32, seed=seed)
-            runs.append({
-                "dim": dim, "seed": seed, "edge_density": p,
-                "cut_lower": bracket.lower, "cut_upper": bracket.upper,
-                "bound": bound,
-            })
-            checks.append((f"quasirandom_dim{dim}_seed{seed}", bracket.lower, bound, "le"))
-            # the certified form: the upper end of the bracket is within the bound
-            checks.append(
-                (f"quasirandom_upper_dim{dim}_seed{seed}", bracket.upper, bound, "le")
-            )
+        runs.append({
+            "dim": dim, "seed": seed, "edge_density": p,
+            "cut_lower": lower, "cut_upper": upper,
+            "bound": bound,
+        })
+        checks.append((f"quasirandom_dim{dim}_seed{seed}", lower, bound, "le"))
+        # the certified form: the upper end of the bracket is within the bound
+        checks.append((f"quasirandom_upper_dim{dim}_seed{seed}", upper, bound, "le"))
     results = {"dims": dims, "count": count, "seeds": seeds, "runs": runs}
     return results, checks
 
@@ -109,11 +166,29 @@ def builtin_rank3_step() -> StepFunction:
     return step_function(space, labels, block)
 
 
+def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndarray,
+                  pw: np.ndarray, lam_mid: float, track: int, count: int,
+                  seed: int) -> tuple[int, float, np.ndarray]:
+    """One W-random sample of the source: its rank above lam_mid, the
+    aligned L2 distance of its truncation to the reference block, and its
+    top track eigenvalues."""
+    sample, atoms = w_random_sample(source, count, seed)
+    # only the eigenvectors above lam_mid are read
+    dec_s = decompose(sample, vectors_above=lam_mid)
+    truncated_s = tail_truncate(dec_s, lam_mid)
+    quot = quotient_average(truncated_s, labels_of_atom[atoms])
+    diff = quot.block - ref_block
+    dist = float(np.sqrt(np.sum(np.outer(pw, pw) * diff * diff)))
+    return dec_s.rank_above(lam_mid), dist, dec_s.eigenvalues[:track]
+
+
 def wrandom_convergence(source_step: StepFunction, counts: list[int],
-                        seeds: list[int]) -> tuple[dict, list]:
+                        seeds: list[int], workers: int = 1) -> tuple[dict, list]:
     """W-random graphs of growing size sampled from a step kernel: the rank
     above the source's half-gap and the top eigenvalues converge to the
-    source's, and the truncated samples approach it in aligned L2."""
+    source's, and the truncated samples approach it in aligned L2. Up to
+    workers processes share the (count, seed) samples; the result does not
+    depend on how many."""
     source = expand_step(source_step)
     dec_w = decompose(source)
     nonzero = np.abs(dec_w.eigenvalues) > dec_w.cluster_tolerance
@@ -125,25 +200,15 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
     top = min(10, source.n)
     ref_eigs = dec_w.eigenvalues[:top]
 
-    labels_of_atom = source_step.part_of
-    per_count: dict[int, dict] = {}
     track = min(10, min(counts))
+    reference = (source, source_step.part_of, ref_block.block, pw, lam_mid, track)
+    units = [(count, seed) for count in counts for seed in seeds]
+    found = iter(_map_units(_wrandom_unit, [reference + unit for unit in units],
+                            [count for count, _ in units], workers))
+    per_count: dict[int, dict] = {}
     checks = []
     for count in counts:
-        ranks = []
-        dists = []
-        eig_rows = []
-        for seed in seeds:
-            sample, atoms = w_random_sample(source, count, seed)
-            # only the eigenvectors above lam_mid are read
-            dec_s = decompose(sample, vectors_above=lam_mid)
-            ranks.append(dec_s.rank_above(lam_mid))
-            truncated_s = tail_truncate(dec_s, lam_mid)
-            sample_labels = labels_of_atom[atoms]
-            quot = quotient_average(truncated_s, sample_labels)
-            diff = quot.block - ref_block.block
-            dists.append(float(np.sqrt(np.sum(np.outer(pw, pw) * diff * diff))))
-            eig_rows.append(dec_s.eigenvalues[:track])
+        ranks, dists, eig_rows = map(list, zip(*(next(found) for _ in seeds)))
         med = float(np.median(np.array(eig_rows), axis=0)[0])
         per_count[count] = {
             "ranks": ranks,

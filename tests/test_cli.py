@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,7 +9,7 @@ import pytest
 
 import graphonlab.cli
 import graphonlab.regularity
-from graphonlab import kernel_from_matrix, step_function, DiscreteSpace
+from graphonlab import experiments, kernel_from_matrix, step_function, DiscreteSpace
 from graphonlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERIC,
@@ -18,6 +19,7 @@ from graphonlab.cli import (
     parse_F,
     parse_profile,
 )
+from graphonlab.errors import InvalidSpaceError
 from graphonlab.fileio import format_matrix, format_step
 
 from conftest import random_symmetric
@@ -389,6 +391,9 @@ class TestExitCodes:
         ["make", "--ensemble", "cayley", "--n", "3", "--f", "0,1,2", "--output", "{out}"],
         ["make", "--ensemble", "wrandom", "--N", "0", "--input", "{step}", "--seed", "0",
          "--output", "{out}"],
+        ["experiment", "--name", "sphere", "--dims", "2", "--count", "50", "--seeds", "1",
+         "--seed", "0", "--threads", "0"],
+        ["make", "--ensemble", "circle", "--n", "8", "--output", "{out}", "--threads", "-3"],
     ])
     def test_flag_out_of_range_is_usage_error(self, argv, step_file, tmp_path, capsys):
         # a flag value the constructors reject is a usage error (exit 2), not a
@@ -441,6 +446,33 @@ class TestExitCodes:
             ["decompose", "--input", str(path), "--epsilon", "0.3"], capsys
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("failure, message", [
+        ("raise", "raised in a worker"),
+        ("exit", "worker process ended"),
+    ])
+    def test_failure_in_a_worker_is_numeric_failure(self, failure, message, monkeypatch,
+                                                    capsys):
+        # the kernel build fails only in a forked worker, so exit 3 shows that
+        # the pool ran and that the worker's GraphonError, or its death,
+        # reached the CLI
+        parent = os.getpid()
+        build = experiments.sphere_kernel
+
+        def fails_in_a_worker(*args):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(9)
+                raise InvalidSpaceError("raised in a worker")
+            return build(*args)
+
+        monkeypatch.setattr(experiments, "sphere_kernel", fails_in_a_worker)
+        monkeypatch.setattr(experiments, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code = main(["experiment", "--name", "sphere", "--dims", "2", "--count", "40",
+                     "--seeds", "1,2", "--seed", "1", "--threads", "2"])
+        assert code == EXIT_NUMERIC
+        assert message in capsys.readouterr().err
 
     def test_check_failure_exit(self, tmp_path, capsys):
         # sphere bound with an absurd negative slack cannot pass: instead,

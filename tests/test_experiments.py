@@ -2,6 +2,8 @@
 checks) out, and the CLI report carries exactly their rounded form."""
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -44,3 +46,53 @@ def test_cli_report_is_the_rounded_library_result(case, capsys):
             for c in report["checks"]] == expected["checks"]
     # the decomposition target F is no input of any experiment
     assert "F" not in report["inputs"]
+
+
+def _exact(obj) -> str:
+    """Every float at full precision, arrays as lists."""
+    return json.dumps(obj, sort_keys=True, default=lambda a: a.tolist())
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    # the pool runs however small the work, with two workers on any machine
+    monkeypatch.setattr(experiments, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_pool_runs_the_units_in_other_processes(pool):
+    pids = experiments._map_units(os.getpid, [(), (), ()], [1, 3, 2], 2)
+    assert len(pids) == 3 and os.getpid() not in pids
+
+
+def test_no_fork_while_another_thread_runs(pool):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        pids = experiments._map_units(os.getpid, [(), ()], [1, 1], 2)
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert pids == [os.getpid()] * 2
+
+
+@pytest.mark.parametrize("run", [
+    lambda w: experiments.sphere([2, 3], 60, [1, 2], ProfileFunction.threshold(0.0),
+                                 workers=w),
+    lambda w: experiments.wrandom_convergence(
+        experiments.builtin_rank3_step(), [40, 120], [0, 1, 2], workers=w),
+], ids=["sphere", "wrandom"])
+def test_pool_returns_the_serial_result(pool, run):
+    # units of different sizes finish out of order; results keep index order
+    assert _exact(run(2)) == _exact(run(1))
+
+
+def test_worker_count_is_capped_by_units_and_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert experiments._worker_count(1, 6) == 1
+    assert experiments._worker_count(2, 6) == 2
+    assert experiments._worker_count(64, 6) == 3
+    assert experiments._worker_count(64, 2) == 2
+    assert experiments._worker_count(64, 1) == 1
