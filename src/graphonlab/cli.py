@@ -194,7 +194,7 @@ def _flag_range(*also: type[Exception]):
 
 def _at_least(flag: str, low: int, *values) -> None:
     for v in values:
-        if v < low:
+        if not v >= low:  # also rejects NaN
             raise UsageError(f"{flag} must be at least {low}, got {v}")
 
 
@@ -283,6 +283,7 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_cutnorm(args) -> dict:
+    _at_least("--restarts", 1, args.restarts)
     kernel = fileio.load_kernel(args.input)
     config = CutNormConfig(exact_limit=args.exact_limit, restarts=args.restarts,
                            seed=args.seed)
@@ -298,9 +299,12 @@ def _cmd_cutnorm(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
+    eps = args.epsilon
+    if not 0.0 < eps < math.inf:
+        raise UsageError(f"--epsilon must be positive and finite, got {eps}")
+    _at_least("--max-parts", 1, args.max_parts)
     kernel = fileio.load_kernel(args.input)
     F, f_desc = parse_F(args.F)
-    eps = args.epsilon
     reg = regularity_decompose(kernel, F, eps)
     dec = reg.spectral
     try:
@@ -358,6 +362,7 @@ def _cmd_density(args) -> dict:
     if kind == "step":
         est = hom_density_step(graph, fileio.load_step(args.input))
     else:
+        _at_least("--samples", 1, args.samples)
         kernel = fileio.load_kernel(args.input)
         est = hom_density_mc(graph, kernel, args.samples, args.seed)
         cyc = re.match(r"^cycle_(\d+)$", args.graph)
@@ -374,6 +379,7 @@ def _cmd_density(args) -> dict:
 
 
 def _cmd_distance(args) -> dict:
+    _at_least("--max-atoms", 1, args.max_atoms)
     sf1 = fileio.load_step(args.first)
     sf2 = fileio.load_step(args.second)
     norm = {"l1": "L1", "l2": "L2", "cut": "cut"}[args.norm]

@@ -19,7 +19,7 @@ from .spectral import operator_norm_upper
 
 DEFAULT_EXACT_LIMIT = 22
 DEFAULT_RESTARTS = 32
-_CHUNK_BITS = 16  # sign vectors are enumerated in chunks of 2^16
+_LOW_BITS = 16  # a g is tabulated over the patterns of this many free coordinates
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,36 @@ def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _sign_chunk(offset: int, count: int, n: int) -> np.ndarray:
-    """Rows offset..offset+count-1 of the +-1 enumeration on n-1 free bits
-    (coordinate 0 is pinned to +1 by the g -> -g symmetry)."""
-    codes = np.arange(offset, offset + count, dtype=np.int64)
-    out = np.empty((count, n))
-    out[:, 0] = 1.0
-    for bit in range(n - 1):
-        out[:, bit + 1] = np.where((codes >> bit) & 1, -1.0, 1.0)
-    return out
+def _signs(codes, bits: int) -> np.ndarray:
+    """The +-1 vectors of the codes: bit k of a code set means -1 at index k."""
+    return 1.0 - 2.0 * ((np.asarray(codes)[..., None] >> np.arange(bits)) & 1)
+
+
+def _best_signs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of a (b, n, n) stack, the largest ||a g||_1 over the
+    sign vectors g with g_0 = +1, and the first code attaining it (bit k of
+    the code set means g_{k+1} = -1).
+
+    a g splits into the part of the low _LOW_BITS free coordinates, formed
+    once as one table over all their patterns, and the part of g_0 and the
+    high bits, one column per high pattern added to that table.
+    """
+    b, n, _ = a.shape
+    low = min(n - 1, _LOW_BITS)
+    high_bits = n - 1 - low
+    table = a[:, :, 1 : low + 1] @ _signs(np.arange(1 << low), low).T  # (b, n, 2^low)
+    buf = np.empty_like(table)
+    best = np.full(b, -1.0)
+    best_code = np.zeros(b, dtype=np.int64)
+    for high, pattern in enumerate(_signs(np.arange(1 << high_bits), high_bits)):
+        col = a[:, :, 0] + a[:, :, low + 1 :] @ pattern
+        np.add(table, col[:, :, None], out=buf)
+        vals = np.abs(buf, out=buf).sum(axis=1)
+        top = vals.max(axis=1)
+        up = top > best
+        best[up] = top[up]
+        best_code[up] = (high << low) + vals[up].argmax(axis=1)
+    return best, best_code
 
 
 def cutnorm_exact(kernel: Kernel, max_n: int = DEFAULT_EXACT_LIMIT) -> CutNormEstimate:
@@ -80,21 +101,10 @@ def cutnorm_exact(kernel: Kernel, max_n: int = DEFAULT_EXACT_LIMIT) -> CutNormEs
         raise TooLargeError(f"n={n} exceeds the exact enumeration limit {max_n}")
     w = kernel.space.weights
     a = kernel.values * np.outer(w, w)  # (Ag)_x = w_x * (KDg)_x
-    total = 1 << (n - 1)
-    best_val = -1.0
-    best_g = None
-    chunk = 1 << _CHUNK_BITS
-    for offset in range(0, total, chunk):
-        count = min(chunk, total - offset)
-        gs = _sign_chunk(offset, count, n)
-        r = gs @ a.T  # row i holds A @ gs[i]
-        vals = np.abs(r).sum(axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_g = gs[i].copy()
+    _, code = _best_signs(a[None])
+    best_g = np.concatenate([[1.0], _signs(code[0], n - 1)])
     best_f = _sign(a @ best_g)
-    value = float(best_f @ (a @ best_g))
+    value = bilinear_form(best_f, kernel, best_g)
     return CutNormEstimate(
         lower=value, upper=value, witness_f=best_f, witness_g=best_g, method="exact"
     )

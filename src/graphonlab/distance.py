@@ -21,11 +21,12 @@ from .core import (
     builtin_graph,
     weighted_norm,
 )
-from .cutnorm import CutNormConfig, _sign_chunk, cutnorm_bracket
+from .cutnorm import CutNormConfig, _best_signs, cutnorm_bracket
 from .errors import IrrationalWeightsError
 from .homdensity import hom_density_step
 
 EXACT_PERMUTATION_LIMIT = 8
+_DESCENT_STARTS = 16  # swap-descent starts: the profile match, then random permutations
 GRID_TOL = 1e-9
 _LOWER_BOUND_GRAPHS: tuple[SimpleGraph, ...] = tuple(
     builtin_graph(name) for name in ("edge", "path_3", "triangle", "cycle_4", "cycle_5", "K4")
@@ -51,7 +52,6 @@ class DistanceBracket:
 @dataclass(frozen=True)
 class DeltaConfig:
     max_atoms: int = 64
-    descent_starts: int = 16
     seed: int = 0
     cut: CutNormConfig = field(default_factory=CutNormConfig)
 
@@ -93,16 +93,14 @@ def common_refinement(
 # norm evaluation helpers (uniform weights on the refined grid)
 
 
-def _batched_norms(diffs: np.ndarray, m: int, norm: str,
-                   signs: np.ndarray | None) -> np.ndarray:
+def _batched_norms(diffs: np.ndarray, m: int, norm: str) -> np.ndarray:
     """Norm of every difference matrix in a (batch, m, m) stack."""
     if norm == "L1":
         return np.abs(diffs).sum(axis=(1, 2)) / (m * m)
     if norm == "L2":
         return np.sqrt((diffs * diffs).sum(axis=(1, 2)) / (m * m))
     # exact cut norm: max_g sum_x |(D diff D g)_x| over half the sign vectors
-    r = np.tensordot(diffs, signs.T, axes=([2], [0])) / (m * m)
-    return np.abs(r).sum(axis=1).max(axis=1)
+    return _best_signs(diffs / (m * m))[0]
 
 
 def _single_norm(diff: np.ndarray, space: DiscreteSpace, norm: str,
@@ -203,14 +201,13 @@ def delta_bracket(
 
     if m <= EXACT_PERMUTATION_LIMIT:
         perms = np.array(list(itertools.permutations(range(m))), dtype=int)
-        signs = _sign_chunk(0, 1 << (m - 1), m) if norm == "cut" else None
         best = math.inf
         best_perm = perms[0]
         chunk = 4096
         for off in range(0, perms.shape[0], chunk):
             batch = perms[off : off + chunk]
             diffs = v1[batch[:, :, None], batch[:, None, :]] - v2[None, :, :]
-            vals = _batched_norms(diffs, m, norm, signs)
+            vals = _batched_norms(diffs, m, norm)
             i = int(np.argmin(vals))
             if vals[i] < best:
                 best = float(vals[i])
@@ -219,7 +216,7 @@ def delta_bracket(
     else:
         rng = np.random.default_rng(config.seed)
         starts = [_greedy_profile_match(v1, v2)]
-        starts += [rng.permutation(m) for _ in range(max(0, config.descent_starts - 1))]
+        starts += [rng.permutation(m) for _ in range(_DESCENT_STARTS - 1)]
         best = math.inf
         best_perm = starts[0]
         for start in starts:

@@ -19,7 +19,7 @@ from .core import (
     weighted_mean,
     weighted_norm,
 )
-from .cutnorm import CutNormConfig, cutnorm_bracket
+from .cutnorm import cutnorm_bracket
 from .errors import (
     ActionDoesNotStabilizeError,
     AsymmetricMatrixError,
@@ -203,16 +203,12 @@ class InvariantDimensionReport:
 
 
 def _cluster_report(kernel: Kernel) -> ClusterDimensionReport:
-    dec = decompose(kernel)
-    tol = dec.cluster_tolerance
-    dims = []
-    d = None
-    for start, stop in dec.clusters:
-        if abs(float(dec.eigenvalues[start])) <= tol:
-            continue  # the numerically zero cluster carries no range
-        size = stop - start
-        dims.append(size)
-        d = size if d is None else min(d, size)
+    # only the eigenvalues are read
+    dec = decompose(kernel, vectors_above=math.inf)
+    # the numerically zero cluster carries no range and is left out
+    dims = [stop - start for start, stop in dec.clusters
+            if abs(float(dec.eigenvalues[start])) > dec.cluster_tolerance]
+    d = min(dims, default=None)
     l2 = weighted_norm(kernel, "L2")
     rad = spectral_radius(dec)
     if d is None:
@@ -226,7 +222,6 @@ def _cluster_report(kernel: Kernel) -> ClusterDimensionReport:
 def invariant_dimension_report(
     kernel: Kernel,
     action: PermutationAction,
-    cut_config: CutNormConfig | None = None,
 ) -> InvariantDimensionReport:
     """Per-eigencluster dimensions of a kernel stabilized by the action.
 
@@ -250,7 +245,7 @@ def invariant_dimension_report(
         cut_bound = None
         cut_holds = None
     else:
-        cut = cutnorm_bracket(centered, cut_config)
+        cut = cutnorm_bracket(centered)
         cut_bound = creport.l2_norm / math.sqrt(creport.d)
         cut_holds = bool(cut.upper <= cut_bound + 1e-9)
     return InvariantDimensionReport(

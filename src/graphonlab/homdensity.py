@@ -28,13 +28,12 @@ class DensityEstimate:
     method: str  # exact_step | monte_carlo | spectral_cycle
 
 
-def hom_density_step(graph: SimpleGraph, sf: StepFunction,
-                     max_vertices: int = MAX_EXACT_VERTICES) -> DensityEstimate:
+def hom_density_step(graph: SimpleGraph, sf: StepFunction) -> DensityEstimate:
     """Exact density: sum over all part assignments of the product of block
     values on edges, weighted by the product of part weights."""
-    if graph.k > max_vertices:
+    if graph.k > MAX_EXACT_VERTICES:
         raise TooManyVerticesError(
-            f"{graph.k} vertices exceeds the exact cap {max_vertices}"
+            f"{graph.k} vertices exceeds the exact cap {MAX_EXACT_VERTICES}"
         )
     letters = string.ascii_letters
     subscripts = []

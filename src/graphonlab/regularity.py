@@ -27,7 +27,7 @@ from .core import (
     quotient_average,
     weighted_norm,
 )
-from .cutnorm import CutNormConfig, CutNormEstimate, cutnorm_bracket
+from .cutnorm import CutNormEstimate, cutnorm_bracket
 from .errors import (
     EpsilonViolatedWarning,
     GridOverflowError,
@@ -156,7 +156,6 @@ def regularity_decompose(
     kernel: Kernel,
     F,
     eps: float,
-    cut_config: CutNormConfig | None = None,
 ) -> RegularityDecomposition:
     """Split M into the structured part S = [M]_lam, the L2-small band
     E = [M]_lam' - [M]_lam, and the cut-norm-small tail R = M - [M]_lam'.
@@ -187,7 +186,7 @@ def regularity_decompose(
         )
     certs = Certificates(
         E_l2=e_l2,
-        R_cut=cutnorm_bracket(r_kernel, cut_config),
+        R_cut=cutnorm_bracket(r_kernel),
         SE_linf=float(np.max(np.abs(se))),
         clamped=clamped,
         epsilon_violated=violated,
@@ -280,14 +279,8 @@ def _entry_classes(values: np.ndarray, tol: float = ENTRY_CLASS_TOL) -> np.ndarr
     flat = values.ravel()
     order = np.argsort(flat, kind="stable")
     sorted_vals = flat[order]
-    cls_sorted = np.zeros(flat.size, dtype=int)
-    cls_id = 0
-    for i in range(1, flat.size):
-        if sorted_vals[i] - sorted_vals[i - 1] > tol:
-            cls_id += 1
-        cls_sorted[i] = cls_id
     classes = np.empty(flat.size, dtype=int)
-    classes[order] = cls_sorted
+    classes[order] = np.concatenate(([0], np.cumsum(np.diff(sorted_vals) > tol)))
     return classes.reshape(values.shape)
 
 
@@ -425,9 +418,7 @@ def symmetry_decompose(
     kernel: Kernel,
     F,
     eps: float,
-    cut_config: CutNormConfig | None = None,
     max_parts: float = DEFAULT_GRID_CAP,
-    aut_limit: int = DEFAULT_AUT_LIMIT,
 ):
     """Regularity decomposition plus a step-function form of S and the
     invariance certificates under every automorphism generator.
@@ -437,9 +428,9 @@ def symmetry_decompose(
     precision; the clustered T deviates by at most twice its approximation
     error, hence stays within eps.
     """
-    reg = regularity_decompose(kernel, F, eps, cut_config=cut_config)
+    reg = regularity_decompose(kernel, F, eps)
     clustering = cluster_eigenvectors(reg.spectral, reg.lam, eps, max_parts=max_parts)
-    action = automorphisms(kernel, max_n=aut_limit)
+    action = automorphisms(kernel)
     t_kernel = expand_step(clustering.step)
     rows = []
     s_worst = 0.0

@@ -76,7 +76,7 @@ class SpectralDecomposition:
 
     @property
     def cluster_tolerance(self) -> float:
-        return CLUSTER_TOL_FACTOR * max(abs(float(self.eigenvalues[0])), 1.0)
+        return _cluster_tolerance(self.eigenvalues)
 
     def cluster_dimensions(self) -> list[int]:
         return [stop - start for (start, stop) in self.clusters]
@@ -90,19 +90,17 @@ class SpectralDecomposition:
         return int(np.sum(np.abs(self.eigenvalues) > threshold))
 
 
+def _cluster_tolerance(sorted_vals: np.ndarray) -> float:
+    return CLUSTER_TOL_FACTOR * max(abs(float(sorted_vals[0])), 1.0)
+
+
 def _cluster_ranges(sorted_vals: np.ndarray) -> tuple:
     """Group consecutive |lambda| values, in spectral order, whose gap is at
     most the cluster tolerance."""
-    abs_sorted = np.abs(sorted_vals)
-    tol = CLUSTER_TOL_FACTOR * max(abs(float(sorted_vals[0])), 1.0)
-    ranges = []
-    start = 0
-    for i in range(1, abs_sorted.size):
-        if abs_sorted[i - 1] - abs_sorted[i] > tol:
-            ranges.append((start, i))
-            start = i
-    ranges.append((start, abs_sorted.size))
-    return tuple(ranges)
+    gaps = -np.diff(np.abs(sorted_vals))
+    cuts = [0, *(np.flatnonzero(gaps > _cluster_tolerance(sorted_vals)) + 1).tolist(),
+            sorted_vals.size]
+    return tuple(zip(cuts[:-1], cuts[1:]))
 
 
 def _symmetrized(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:

@@ -394,12 +394,21 @@ class TestExitCodes:
         ["experiment", "--name", "sphere", "--dims", "2", "--count", "50", "--seeds", "1",
          "--seed", "0", "--threads", "0"],
         ["make", "--ensemble", "circle", "--n", "8", "--output", "{out}", "--threads", "-3"],
+        ["cutnorm", "--input", "{matrix}", "--seed", "0", "--restarts", "-3"],
+        ["distance", "{step}", "{step}", "--seed", "0", "--max-atoms", "0"],
+        ["density", "--input", "{matrix}", "--graph", "cycle_4", "--samples", "0",
+         "--seed", "0"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "-0.5"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--max-parts", "-1"],
     ])
-    def test_flag_out_of_range_is_usage_error(self, argv, step_file, tmp_path, capsys):
+    def test_flag_out_of_range_is_usage_error(self, argv, matrix_file, step_file, tmp_path,
+                                              capsys):
         # a flag value the constructors reject is a usage error (exit 2), not a
         # numeric failure (exit 3); --n 0 and --runs 0 used to fall back to
         # the defaults silently
-        files = {"{step}": step_file, "{out}": str(tmp_path / "k.txt")}
+        files = {"{matrix}": matrix_file, "{step}": step_file,
+                 "{out}": str(tmp_path / "k.txt")}
         argv = [files.get(a, a) for a in argv]
         assert run_cli(argv, capsys)[0] == EXIT_USAGE
 

@@ -20,7 +20,7 @@ from graphonlab import (
     expand_step,
     DiscreteSpace,
 )
-from graphonlab.cutnorm import _ascend
+from graphonlab.cutnorm import _ascend, _best_signs
 from graphonlab.errors import DimensionMismatchError, TooLargeError
 from graphonlab.spectral import gap_midpoints
 
@@ -113,11 +113,12 @@ class TestExact:
         assert np.array_equal(est.witness_f, [1.0, -1.0])
 
     def test_witness_attains_value(self, rng):
-        k = kernel_from_matrix(random_symmetric(rng, 8))
-        est = cutnorm_exact(k)
-        assert bilinear_form(est.witness_f, k, est.witness_g) == pytest.approx(
-            est.lower, abs=1e-12
-        )
+        for n in (1, 8, 17):
+            w = rng.uniform(0.5, 1.5, n)
+            for weights in (None, w / w.sum()):
+                k = kernel_from_matrix(random_symmetric(rng, n), weights=weights)
+                est = cutnorm_exact(k)
+                assert est.lower == bilinear_form(est.witness_f, k, est.witness_g)
 
     def test_matches_brute_force(self, rng):
         for n in (2, 3, 5, 8, 10):
@@ -152,6 +153,67 @@ class TestExact:
         assert cutnorm_exact(ab).lower <= (
             cutnorm_exact(a).lower + cutnorm_exact(b).lower + 1e-10
         )
+
+
+def chunked_reference(a):
+    """The enumeration the engine replaced: +-1 rows of 2^16 codes at a
+    time, g_0 = +1, the first code attaining the largest ||a g||_1 kept.
+    Returns (value, code)."""
+    n = a.shape[0]
+    total = 1 << (n - 1)
+    best, best_code = -1.0, None
+    for offset in range(0, total, 1 << 16):
+        codes = np.arange(offset, min(offset + (1 << 16), total))
+        gs = np.ones((codes.size, n))
+        for bit in range(n - 1):
+            gs[:, bit + 1] = np.where((codes >> bit) & 1, -1.0, 1.0)
+        vals = np.abs(gs @ a.T).sum(axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_code = float(vals[i]), int(codes[i])
+    return best, best_code
+
+
+def code_signs(code, n):
+    return np.array([1.0] + [-1.0 if (code >> bit) & 1 else 1.0 for bit in range(n - 1)])
+
+
+class TestSignEngine:
+    def test_matches_brute_force(self, rng):
+        for n in range(1, 13):
+            w = rng.uniform(0.2, 2.0, n)
+            for weights in (None, w / w.sum()):
+                k = kernel_from_matrix(random_symmetric(rng, n), weights=weights)
+                a = k.values * np.outer(k.space.weights, k.space.weights)
+                value, code = _best_signs(a[None])
+                assert value[0] == pytest.approx(brute_force_cutnorm(k), abs=1e-12)
+                assert np.abs(a @ code_signs(int(code[0]), n)).sum() == pytest.approx(
+                    value[0], abs=1e-12)
+
+    def test_stack_equals_per_matrix_calls(self, rng):
+        for n in (1, 5, 18):
+            stack = np.stack([random_symmetric(rng, n) for _ in range(4)])
+            values, codes = _best_signs(stack)
+            for j in range(4):
+                value, code = _best_signs(stack[j : j + 1])
+                assert values[j] == value[0]
+                assert codes[j] == code[0]
+
+    @pytest.mark.parametrize("n", [17, 18, 22])
+    def test_across_the_16_bit_split_matches_chunked_reference(self, rng, n):
+        # small integer entries: every sum is exact, so ties are exact and
+        # the first code attaining the maximum is the same on both sides
+        a = rng.integers(-3, 4, (n, n)).astype(float)
+        a = a + a.T
+        value, code = _best_signs(a[None])
+        assert (value[0], int(code[0])) == chunked_reference(a)
+        # float entries: equal values up to rounding, and the code attains it
+        a = random_symmetric(rng, n)
+        value, code = _best_signs(a[None])
+        ref_value, _ = chunked_reference(a)
+        assert value[0] == pytest.approx(ref_value, rel=1e-13)
+        assert np.abs(a @ code_signs(int(code[0]), n)).sum() == pytest.approx(
+            ref_value, rel=1e-13)
 
 
 class TestHeuristic:

@@ -25,12 +25,15 @@ def two_part(weights, block):
 def brute_force_min_norm(v1, v2, norm):
     """Oracle: direct loop over every permutation of the refined atoms."""
     m = v1.shape[0]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
     best = np.inf
     for perm in itertools.permutations(range(m)):
         p = np.array(perm)
         diff = v1[np.ix_(p, p)] - v2
         if norm == "L1":
             val = np.abs(diff).mean()
+        elif norm == "cut":  # every sign pair (f, g)
+            val = np.abs(signs @ diff @ signs.T).max() / (m * m)
         else:
             val = np.sqrt((diff * diff).mean())
         best = min(best, val)
@@ -93,7 +96,7 @@ class TestDeltaBracket:
         space = DiscreteSpace.uniform(3)
         sf1 = step_function(space, [0, 1, 2], random_symmetric(rng, 3, 0.0, 1.0))
         sf2 = step_function(space, [0, 1, 2], random_symmetric(rng, 3, 0.0, 1.0))
-        for norm in ("L1", "L2"):
+        for norm in ("L1", "L2", "cut"):
             b = delta_bracket(sf1, sf2, norm)
             assert b.regime == "exact"
             _, k1, k2 = common_refinement(sf1, sf2)
