@@ -23,7 +23,7 @@ import numpy as np
 
 from . import experiments, fileio, svgplot
 from .core import SimpleGraph, builtin_graph, expand_step, weighted_mean, weighted_norm
-from .cutnorm import CutNormConfig, cutnorm_bracket
+from .cutnorm import DEFAULT_EXACT_LIMIT, EXACT_CEILING, CutNormConfig, cutnorm_bracket
 from .distance import DeltaConfig, delta_bracket
 from .ensembles import (
     ProfileFunction,
@@ -285,8 +285,9 @@ def _cmd_spectrum(args) -> dict:
 def _cmd_cutnorm(args) -> dict:
     _at_least("--restarts", 1, args.restarts)
     kernel = fileio.load_kernel(args.input)
-    config = CutNormConfig(exact_limit=args.exact_limit, restarts=args.restarts,
-                           seed=args.seed)
+    with _flag_range():  # an --exact-limit outside [0, EXACT_CEILING]
+        config = CutNormConfig(exact_limit=args.exact_limit, restarts=args.restarts,
+                               seed=args.seed)
     est = cutnorm_bracket(kernel, config)
     results = {
         "lower": est.lower,
@@ -383,11 +384,9 @@ def _cmd_distance(args) -> dict:
     sf1 = fileio.load_step(args.first)
     sf2 = fileio.load_step(args.second)
     norm = {"l1": "L1", "l2": "L2", "cut": "cut"}[args.norm]
-    config = DeltaConfig(
-        max_atoms=args.max_atoms,
-        seed=args.seed,
-        cut=CutNormConfig(exact_limit=args.exact_limit, seed=args.seed),
-    )
+    with _flag_range():  # an --exact-limit outside [0, EXACT_CEILING]
+        cut = CutNormConfig(exact_limit=args.exact_limit, seed=args.seed)
+    config = DeltaConfig(max_atoms=args.max_atoms, seed=args.seed, cut=cut)
     bracket = delta_bracket(sf1, sf2, norm, config)
     results = {
         "lower": bracket.lower,
@@ -525,8 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source = _flag("--input", required=True, help="input file (matrix, step or report)")
     seed = _flag("--seed", type=int, required=True, help="RNG seed")
     case_seed = _flag("--seed", type=int, help="RNG seed; required where the run samples")
-    exact = _flag("--exact-limit", dest="exact_limit", type=int, default=22,
-                  help="largest n for exact cut-norm enumeration")
+    exact = _flag("--exact-limit", dest="exact_limit", type=int, default=DEFAULT_EXACT_LIMIT,
+                  help=f"largest n for exact cut-norm enumeration, 0 to {EXACT_CEILING}")
 
     parser = argparse.ArgumentParser(
         prog="graphonlab",

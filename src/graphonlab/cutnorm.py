@@ -18,6 +18,9 @@ from .errors import DimensionMismatchError, TooLargeError
 from .spectral import operator_norm_upper
 
 DEFAULT_EXACT_LIMIT = 22
+# The enumeration doubles its work per atom (about 3 s at n = 26), so no
+# max_n or exact_limit may take it further than this.
+EXACT_CEILING = 26
 DEFAULT_RESTARTS = 32
 _LOW_BITS = 16  # a g is tabulated over the patterns of this many free coordinates
 
@@ -44,6 +47,11 @@ class CutNormConfig:
     exact_limit: int = DEFAULT_EXACT_LIMIT
     restarts: int = DEFAULT_RESTARTS
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.exact_limit <= EXACT_CEILING:
+            raise ValueError(f"exact_limit must be in [0, {EXACT_CEILING}], "
+                             f"got {self.exact_limit}")
 
 
 def bilinear_form(f, kernel: Kernel, g) -> float:
@@ -95,10 +103,13 @@ def _best_signs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def cutnorm_exact(kernel: Kernel, max_n: int = DEFAULT_EXACT_LIMIT) -> CutNormEstimate:
     """Exact cut norm by sign-vector enumeration (half the space, by the
-    g -> -g symmetry), with the inner vector set to sign(KDg) rowwise."""
+    g -> -g symmetry), with the inner vector set to sign(KDg) rowwise.
+    Raises TooLargeError above max_n atoms, and above EXACT_CEILING
+    whatever max_n says."""
     n = kernel.n
-    if n > max_n:
-        raise TooLargeError(f"n={n} exceeds the exact enumeration limit {max_n}")
+    limit = min(max_n, EXACT_CEILING)
+    if n > limit:
+        raise TooLargeError(f"n={n} exceeds the exact enumeration limit {limit}")
     w = kernel.space.weights
     a = kernel.values * np.outer(w, w)  # (Ag)_x = w_x * (KDg)_x
     _, code = _best_signs(a[None])

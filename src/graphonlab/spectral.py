@@ -46,6 +46,14 @@ KRYLOV_BASIS_FRACTION = 4
 KRYLOV_OVERSAMPLE = 4
 KRYLOV_SEED = 0  # the start block is fixed, so reruns give identical bytes
 
+# Radius bounds: the estimate is the largest |Ritz value| on a Krylov basis
+# of RADIUS_BLOCK-vector blocks, taken once it moves by at most
+# RADIUS_SETTLE relative over a block; the Cholesky certificate is then
+# tried at RADIUS_SLACK relative above it.
+RADIUS_BLOCK = 8
+RADIUS_SETTLE = 1e-12
+RADIUS_SLACK = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -114,8 +122,13 @@ def _symmetrized(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
 def _eigvalsh(kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_symmetrized(kernel) and the eigenvalues of its matrix, ascending."""
     sym, rootw = _symmetrized(kernel)
+    return sym, rootw, _eigenvalues(sym)
+
+
+def _eigenvalues(sym: np.ndarray) -> np.ndarray:
+    """eigvalsh(sym), ascending."""
     try:
-        return sym, rootw, np.linalg.eigvalsh(sym)
+        return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
 
@@ -180,14 +193,21 @@ def _eigvalsh_margin(sym: np.ndarray) -> float:
 
     eigvalsh is backward stable: its eigenvalues are exact for sym + E with
     ||E||_2 <= p(n) eps ||sym||_2, p(n) of order n (LAPACK Users' Guide,
-    section 4.7). Forming sym rounds each entry by at most 3 eps relative,
-    a perturbation of 2-norm at most 3 eps ||sym||_F. By Weyl's inequality
-    neither moves an eigenvalue by more than its 2-norm, and ||sym||_2 <=
-    ||sym||_F. An overflowing norm gives inf.
+    section 4.7). LAPACK does not state p(n), so a bound built on this
+    margin rests on taking p(n) <= n; the Cholesky certificate of
+    _certified_radius does not. Forming sym rounds each entry by at most
+    3 eps relative, a perturbation of 2-norm at most 3 eps ||sym||_F, which
+    _certified_radius covers in the same way. By Weyl's inequality neither
+    moves an eigenvalue by more than its 2-norm, and ||sym||_2 <= ||sym||_F.
+    An overflowing norm gives inf.
     """
+    return (sym.shape[0] + 3) * float(np.finfo(float).eps) * _frobenius(sym)
+
+
+def _frobenius(sym: np.ndarray) -> float:
+    """||sym||_F; inf when it overflows."""
     with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(sym))
-    return (sym.shape[0] + 3) * float(np.finfo(float).eps) * fro
+        return float(np.linalg.norm(sym))
 
 
 def _error_bounds(resid: float, gram_err: float, vals: np.ndarray, r: int,
@@ -279,26 +299,23 @@ def _krylov_blocks(vals: np.ndarray, r: int, b: int) -> float:
     return math.ceil(-math.log(np.finfo(float).eps) / rate) + 2
 
 
-def _block_krylov(sym: np.ndarray, r: int, blocks: int, expected: int,
-                  margin: float) -> np.ndarray | None:
-    """Ritz vectors (n x r) for the r eigenvalues of sym largest in modulus:
-    Rayleigh-Ritz on a block Krylov basis with full reorthogonalisation,
-    grown one block of r + KRYLOV_OVERSAMPLE vectors at a time until the
-    Ritz residual reaches the rounding level. The residual is first checked
-    four blocks before the expected count. None if it does not get there
-    within the given number of blocks.
+def _krylov_basis(sym: np.ndarray, b: int, blocks: int):
+    """Grow an orthonormal block Krylov basis of sym from the fixed start
+    block, b vectors at a time with full reorthogonalisation, up to the
+    given number of blocks. After each block Q_j it yields (V, H, W): the
+    basis so far as rows, H = V A V^T (lower triangle only), and
+    W = Q_j A - H_j V, the part of the newest block's product outside the
+    basis, H_j being the last rows of H. The caller stops the growth by no
+    longer asking for blocks.
 
     Vectors are kept as rows, and sym being symmetric, the product A Q is
     formed as Q^T A, which runs faster for thin Q.
     """
     n = sym.shape[0]
-    b = r + KRYLOV_OVERSAMPLE
     basis = np.empty((blocks * b, n))
-    rayleigh = np.zeros((blocks * b, blocks * b))  # V^T A V, lower triangle
+    rayleigh = np.zeros((blocks * b, blocks * b))
     start = np.random.default_rng(KRYLOV_SEED).standard_normal((n, b))
     q = np.linalg.qr(start)[0].T
-    floor = margin / (n + 3)  # eps ||sym||_F: an exact eigenvector's residual
-    previous = math.inf
     for j in range(blocks):
         lo, hi = j * b, (j + 1) * b
         basis[lo:hi] = q
@@ -307,19 +324,36 @@ def _block_krylov(sym: np.ndarray, r: int, blocks: int, expected: int,
         h = w @ v.T
         rayleigh[lo:hi, :hi] = h
         w -= h @ v  # the part of A Q_j outside the basis
-        if j + 1 >= expected - 4:
-            theta, y = np.linalg.eigh(rayleigh[:hi, :hi])
-            y = y[:, _spectral_order(theta)[:r]]
-            # A V y - V y theta = (A Q_j - V h^T) y_j, from the last block alone
-            resid = float(np.linalg.norm(y[lo:hi].T @ w))
-            # done at the rounding level, or once below the margin it stalls
-            if resid <= floor or previous / 2 < resid <= margin:
-                return (y.T @ v).T
-            previous = resid
+        yield v, rayleigh[:hi, :hi], w
         q = np.linalg.qr(w.T)[0].T
         # once more against the basis: where A Q_j barely leaves it, the
         # rounding of the first pass is a large part of the new block
         q = np.linalg.qr((q - (q @ v.T) @ v).T)[0].T
+
+
+def _block_krylov(sym: np.ndarray, r: int, blocks: int, expected: int,
+                  margin: float) -> np.ndarray | None:
+    """Ritz vectors (n x r) for the r eigenvalues of sym largest in modulus:
+    Rayleigh-Ritz on the _krylov_basis of blocks of r + KRYLOV_OVERSAMPLE
+    vectors, grown until the Ritz residual reaches the rounding level. The
+    residual is first checked four blocks before the expected count. None
+    if it does not get there within the given number of blocks.
+    """
+    n = sym.shape[0]
+    b = r + KRYLOV_OVERSAMPLE
+    floor = margin / (n + 3)  # eps ||sym||_F: an exact eigenvector's residual
+    previous = math.inf
+    for j, (v, rayleigh, w) in enumerate(_krylov_basis(sym, b, blocks)):
+        if j + 1 < expected - 4:
+            continue
+        theta, y = np.linalg.eigh(rayleigh)
+        y = y[:, _spectral_order(theta)[:r]]
+        # A V y - V y theta = (A Q_j - V h^T) y_j, from the last block alone
+        resid = float(np.linalg.norm(y[-b:].T @ w))
+        # done at the rounding level, or once below the margin it stalls
+        if resid <= floor or previous / 2 < resid <= margin:
+            return (y.T @ v).T
+        previous = resid
     return None
 
 
@@ -402,15 +436,119 @@ def spectral_radius(dec: SpectralDecomposition) -> float:
 
 def operator_norm_upper(kernel: Kernel) -> float:
     """Certified upper bound on the operator norm (spectral radius) of the
-    kernel, from eigenvalues alone: max |eigvalsh(D^{1/2} K D^{1/2})| plus
-    the backward-error margin of _eigvalsh_margin. The margin replaces the
-    eigenvector validation of decompose, which a radius-only path does not
-    have. A result that is not finite is reported as inf, which is still an
-    upper bound.
+    kernel, ||A||_2 for A = D^{1/2} K D^{1/2}.
+
+    From n = 3 KRYLOV_BASIS_FRACTION RADIUS_BLOCK = 96 atoms on, the bound
+    is first sought from _certified_radius: a block Krylov estimate of
+    max |lambda|, proven by two shifted Cholesky factorisations (Rump's
+    test). Two factorisations cost about 2n^3/3 flops against the 4n^3/3
+    and more of eigvalsh. Below that size, when the estimate does not settle
+    within the basis cap, or when a factorisation fails, the bound is
+    max |eigvalsh(A)| plus the margin of _eigvalsh_margin, which rests on
+    LAPACK's backward error. A result that is not finite is reported as
+    inf, which is still an upper bound.
     """
-    sym, _, vals = _eigvalsh(kernel)
-    bound = float(np.max(np.abs(vals))) + _eigvalsh_margin(sym)
+    sym, _ = _symmetrized(kernel)
+    bound = _certified_radius(sym)
+    if bound is None:
+        bound = float(np.max(np.abs(_eigenvalues(sym)))) + _eigvalsh_margin(sym)
     return bound if math.isfinite(bound) else math.inf
+
+
+def _radius_estimate(sym: np.ndarray) -> float | None:
+    """max |Ritz value| of sym on its _krylov_basis, once it has settled,
+    or None when the basis cap allows fewer than three blocks (a settled
+    value needs a step after the start block's) or it will not settle within
+    them. Ritz values lie inside the spectrum, so this is at most the
+    spectral radius.
+
+    The value grows monotonically with the basis, and geometrically once
+    under way. When the last two steps predict, at their rate, more blocks
+    than the cap allows, the solve stops there: a spectrum whose edge is
+    not separated from the bulk (a random matrix, for one) settles too
+    slowly to beat eigvalsh. The first block holds only the random start
+    vectors, so the step out of it does not count towards a rate.
+    """
+    blocks = sym.shape[0] // (KRYLOV_BASIS_FRACTION * RADIUS_BLOCK)
+    if blocks < 3:
+        return None
+    previous, step = math.inf, math.inf
+    for j, (_, rayleigh, _) in enumerate(_krylov_basis(sym, RADIUS_BLOCK, blocks), 1):
+        top = float(np.max(np.abs(np.linalg.eigh(rayleigh)[0])))
+        step, last_step = top - previous, step
+        if abs(step) <= RADIUS_SETTLE * top:
+            return top
+        if j > 3 and 0 < step < last_step:
+            # blocks still needed, at this rate, to settle
+            rate = step / last_step
+            if j + math.log(RADIUS_SETTLE * top / step) / math.log(rate) > blocks:
+                return None
+        previous = top
+    return None
+
+
+def _certified_radius(sym: np.ndarray) -> float | None:
+    """A proven upper bound t on ||A||_2, A the unrounded D^{1/2} K D^{1/2}
+    that sym holds rounded, or None when it cannot be had this way. sym is
+    the factorisations' work space and holds its old values again on return.
+
+    With s = the _radius_estimate times (1 + RADIUS_SLACK), the matrices
+    M = fl(sI - A) and fl(sI + A) are factored by np.linalg.cholesky. When a
+    factorisation of a symmetric float matrix M runs to completion (so
+    m_ii > 0), its factor satisfies L L^T = M + dM with |dM_ij| <=
+    a sqrt(m_ii m_jj), a = g/(1 - g), g = (n + 1)u/(1 - (n + 1)u), for inner
+    products summed in any order (Higham, Accuracy and Stability, Thm 10.3),
+    so ||dM||_2 <= a tr(M) and M >= -a tr(M) I. Rump (Verification of
+    positive definiteness, BIT 46, 2006) shows the same with a term for
+    underflow added, of order (2n + max m_ii) eta, eta the smallest
+    subnormal; it is taken here as 4 n (2n + max m_ii) eta. Rounding
+    s -/+ a_ii moves the diagonal by at most 2u max m_ii, and forming sym
+    moved A by at most 3 eps ||sym||_F (see _eigvalsh_margin). So both
+    factorisations succeeding proves -t <= lambda(A) <= t for t = s + (the
+    larger of these shifts of the two matrices + 3 eps ||sym||_F); the
+    factor 1 + 1e-6 covers the rounding of evaluating the shift, and one
+    step up that of the final sum. A factor is accepted only when it is
+    finite: an overflow turns some entry inf or NaN, and then its sum.
+    """
+    n = sym.shape[0]
+    eps = float(np.finfo(float).eps)
+    fro = _frobenius(sym)
+    if not math.isfinite(fro):
+        return None
+    est = _radius_estimate(sym)
+    if est is None:
+        return None
+    s = est * (1.0 + RADIUS_SLACK)
+    u = eps / 2
+    g = (n + 1) * u / (1 - (n + 1) * u)
+    a = g / (1 - g)
+    eta = float(np.finfo(float).smallest_subnormal)
+    diagonal = sym.diagonal().copy()
+    shift = 0.0
+    flips = 0
+    try:
+        # off the diagonal, -A and then A again: negation is exact
+        for sign in (-1.0, 1.0):
+            np.negative(sym, out=sym)
+            flips += 1
+            m = s + sign * diagonal
+            np.fill_diagonal(sym, m)
+            try:
+                factor = np.linalg.cholesky(sym)
+            except np.linalg.LinAlgError:
+                return None
+            if not math.isfinite(float(factor.sum())):
+                return None
+            del factor  # before the second factorisation allocates its own
+            top = float(m.max())
+            shift = max(shift, a * float(m.sum()) + 4 * n * (2 * n + top) * eta
+                        + 2 * u * top)
+    finally:
+        if flips % 2:
+            np.negative(sym, out=sym)
+        np.fill_diagonal(sym, diagonal)
+    bound = s + (shift + 3 * eps * fro) * (1.0 + 1e-6)
+    return float(np.nextafter(bound, math.inf))
 
 
 def gap_midpoints(dec: SpectralDecomposition) -> list[float]:

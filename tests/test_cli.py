@@ -501,6 +501,29 @@ class TestExitCodes:
             assert code == EXIT_OK
 
 
+class TestExactLimit:
+    @pytest.mark.parametrize("limit", ["40", "-3", "27"])
+    def test_cutnorm_rejects_limit_outside_the_ceiling(self, tmp_path, capsys, limit):
+        # 3 atoms would run at any limit; a limit past the ceiling is refused
+        # all the same, since the next input might have 40 atoms
+        path = tmp_path / "k3.txt"
+        path.write_text(format_matrix(kernel_from_matrix(
+            np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]]))))
+        argv = ["cutnorm", "--input", str(path), "--exact-limit", limit, "--seed", "0"]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("limit", ["40", "-3"])
+    def test_distance_rejects_limit_outside_the_ceiling(self, step_file, capsys, limit):
+        argv = ["distance", step_file, step_file, "--seed", "0", "--exact-limit", limit]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
+    def test_ceiling_itself_is_accepted(self, matrix_file, capsys):
+        argv = ["cutnorm", "--input", matrix_file, "--exact-limit", "26", "--seed", "0"]
+        code, out = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["exact_limit"] == 26
+
+
 class TestInputs:
     def test_distance_echoes_exact_limit(self, tmp_path, capsys):
         # 12-atom steps: with --exact-limit 22 the cut distance of the
@@ -576,6 +599,21 @@ class TestDeterminism:
             code, out = run_cli(
                 ["experiment", "--name", "sphere", "--dims", "2", "--count", "150",
                  "--seeds", "3", "--seed", "3", "--threads", threads],
+                capsys,
+            )
+            assert code == EXIT_OK
+            runs.append(out)
+        assert runs[0] == runs[1]
+
+    def test_sphere_byte_identical_on_the_certified_radius_path(self, capsys):
+        # count 600 takes the Krylov + Cholesky radius bound (the count-150
+        # run above stays on eigvalsh), and --threads 2 runs the two units
+        # in worker processes
+        runs = []
+        for threads in ("1", "2"):
+            code, out = run_cli(
+                ["experiment", "--name", "sphere", "--dims", "2", "--count", "600",
+                 "--seeds", "2,3", "--seed", "2", "--threads", threads],
                 capsys,
             )
             assert code == EXIT_OK

@@ -20,7 +20,7 @@ from graphonlab import (
     expand_step,
     DiscreteSpace,
 )
-from graphonlab.cutnorm import _ascend, _best_signs
+from graphonlab.cutnorm import EXACT_CEILING, _ascend, _best_signs
 from graphonlab.errors import DimensionMismatchError, TooLargeError
 from graphonlab.spectral import gap_midpoints
 
@@ -135,6 +135,17 @@ class TestExact:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             cutnorm_exact(kernel_from_matrix(np.zeros((9, 9))), max_n=8)
+
+    def test_ceiling_holds_whatever_max_n_says(self):
+        # a larger max_n must not start a 2^(n-1) enumeration past the ceiling
+        n = EXACT_CEILING + 1
+        with pytest.raises(TooLargeError):
+            cutnorm_exact(kernel_from_matrix(np.zeros((n, n))), max_n=40)
+
+    @pytest.mark.parametrize("limit", [-3, EXACT_CEILING + 1, 40])
+    def test_config_rejects_exact_limit_outside_the_ceiling(self, limit):
+        with pytest.raises(ValueError):
+            CutNormConfig(exact_limit=limit)
 
     def test_at_most_spectral_radius(self, rng):
         for _ in range(10):

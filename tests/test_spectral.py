@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from graphonlab import (
+    Kernel,
     PermutationAction,
     apply_permutation,
     decompose,
@@ -14,7 +17,9 @@ from graphonlab import (
 )
 from graphonlab import experiments
 from graphonlab.cli import canonical_json
-from graphonlab.ensembles import cayley_kernel
+from graphonlab import spectral
+from graphonlab.core import weighted_mean
+from graphonlab.ensembles import ProfileFunction, cayley_kernel, sphere_kernel
 from graphonlab.errors import (
     AllZeroSpectrum,
     EigenSolverError,
@@ -399,3 +404,105 @@ class TestPartialDecompose:
                                        experiments.wrandom_convergence(*args))))
         assert fast == slow
         assert taken == [False, False, False, True, True]
+
+
+def _centred_sphere(n, dim=2, seed=5):
+    """A sampled sphere kernel minus its mean: its top eigenvalue cluster,
+    the degree-1 harmonics, stands apart from the rest of the spectrum."""
+    k = sphere_kernel(dim, ProfileFunction.threshold(0.0), n, seed)
+    return Kernel(k.space, k.values - weighted_mean(k))
+
+
+def _radius_corpus_kernel(kind, n, rng):
+    w = rng.uniform(0.5, 1.5, n)
+    w /= w.sum()
+    kind, _, scale = kind.partition("*")
+    if kind == "sphere":
+        values = _centred_sphere(n).values
+    elif kind == "random":
+        values = random_symmetric(rng, n)
+    elif kind.startswith("rank"):
+        x = rng.standard_normal((n, int(kind[4:])))
+        values = x @ x.T / n
+    elif kind == "negative-definite":
+        x = rng.standard_normal((n, n))
+        values = -(x @ x.T) / n - 0.1 * np.eye(n)
+    else:  # zero
+        values = np.zeros((n, n))
+    return kernel_from_matrix(values * float(scale or 1.0), weights=w)
+
+
+class TestCertifiedRadius:
+    """operator_norm_upper: a Krylov estimate proven by two shifted Cholesky
+    factorisations from 96 atoms on, else max |eigvalsh| plus its margin."""
+
+    @pytest.mark.parametrize("n", [8, 64, 300, 700])
+    @pytest.mark.parametrize("kind", [
+        "random", "rank1", "rank2", "rank3", "negative-definite", "sphere", "zero",
+        "random*1e-300", "rank2*1e-300", "sphere*1e-300", "random*1e150", "rank3*1e150",
+        "sphere*1e150",
+    ])
+    def test_corpus_bound_is_tight_and_above_eigvalsh(self, kind, n):
+        k = _radius_corpus_kernel(kind, n, np.random.default_rng(n))
+        sym, _, vals = spectral._eigvalsh(k)
+        top = float(np.max(np.abs(vals)))
+        upper = operator_norm_upper(k)
+        assert not math.isnan(upper)
+        assert top <= upper <= top * (1 + 1e-8) + spectral._eigvalsh_margin(sym)
+
+    @pytest.mark.parametrize("n", [300, 700])
+    def test_entries_near_the_float_range(self, rng, n):
+        k = kernel_from_matrix(np.sign(random_symmetric(rng, n)) * 1e300)
+        top = float(np.max(np.abs(spectral._eigvalsh(k)[2])))
+        upper = operator_norm_upper(k)
+        assert upper == math.inf or (math.isfinite(upper) and upper >= top)
+
+    def test_certified_without_eigvalsh(self, monkeypatch):
+        k = _centred_sphere(600)
+        top = float(np.max(np.abs(spectral._eigvalsh(k)[2])))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certified path called eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        upper = operator_norm_upper(k)
+        assert top <= upper <= top * (1 + 1e-8)
+
+    @pytest.mark.parametrize("fail_on", [1, 2])
+    def test_failed_factorisation_gives_the_eigvalsh_bound(self, monkeypatch, fail_on):
+        # the work space is restored after one or two sign flips, so the
+        # fallback sees the very matrix eigvalsh would have
+        k = _centred_sphere(600)
+        sym, _, vals = spectral._eigvalsh(k)
+        expected = float(np.max(np.abs(vals))) + spectral._eigvalsh_margin(sym)
+        real, calls = np.linalg.cholesky, []
+
+        def refuse_once(a, *args, **kwargs):
+            calls.append(a.shape)
+            if len(calls) == fail_on:
+                raise np.linalg.LinAlgError("refused")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse_once)
+        assert operator_norm_upper(k) == expected
+        assert calls == [(600, 600)] * fail_on
+
+    def test_an_estimate_below_the_radius_is_not_certified(self, monkeypatch):
+        k = _centred_sphere(600)
+        sym, _, vals = spectral._eigvalsh(k)
+        expected = float(np.max(np.abs(vals))) + spectral._eigvalsh_margin(sym)
+        estimate = spectral._radius_estimate
+        monkeypatch.setattr(spectral, "_radius_estimate", lambda a: 0.99 * estimate(a))
+        assert operator_norm_upper(k) == expected
+
+    def test_below_two_blocks_never_factors(self, monkeypatch, rng):
+        n = 3 * spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK - 1
+        k = kernel_from_matrix(np.ones((n, n)) + 0.01 * random_symmetric(rng, n))
+        sym, _, vals = spectral._eigvalsh(k)
+        expected = float(np.max(np.abs(vals))) + spectral._eigvalsh_margin(sym)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cholesky called below the crossover")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert operator_norm_upper(k) == expected
