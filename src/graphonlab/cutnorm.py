@@ -65,8 +65,10 @@ def bilinear_form(f, kernel: Kernel, g) -> float:
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
-    """sign with sign(0) = +1, for deterministic tie-breaking."""
-    return np.where(x >= 0.0, 1.0, -1.0)
+    """sign with sign(0) = sign(-0.0) = +1, for deterministic tie-breaking,
+    in x's dtype (a float64 result would upcast a float32 product)."""
+    one = x.dtype.type(1)
+    return np.where(x >= 0, one, -one)
 
 
 def _signs(codes, bits: int) -> np.ndarray:
@@ -121,13 +123,32 @@ def cutnorm_exact(kernel: Kernel, max_n: int = DEFAULT_EXACT_LIMIT) -> CutNormEs
     )
 
 
+def _search_matrix(kernel: Kernel) -> np.ndarray:
+    """A = K o ww^T in float32, scaled by the power of two that brings
+    max |A| into [0.5, 1). The scaling is exact, so a kernel's overall
+    scale can neither overflow the cast nor flush it to zero, and every sign
+    decision is the one an unscaled float32 search would make."""
+    a = np.outer(kernel.space.weights, kernel.space.weights)
+    a *= kernel.values
+    _, exponent = np.frexp(max(a.max(), -a.min()))
+    np.ldexp(a, -exponent, out=a)
+    return a.astype(np.float32)
+
+
 def _ascend(a: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating sign ascent of every column of gs to a fixed point: a
     sweep sets f = sign(Ag), g = sign(Af), worth f.(Ag) = ||Af||_1 as A is
     symmetric. A column freezes at its last improving pair once its value
-    stops increasing (the domain is finite, so every column terminates)."""
+    stops increasing.
+
+    a is the float32 matrix of _search_matrix and gs a float32 block; every
+    product stays in float32, and the values only rank sign vectors. Every
+    column terminates: the active set only shrinks, and while it stays fixed
+    each column's value is a fixed function of its sign vector (the same
+    products over the same block) that strictly increases, so no sign
+    vector of the finite domain repeats."""
     fs = np.ones_like(gs)
-    values = np.full(gs.shape[1], -1.0)
+    values = np.full(gs.shape[1], -1.0, dtype=gs.dtype)
     active = np.arange(gs.shape[1])
     while active.size:
         f = _sign(a @ gs[:, active])
@@ -145,19 +166,19 @@ def cutnorm_heuristic(
     """Batched alternating-ascent lower bound with a spectral/L1 upper bound.
 
     The restarts ascend as the columns of one n x restarts block, two matrix
-    products per sweep over the columns not yet converged. Start vectors come
-    from seed streams split by restart index, so the result does not depend
-    on execution order or thread count. lower is the bilinear form of the
-    best witness; upper is min(operator_norm_upper, weighted L1 norm).
+    products per sweep over the columns not yet converged. The search runs
+    in float32 on the power-of-two scaled matrix of _search_matrix and
+    certifies nothing: lower is the float64 bilinear form of the best
+    witness, and upper is min(operator_norm_upper, weighted L1 norm), both
+    in float64. Start vectors come from seed streams split by restart
+    index, so the result does not depend on execution order or thread count.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     n = kernel.n
-    w = kernel.space.weights
-    a = kernel.values * np.outer(w, w)
-    g0 = [np.random.default_rng(c).integers(0, 2, size=n) * 2.0 - 1.0
+    g0 = [np.random.default_rng(c).integers(0, 2, size=n) * 2 - 1
           for c in np.random.SeedSequence(seed).spawn(restarts)]
-    fs, gs, values = _ascend(a, np.column_stack(g0))
+    fs, gs, values = _ascend(_search_matrix(kernel), np.column_stack(g0).astype(np.float32))
     best = int(np.argmax(values))
     best_f, best_g = fs[:, best], gs[:, best]
     lower = bilinear_form(best_f, kernel, best_g)

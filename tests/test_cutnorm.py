@@ -20,7 +20,8 @@ from graphonlab import (
     expand_step,
     DiscreteSpace,
 )
-from graphonlab.cutnorm import EXACT_CEILING, _ascend, _best_signs
+from graphonlab import cutnorm
+from graphonlab.cutnorm import EXACT_CEILING, _ascend, _best_signs, _search_matrix, _sign
 from graphonlab.errors import DimensionMismatchError, TooLargeError
 from graphonlab.spectral import gap_midpoints
 
@@ -72,25 +73,39 @@ class TestBilinearForm:
             bilinear_form(np.ones(2), k, np.ones(3))
 
 
-def sequential_ascent(kernel, restarts, seed):
-    """Reference for the batched ascent: one restart at a time, one
-    matrix-vector product per half sweep, the value recomputed as f.(Ag).
-    Returns the (value, f, g) fixed point of every restart."""
-    w = kernel.space.weights
-    a = kernel.values * np.outer(w, w)
+def float32_starts(n, restarts, seed):
+    """The start block of cutnorm_heuristic: one +-1 column per seed stream."""
+    return np.column_stack([
+        np.random.default_rng(c).integers(0, 2, size=n) * 2 - 1
+        for c in np.random.SeedSequence(seed).spawn(restarts)
+    ]).astype(np.float32)
+
+
+def sequential_ascent(a, starts):
+    """Reference for the batched ascent on the search matrix a: one restart
+    at a time, one matrix-vector product per half sweep, the value
+    recomputed as f.(Ag). Returns the (value, f, g) fixed point of every
+    start column."""
     out = []
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        g = np.random.default_rng(child).integers(0, 2, size=kernel.n) * 2.0 - 1.0
+    for g in starts.T:
         value, f = -1.0, None
         while True:
-            f_new = np.where(a @ g >= 0.0, 1.0, -1.0)
-            g_new = np.where(a @ f_new >= 0.0, 1.0, -1.0)
+            f_new = np.where(a @ g >= 0, 1, -1).astype(a.dtype)
+            g_new = np.where(a @ f_new >= 0, 1, -1).astype(a.dtype)
             new_value = float(f_new @ (a @ g_new))
             if new_value <= value:
                 break
             f, g, value = f_new, g_new, new_value
         out.append((value, f, g))
     return out
+
+
+class TestSign:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_is_positive_and_dtype_is_kept(self, dtype):
+        s = _sign(np.array([0.0, -0.0, 2.5, -1e-30], dtype=dtype))
+        assert s.dtype == dtype
+        assert s.tolist() == [1.0, 1.0, 1.0, -1.0]
 
 
 class TestExact:
@@ -271,21 +286,63 @@ class TestHeuristic:
         assert np.array_equal(a.witness_g, b.witness_g)
 
     def test_batched_matches_sequential_reference(self, rng):
-        # same start vectors, same fixed point per restart; only the
-        # summation order of the products differs, so values agree to rounding
+        # same float32 search matrix, same start vectors, same fixed point
+        # per restart; only the summation order of the products differs, so
+        # values agree to float32 rounding
         for n in (15, 40, 90):
             k = kernel_from_matrix(random_symmetric(rng, n))
-            ref = sequential_ascent(k, 8, n)
-            w = k.space.weights
-            g0 = [np.random.default_rng(c).integers(0, 2, size=n) * 2.0 - 1.0
-                  for c in np.random.SeedSequence(n).spawn(8)]
-            fs, gs, values = _ascend(k.values * np.outer(w, w), np.column_stack(g0))
+            a = _search_matrix(k)
+            ref = sequential_ascent(a, float32_starts(n, 8, n))
+            fs, gs, values = _ascend(a, float32_starts(n, 8, n))
             for r, (value, f, g) in enumerate(ref):
-                assert values[r] == pytest.approx(value, abs=1e-12)
+                assert values[r] == pytest.approx(value, rel=1e-5)
                 assert np.array_equal(fs[:, r], f)
                 assert np.array_equal(gs[:, r], g)
             est = cutnorm_heuristic(k, restarts=8, seed=n)
-            assert est.lower == pytest.approx(max(v for v, _, _ in ref), abs=1e-12)
+            best = int(np.argmax(values))
+            assert np.array_equal(est.witness_f, fs[:, best])
+            assert np.array_equal(est.witness_g, gs[:, best])
+
+    def test_search_is_scale_free(self, rng, monkeypatch):
+        # the ascent reads A = K o ww^T scaled by a power of two into
+        # [0.5, 1) and cast to float32; an unscaled cast would overflow
+        # 2^1000 K and flush 2^-1000 K to zero
+        received = []
+
+        def recording(a, gs):
+            received.append((a.dtype, gs.dtype))
+            return _ascend(a, gs)
+
+        monkeypatch.setattr(cutnorm, "_ascend", recording)
+        values = random_symmetric(rng, 30)
+        base = cutnorm_heuristic(kernel_from_matrix(values), restarts=8, seed=5)
+        for power in (1000, -1000):
+            est = cutnorm_heuristic(kernel_from_matrix(np.ldexp(values, power)),
+                                    restarts=8, seed=5)
+            assert np.array_equal(est.witness_f, base.witness_f)
+            assert np.array_equal(est.witness_g, base.witness_g)
+            assert est.lower == np.ldexp(base.lower, power)
+        assert received == [(np.float32, np.float32)] * 3
+
+    def test_corpus_below_exact_and_attained(self, rng):
+        # random, weighted and low-rank kernels up to the default exact
+        # limit; distinct witnesses of one optimum may round apart by ulps
+        for n in (2, 5, 9, 14, 18, 22):
+            w = rng.uniform(0.2, 2.0, n)
+            x = rng.standard_normal((n, 2))
+            low_rank = x @ np.diag([1.0, -0.6]) @ x.T
+            kernels = [
+                kernel_from_matrix(random_symmetric(rng, n)),
+                kernel_from_matrix(random_symmetric(rng, n, 0.0, 1.0), weights=w / w.sum()),
+                kernel_from_matrix((low_rank + low_rank.T) / 2.0),
+            ]
+            for k in kernels:
+                est = cutnorm_heuristic(k, restarts=8, seed=n)
+                assert est.lower <= cutnorm_exact(k).lower * (1.0 + 1e-12)
+                assert est.lower == bilinear_form(est.witness_f, k, est.witness_g)
+                for v in (est.witness_f, est.witness_g):
+                    assert v.dtype == np.float64
+                    assert set(np.unique(v)) <= {-1.0, 1.0}
 
     def test_lower_is_witness_value(self, rng):
         for n in (5, 30):
