@@ -7,7 +7,7 @@ counting-lemma lower bound for the cut norm.
 import numpy as np
 
 from graphonlab import DiscreteSpace, step_function
-from graphonlab.distance import DeltaConfig, common_refinement, delta_bracket
+from graphonlab.distance import common_refinement, delta_bracket
 
 # Two 2-part step functions with different part weights: one splits the
 # atoms 1/3 : 2/3, the other in half.
@@ -48,6 +48,6 @@ for norm in ("L1", "L2", "cut"):
 s1 = step_function(DiscreteSpace(np.array([0.3, 0.3, 0.4])), [0, 1, 2], block)
 s2 = step_function(DiscreteSpace(np.array([0.4, 0.3, 0.3])), [0, 1, 2],
                    block[np.ix_(order, order)])
-b = delta_bracket(s1, s2, "cut", DeltaConfig(max_atoms=16, seed=1))
+b = delta_bracket(s1, s2, "cut", max_atoms=16, seed=1)
 print(f"\nweighted relabeling, cut norm: [{b.lower:.5f}, {b.upper:.5f}]"
       f"  regime={b.regime}, refinement={b.refinement_size}")

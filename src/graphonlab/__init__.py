@@ -45,7 +45,6 @@ from .spectral import (
     tail_truncate,
 )
 from .cutnorm import (
-    CutNormConfig,
     CutNormEstimate,
     bilinear_form,
     cutnorm_bracket,

@@ -2,7 +2,7 @@
 make, experiment, plot.
 
 Reports are canonical JSON: keys sorted, floats rounded to 12 significant
-digits, no wall-clock data unless --timing is passed. Identical flags and
+digits, no wall-clock data (the runtime goes to stderr). Identical flags and
 seeds therefore produce byte-identical reports regardless of --threads.
 
 Exit codes: 0 pass, 1 check failed (a bound was violated), 2 usage error,
@@ -23,8 +23,14 @@ import numpy as np
 
 from . import experiments, fileio, svgplot
 from .core import SimpleGraph, builtin_graph, expand_step, weighted_mean, weighted_norm
-from .cutnorm import DEFAULT_EXACT_LIMIT, EXACT_CEILING, CutNormConfig, cutnorm_bracket
-from .distance import DeltaConfig, delta_bracket
+from .cutnorm import (
+    DEFAULT_EXACT_LIMIT,
+    DEFAULT_RESTARTS,
+    EXACT_CEILING,
+    check_exact_limit,
+    cutnorm_bracket,
+)
+from .distance import DEFAULT_MAX_ATOMS, delta_bracket
 from .ensembles import (
     ProfileFunction,
     cayley_kernel,
@@ -35,7 +41,12 @@ from .ensembles import (
 from .errors import GraphonError, GridOverflowError
 from .experiments import builtin_rank3_step
 from .homdensity import cycle_density_spectral, hom_density_mc, hom_density_step
-from .regularity import cluster_eigenvectors, regularity_decompose
+from .regularity import (
+    ADDITIVITY_TOL,
+    DEFAULT_GRID_CAP,
+    cluster_eigenvectors,
+    regularity_decompose,
+)
 from .spectral import decompose, spectral_radius
 
 SCHEMA_VERSION = "graphonlab.report/1"
@@ -44,8 +55,7 @@ SCHEMA_VERSION = "graphonlab.report/1"
 # check is always recomputable from value, bound and op.
 REPORT_SCHEMA = {
     "type": "object",
-    "required": ["schema_version", "command", "inputs", "results", "checks",
-                 "runtime_seconds"],
+    "required": ["schema_version", "command", "inputs", "results", "checks"],
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "command": {"type": "string"},
@@ -65,7 +75,6 @@ REPORT_SCHEMA = {
                 },
             },
         },
-        "runtime_seconds": {"type": ["number", "null"]},
     },
 }
 
@@ -121,7 +130,6 @@ def _report(command: str, inputs: dict, results: dict, checks: list) -> dict:
         "inputs": inputs,
         "results": results,
         "checks": checks,
-        "runtime_seconds": None,
     }
 
 
@@ -135,7 +143,8 @@ def parse_F(spec: str):
     """Parse the two-parameter family 'c*lambda^p*eps^q' into a callable.
 
     Any subset of the factors may appear; bare 'lambda' or 'eps' means
-    exponent 1. Examples: '0.25*lambda*eps', '0.1*lambda^2', '0.05'.
+    exponent 1. Examples: '0.25*lambda*eps', '0.1*lambda^2', '0.05'. The
+    constant must be positive: with c <= 0 no threshold schedule can start.
     """
     c = 1.0
     p = 0.0
@@ -162,6 +171,8 @@ def parse_F(spec: str):
         else:
             c = value
             saw_const = True
+    if not c > 0.0:  # also rejects NaN
+        raise UsageError(f"the constant of F spec {spec!r} must be positive, got {c}")
 
     def F(lam: float, eps: float) -> float:
         return c * lam**p * eps**q
@@ -242,7 +253,7 @@ _DENSITY_FLAGS = {"step": {}, "matrix": {"samples": True, "seed": True}}
 
 # Where the output goes and how the run executes: never echoed, so reports
 # are byte-identical across thread counts.
-_UNECHOED = ("command", "output", "report", "threads", "timing")
+_UNECHOED = ("command", "output", "report", "threads")
 
 
 def _inputs(args, case: str | None = None, table: dict | None = None) -> dict:
@@ -284,11 +295,11 @@ def _cmd_spectrum(args) -> dict:
 
 def _cmd_cutnorm(args) -> dict:
     _at_least("--restarts", 1, args.restarts)
-    kernel = fileio.load_kernel(args.input)
     with _flag_range():  # an --exact-limit outside [0, EXACT_CEILING]
-        config = CutNormConfig(exact_limit=args.exact_limit, restarts=args.restarts,
-                               seed=args.seed)
-    est = cutnorm_bracket(kernel, config)
+        check_exact_limit(args.exact_limit)
+    kernel = fileio.load_kernel(args.input)
+    est = cutnorm_bracket(kernel, exact_limit=args.exact_limit, restarts=args.restarts,
+                          seed=args.seed)
     results = {
         "lower": est.lower,
         "upper": est.upper,
@@ -304,8 +315,8 @@ def _cmd_decompose(args) -> dict:
     if not 0.0 < eps < math.inf:
         raise UsageError(f"--epsilon must be positive and finite, got {eps}")
     _at_least("--max-parts", 1, args.max_parts)
-    kernel = fileio.load_kernel(args.input)
     F, f_desc = parse_F(args.F)
+    kernel = fileio.load_kernel(args.input)
     reg = regularity_decompose(kernel, F, eps)
     dec = reg.spectral
     try:
@@ -319,7 +330,7 @@ def _cmd_decompose(args) -> dict:
     checks = [
         _check("additivity_sup_error",
                float(np.max(np.abs(reg.S.values + reg.E.values + reg.R.values
-                                   - kernel.values))), 1e-9, "le"),
+                                   - kernel.values))), ADDITIVITY_TOL, "le"),
         _check("E_l2_within_eps", certs.E_l2, eps, "le"),
         _check("R_cut_upper_within_F", certs.R_cut.upper, f_at_run, "le"),
         _check("SE_sup_norm", certs.SE_linf, 1.0 + 1e-9, "le"),
@@ -381,13 +392,13 @@ def _cmd_density(args) -> dict:
 
 def _cmd_distance(args) -> dict:
     _at_least("--max-atoms", 1, args.max_atoms)
+    with _flag_range():  # an --exact-limit outside [0, EXACT_CEILING]
+        check_exact_limit(args.exact_limit)
     sf1 = fileio.load_step(args.first)
     sf2 = fileio.load_step(args.second)
     norm = {"l1": "L1", "l2": "L2", "cut": "cut"}[args.norm]
-    with _flag_range():  # an --exact-limit outside [0, EXACT_CEILING]
-        cut = CutNormConfig(exact_limit=args.exact_limit, seed=args.seed)
-    config = DeltaConfig(max_atoms=args.max_atoms, seed=args.seed, cut=cut)
-    bracket = delta_bracket(sf1, sf2, norm, config)
+    bracket = delta_bracket(sf1, sf2, norm, max_atoms=args.max_atoms,
+                            exact_limit=args.exact_limit, seed=args.seed)
     results = {
         "lower": bracket.lower,
         "upper": bracket.upper,
@@ -517,9 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=1,
                      help="worker processes for the sphere and W-random experiments; "
                           "reports never depend on it")
-    run.add_argument("--timing", action="store_true",
-                     help="record wall-clock runtime in the report "
-                          "(breaks byte-level reproducibility)")
     report = _flag("--output", dest="report", help="also write the report JSON here")
     source = _flag("--input", required=True, help="input file (matrix, step or report)")
     seed = _flag("--seed", type=int, required=True, help="RNG seed")
@@ -538,15 +546,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cut = sub.add_parser("cutnorm", parents=[run, report, source, seed, exact],
                            help="cut-norm bracket")
-    p_cut.add_argument("--restarts", type=int, default=32)
+    p_cut.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
 
     p_dec = sub.add_parser("decompose", parents=[run, report, source],
                            help="regularity decomposition with certificates")
     p_dec.add_argument("--epsilon", type=float, required=True)
     p_dec.add_argument("--F", default="0.25*lambda*eps",
                        help="target family c*lambda^p*eps^q")
-    p_dec.add_argument("--max-parts", dest="max_parts", type=float, default=1e6)
-    p_dec.add_argument("--report", dest="report", help=argparse.SUPPRESS)
+    p_dec.add_argument("--max-parts", dest="max_parts", type=float, default=DEFAULT_GRID_CAP)
 
     p_den = sub.add_parser("density", parents=[run, report, source, case_seed],
                            help="homomorphism density")
@@ -559,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("first", help="step-function file")
     p_dist.add_argument("second", help="step-function file")
     p_dist.add_argument("--norm", choices=["l1", "l2", "cut"], default="cut")
-    p_dist.add_argument("--max-atoms", dest="max_atoms", type=int, default=64)
+    p_dist.add_argument("--max-atoms", dest="max_atoms", type=int, default=DEFAULT_MAX_ATOMS)
 
     p_make = sub.add_parser("make", parents=[run, case_seed], help="build an ensemble kernel")
     p_make.add_argument("--ensemble", required=True, choices=list(_ENSEMBLE_FLAGS))
@@ -621,11 +628,7 @@ def main(argv=None) -> int:
     except (GraphonError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    elapsed = time.monotonic() - start
-    if args.timing:
-        report["runtime_seconds"] = elapsed
-    else:
-        print(f"runtime: {elapsed:.3f}s", file=sys.stderr)
+    print(f"runtime: {time.monotonic() - start:.3f}s", file=sys.stderr)
     text = canonical_json(report)
     if getattr(args, "report", None):
         fileio.write_text_atomic(args.report, text)

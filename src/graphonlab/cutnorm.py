@@ -19,7 +19,7 @@ from .spectral import operator_norm_upper
 
 DEFAULT_EXACT_LIMIT = 22
 # The enumeration doubles its work per atom (about 3 s at n = 26), so no
-# max_n or exact_limit may take it further than this.
+# exact_limit may take it further than this.
 EXACT_CEILING = 26
 DEFAULT_RESTARTS = 32
 _LOW_BITS = 16  # a g is tabulated over the patterns of this many free coordinates
@@ -42,16 +42,12 @@ class CutNormEstimate:
             object.__setattr__(self, name, a)
 
 
-@dataclass(frozen=True)
-class CutNormConfig:
-    exact_limit: int = DEFAULT_EXACT_LIMIT
-    restarts: int = DEFAULT_RESTARTS
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.exact_limit <= EXACT_CEILING:
-            raise ValueError(f"exact_limit must be in [0, {EXACT_CEILING}], "
-                             f"got {self.exact_limit}")
+def check_exact_limit(exact_limit: int) -> None:
+    """Raise ValueError unless 0 <= exact_limit <= EXACT_CEILING: a limit
+    past the ceiling is refused even where the input at hand is small, since
+    the next input might not be."""
+    if not 0 <= exact_limit <= EXACT_CEILING:
+        raise ValueError(f"exact_limit must be in [0, {EXACT_CEILING}], got {exact_limit}")
 
 
 def bilinear_form(f, kernel: Kernel, g) -> float:
@@ -103,15 +99,13 @@ def _best_signs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, best_code
 
 
-def cutnorm_exact(kernel: Kernel, max_n: int = DEFAULT_EXACT_LIMIT) -> CutNormEstimate:
+def cutnorm_exact(kernel: Kernel) -> CutNormEstimate:
     """Exact cut norm by sign-vector enumeration (half the space, by the
     g -> -g symmetry), with the inner vector set to sign(KDg) rowwise.
-    Raises TooLargeError above max_n atoms, and above EXACT_CEILING
-    whatever max_n says."""
+    Raises TooLargeError above EXACT_CEILING atoms."""
     n = kernel.n
-    limit = min(max_n, EXACT_CEILING)
-    if n > limit:
-        raise TooLargeError(f"n={n} exceeds the exact enumeration limit {limit}")
+    if n > EXACT_CEILING:
+        raise TooLargeError(f"n={n} exceeds the exact enumeration limit {EXACT_CEILING}")
     w = kernel.space.weights
     a = kernel.values * np.outer(w, w)  # (Ag)_x = w_x * (KDg)_x
     _, code = _best_signs(a[None])
@@ -191,9 +185,11 @@ def cutnorm_heuristic(
     )
 
 
-def cutnorm_bracket(kernel: Kernel, config: CutNormConfig | None = None) -> CutNormEstimate:
-    """Exact when the space is small enough, heuristic bracket otherwise."""
-    config = config or CutNormConfig()
-    if kernel.n <= config.exact_limit:
-        return cutnorm_exact(kernel, max_n=config.exact_limit)
-    return cutnorm_heuristic(kernel, restarts=config.restarts, seed=config.seed)
+def cutnorm_bracket(kernel: Kernel, *, exact_limit: int = DEFAULT_EXACT_LIMIT,
+                    restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CutNormEstimate:
+    """Exact up to exact_limit atoms (at most EXACT_CEILING), heuristic
+    bracket otherwise."""
+    check_exact_limit(exact_limit)
+    if kernel.n <= exact_limit:
+        return cutnorm_exact(kernel)
+    return cutnorm_heuristic(kernel, restarts=restarts, seed=seed)

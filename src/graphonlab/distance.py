@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +21,14 @@ from .core import (
     builtin_graph,
     weighted_norm,
 )
-from .cutnorm import CutNormConfig, _best_signs, cutnorm_bracket
+from .cutnorm import DEFAULT_EXACT_LIMIT, _best_signs, check_exact_limit, cutnorm_bracket
 from .errors import IrrationalWeightsError
 from .homdensity import hom_density_step
 
 EXACT_PERMUTATION_LIMIT = 8
+DEFAULT_MAX_ATOMS = 64
 _DESCENT_STARTS = 16  # swap-descent starts: the profile match, then random permutations
+_DESCENT_ROUNDS = 40  # improving transpositions taken per start, at most
 GRID_TOL = 1e-9
 _LOWER_BOUND_GRAPHS: tuple[SimpleGraph, ...] = tuple(
     builtin_graph(name) for name in ("edge", "path_3", "triangle", "cycle_4", "cycle_5", "K4")
@@ -47,13 +49,6 @@ class DistanceBracket:
         a = np.asarray(self.alignment, dtype=int)
         a.setflags(write=False)
         object.__setattr__(self, "alignment", a)
-
-
-@dataclass(frozen=True)
-class DeltaConfig:
-    max_atoms: int = 64
-    seed: int = 0
-    cut: CutNormConfig = field(default_factory=CutNormConfig)
 
 
 def _grid_size(parts_weights: list[np.ndarray], max_atoms: int) -> int:
@@ -81,7 +76,7 @@ def _expand_on_grid(sf: StepFunction, m: int) -> np.ndarray:
 
 
 def common_refinement(
-    sf1: StepFunction, sf2: StepFunction, max_atoms: int = 64
+    sf1: StepFunction, sf2: StepFunction, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> tuple[DiscreteSpace, Kernel, Kernel]:
     """A uniform-weight space on which both step functions expand exactly."""
     m = _grid_size([sf1.part_weights, sf2.part_weights], max_atoms)
@@ -104,10 +99,10 @@ def _batched_norms(diffs: np.ndarray, m: int, norm: str) -> np.ndarray:
 
 
 def _single_norm(diff: np.ndarray, space: DiscreteSpace, norm: str,
-                 cut_config: CutNormConfig) -> float:
+                 exact_limit: int, seed: int) -> float:
     kern = Kernel(space, diff)
     if norm == "cut":
-        return float(cutnorm_bracket(kern, cut_config).upper)
+        return float(cutnorm_bracket(kern, exact_limit=exact_limit, seed=seed).upper)
     return weighted_norm(kern, norm)
 
 
@@ -135,11 +130,11 @@ def _descent_objective(diff: np.ndarray, norm: str) -> float:
     return float(np.sqrt((diff * diff).mean()))
 
 
-def _swap_descent(v1, v2, norm, perm, rng, max_rounds=40):
+def _swap_descent(v1, v2, norm, perm, rng):
     """First-improvement local search over transpositions of the alignment."""
     best = _descent_objective(_apply(v1, perm) - v2, norm)
     m = perm.size
-    for _ in range(max_rounds):
+    for _ in range(_DESCENT_ROUNDS):
         improved = False
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         rng.shuffle(pairs)
@@ -179,23 +174,22 @@ def _density_gap_lower(sf1: StepFunction, sf2: StepFunction) -> float:
     return best
 
 
-def delta_bracket(
-    sf1: StepFunction,
-    sf2: StepFunction,
-    norm: str = "cut",
-    config: DeltaConfig | None = None,
-) -> DistanceBracket:
+def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
+                  max_atoms: int = DEFAULT_MAX_ATOMS, exact_limit: int = DEFAULT_EXACT_LIMIT,
+                  seed: int = 0) -> DistanceBracket:
     """Bracket the rearrangement distance inf_psi ||W1^psi - W2||_norm.
 
     The upper bound is the best alignment found on the common refinement
     (the exact permutation minimum when the refinement has at most 8
     atoms); the lower bound is 0 for L1/L2 and the counting-lemma bound
-    for the cut norm.
+    for the cut norm. Past 8 atoms, seed draws the descent starts, and the
+    cut norm of each aligned difference is bracketed by cutnorm_bracket
+    with exact_limit and seed.
     """
     if norm not in ("L1", "L2", "cut"):
         raise ValueError("norm must be 'L1', 'L2' or 'cut'")
-    config = config or DeltaConfig()
-    space, k1, k2 = common_refinement(sf1, sf2, config.max_atoms)
+    check_exact_limit(exact_limit)  # also where the exact regime never reads it
+    space, k1, k2 = common_refinement(sf1, sf2, max_atoms)
     m = space.n
     v1, v2 = k1.values, k2.values
 
@@ -214,14 +208,14 @@ def delta_bracket(
                 best_perm = batch[i].copy()
         regime = "exact"
     else:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         starts = [_greedy_profile_match(v1, v2)]
         starts += [rng.permutation(m) for _ in range(_DESCENT_STARTS - 1)]
         best = math.inf
         best_perm = starts[0]
         for start in starts:
             perm = _swap_descent(v1, v2, norm, np.asarray(start, dtype=int), rng)
-            val = _single_norm(_apply(v1, perm) - v2, space, norm, config.cut)
+            val = _single_norm(_apply(v1, perm) - v2, space, norm, exact_limit, seed)
             if val < best:
                 best = val
                 best_perm = perm

@@ -43,8 +43,6 @@ class ProfileFunction:
     table: np.ndarray | None = None
     cut: float = 0.0
     coeffs: tuple = ()
-    lo: float = 0.0
-    hi: float = 1.0
 
     @staticmethod
     def from_table(values) -> "ProfileFunction":
@@ -52,23 +50,19 @@ class ProfileFunction:
         if v.ndim != 1 or v.size < 2:
             raise ValueError("table needs at least two grid values")
         v.setflags(write=False)
-        return ProfileFunction(
-            kind="table", table=v, lo=float(v.min()), hi=float(v.max())
-        )
+        return ProfileFunction(kind="table", table=v)
 
     @staticmethod
     def threshold(cut: float) -> "ProfileFunction":
-        return ProfileFunction(kind="threshold", cut=cut, lo=0.0, hi=1.0)
+        return ProfileFunction(kind="threshold", cut=cut)
 
     @staticmethod
     def linear() -> "ProfileFunction":
-        return ProfileFunction(kind="linear", lo=-1.0, hi=1.0)
+        return ProfileFunction(kind="linear")
 
     @staticmethod
     def cosine_series(coeffs) -> "ProfileFunction":
-        c = tuple(float(x) for x in coeffs)
-        r = sum(abs(x) for x in c)
-        return ProfileFunction(kind="cosine_series", coeffs=c, lo=-r, hi=r)
+        return ProfileFunction(kind="cosine_series", coeffs=tuple(float(x) for x in coeffs))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

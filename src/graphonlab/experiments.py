@@ -99,7 +99,7 @@ def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
             for j in range(3, 9)
         )
         diff = Kernel(kernel.space, permuted.values - kernel.values)
-        bracket = cutnorm_heuristic(diff, restarts=32, seed=seed)
+        bracket = cutnorm_heuristic(diff, seed=seed)
         quot = quotient_average(diff, coarse_labels)
         small = Kernel(DiscreteSpace(quot.part_weights), quot.block)
         exact16 = cutnorm_exact(small)
@@ -125,7 +125,7 @@ def _sphere_unit(dim: int, profile: ProfileFunction, count: int,
     kernel = sphere_kernel(dim, profile, count, seed)
     p = weighted_mean(kernel)
     centered = Kernel(kernel.space, kernel.values - p)
-    bracket = cutnorm_heuristic(centered, restarts=32, seed=seed)
+    bracket = cutnorm_heuristic(centered, seed=seed)
     return p, bracket.lower, bracket.upper
 
 

@@ -9,6 +9,7 @@ Graph:    line `k m`, then m lines `u v` with 1-based vertex indices.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
@@ -98,8 +99,9 @@ def parse_step(text: str) -> StepFunction:
         s = int(lines[0].split(":", 1)[1])
     except ValueError as exc:
         raise FormatError("unreadable part count") from exc
-    if len(lines) < 2 + s:
-        raise FormatError(f"expected a label line and {s} block rows")
+    if len(lines) != 2 + s:
+        raise FormatError(f"expected a label line and {s} block rows, "
+                          f"got {len(lines) - 1} lines after the header")
     raw = np.array(_ints(lines[1].split()))
     uniq, labels = np.unique(raw, return_inverse=True)
     if uniq.size != s:
@@ -142,24 +144,35 @@ def format_graph(graph: SimpleGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_kernel(path: str) -> Kernel:
+@contextlib.contextmanager
+def _utf8(path: str):
+    """The file opened as UTF-8 text; bytes that do not decode are a
+    FormatError, not the ValueError that reads as a numeric failure."""
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_kernel(path: str) -> Kernel:
+    with _utf8(path) as fh:
         return parse_matrix(fh.read())
 
 
 def load_step(path: str) -> StepFunction:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         return parse_step(fh.read())
 
 
 def load_graph(path: str) -> SimpleGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         return parse_graph(fh.read())
 
 
 def sniff_kind(path: str) -> str:
     """'step' if the file opens with a parts header, else 'matrix'."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         first = fh.readline().strip()
     return "step" if first.startswith("parts:") else "matrix"
 

@@ -42,8 +42,8 @@ from .spectral import (
     tail_truncate,
 )
 
-ADDITIVITY_TOL = 1e-9
-DEFAULT_GRID_CAP = 10**6
+ADDITIVITY_TOL = 1e-9  # sup-norm bound on S + E + R - M
+DEFAULT_GRID_CAP = 1e6
 DEFAULT_AUT_LIMIT = 64
 ENTRY_CLASS_TOL = 1e-12
 
@@ -58,7 +58,6 @@ class ThresholdSchedule:
     lam_next: float
     delta_floor: float  # the last probe taken
     probes: tuple
-    energies: tuple
 
 
 def _snap_down(t: float, midpoints: list[float]) -> float:
@@ -110,7 +109,6 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
         lam_next=probes[pair + 1],
         delta_floor=probes[-1],
         probes=tuple(probes),
-        energies=tuple(energies),
     )
 
 
@@ -147,7 +145,6 @@ class RegularityDecomposition:
     lam: float
     lam_next: float
     delta_floor: float
-    epsilon: float
     certificates: Certificates
     spectral: SpectralDecomposition
 
@@ -198,7 +195,6 @@ def regularity_decompose(
         lam=sched.lam,
         lam_next=sched.lam_next,
         delta_floor=sched.delta_floor,
-        epsilon=eps,
         certificates=certs,
         spectral=dec,
     )
@@ -211,10 +207,8 @@ def regularity_decompose(
 @dataclass(frozen=True)
 class ClusteringResult:
     step: StepFunction
-    epsilon1: float
     step_count_bound: float
     rank: int
-    scale: float  # the m with ||f_i||_inf <= m and |lambda_i| <= m
 
 
 def cluster_eigenvectors(
@@ -244,7 +238,7 @@ def cluster_eigenvectors(
             np.zeros((1, 1)),
             np.array([1.0]),
         )
-        return ClusteringResult(step=sf, epsilon1=0.0, step_count_bound=1.0, rank=0, scale=0.0)
+        return ClusteringResult(step=sf, step_count_bound=1.0, rank=0)
     vecs = dec.eigenvectors[:, :k]
     lams = dec.eigenvalues[:k]
     m = max(float(np.max(np.abs(vecs))), float(np.max(np.abs(lams))))
@@ -265,22 +259,21 @@ def cluster_eigenvectors(
     labels = labels.ravel().astype(int)
 
     sf = quotient_average(tail_truncate(dec, lam), labels)
-    return ClusteringResult(
-        step=sf, epsilon1=width, step_count_bound=bound, rank=k, scale=m
-    )
+    return ClusteringResult(step=sf, step_count_bound=bound, rank=k)
 
 
 # ---------------------------------------------------------------------------
 # automorphism search
 
 
-def _entry_classes(values: np.ndarray, tol: float = ENTRY_CLASS_TOL) -> np.ndarray:
-    """Map matrix entries to integer classes, merging values within tol."""
+def _entry_classes(values: np.ndarray) -> np.ndarray:
+    """Map matrix entries to integer classes, merging values within
+    ENTRY_CLASS_TOL."""
     flat = values.ravel()
     order = np.argsort(flat, kind="stable")
     sorted_vals = flat[order]
     classes = np.empty(flat.size, dtype=int)
-    classes[order] = np.concatenate(([0], np.cumsum(np.diff(sorted_vals) > tol)))
+    classes[order] = np.concatenate(([0], np.cumsum(np.diff(sorted_vals) > ENTRY_CLASS_TOL)))
     return classes.reshape(values.shape)
 
 
@@ -357,17 +350,18 @@ def _orbit(point: int, gens: list[np.ndarray], n: int) -> set[int]:
     return seen
 
 
-def automorphisms(kernel: Kernel, max_n: int = DEFAULT_AUT_LIMIT) -> PermutationAction:
+def automorphisms(kernel: Kernel) -> PermutationAction:
     """Generators of the full automorphism group of the kernel.
 
     Builds a stabilizer chain over the natural base 0, 1, ..., n-1: at each
     level every color-consistent image of the base point outside the known
     orbit is probed by an exhaustive backtracking search, so the returned
-    set is a strong generating set, not just a subgroup.
+    set is a strong generating set, not just a subgroup. Raises
+    TooLargeError above DEFAULT_AUT_LIMIT atoms.
     """
     n = kernel.n
-    if n > max_n:
-        raise TooLargeError(f"n={n} exceeds the automorphism search limit {max_n}")
+    if n > DEFAULT_AUT_LIMIT:
+        raise TooLargeError(f"n={n} exceeds the automorphism search limit {DEFAULT_AUT_LIMIT}")
     entry_cls = _entry_classes(kernel.values)
     weight_cls = _entry_classes(kernel.space.weights.reshape(-1, 1)).ravel()
     diag_cls = np.diagonal(entry_cls)
@@ -411,7 +405,6 @@ class InvarianceReport:
     generators: int
     S_deviation: float  # max over generators of ||g S g^-1 - S||_inf
     T_deviation: float  # same for the clustered step function
-    per_generator: tuple
 
 
 def symmetry_decompose(
@@ -432,7 +425,6 @@ def symmetry_decompose(
     clustering = cluster_eigenvectors(reg.spectral, reg.lam, eps, max_parts=max_parts)
     action = automorphisms(kernel)
     t_kernel = expand_step(clustering.step)
-    rows = []
     s_worst = 0.0
     t_worst = 0.0
     for g in action.generators:
@@ -440,11 +432,9 @@ def symmetry_decompose(
         t_dev = float(np.max(np.abs(apply_permutation(t_kernel, g).values - t_kernel.values)))
         s_worst = max(s_worst, s_dev)
         t_worst = max(t_worst, t_dev)
-        rows.append({"S_deviation": s_dev, "T_deviation": t_dev})
     report = InvarianceReport(
         generators=len(action.generators),
         S_deviation=s_worst,
         T_deviation=t_worst,
-        per_generator=tuple(rows),
     )
     return reg, clustering, report

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from graphonlab import (
-    CutNormConfig,
     DiscreteSpace,
     Kernel,
     PermutationAction,
@@ -241,7 +240,7 @@ def test_criterion_09_quasirandom_action_bound():
             shift = (np.arange(p) + 1) % p
             rep = invariant_dimension_report(k, PermutationAction(k.space, (shift,)))
             assert rep.kernel_report.d >= 2
-            est = cutnorm_bracket(k, CutNormConfig(seed=0))
+            est = cutnorm_bracket(k, seed=0)
             assert est.upper <= 1.0 / math.sqrt(2) + 1e-9
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -62,6 +64,16 @@ class TestParsers:
         F, _ = parse_F("0.05")
         assert F(1.0, 9.0) == 0.05
 
+    @pytest.mark.parametrize("spec", ["0*lambda", "-0.25*lambda*eps", "0.25*lambda*eps*0",
+                                      "nan*lambda"])
+    def test_parse_F_rejects_a_constant_that_is_not_positive(self, spec):
+        with pytest.raises(graphonlab.cli.UsageError):
+            parse_F(spec)
+
+    def test_parse_F_keeps_negative_powers(self):
+        F, _ = parse_F("0.25*lambda^-1")
+        assert F(0.5, 0.3) == pytest.approx(0.5)
+
     def test_parse_profile_kinds(self):
         assert parse_profile("threshold:0.2")(0.3) == 1.0
         assert parse_profile("linear")(np.array([0.5]))[0] == 0.5
@@ -76,7 +88,7 @@ class TestSubcommands:
         rep = json.loads(out)
         assert rep["schema_version"] == "graphonlab.report/1"
         assert len(rep["results"]["eigenvalues"]) == 8
-        assert rep["runtime_seconds"] is None
+        assert "runtime_seconds" not in rep
 
     def test_cutnorm(self, matrix_file, capsys):
         code, out = run_cli(["cutnorm", "--input", matrix_file, "--seed", "0"], capsys)
@@ -342,6 +354,24 @@ class TestExitCodes:
     def test_usage_error_on_unknown_flag(self, capsys):
         assert run_cli(["spectrum", "--nope"], capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--input", "{bad}"],
+        ["density", "--input", "{bad}", "--graph", "edge"],
+        ["density", "--input", "{step}", "--graph", "{bad}"],
+    ])
+    def test_file_that_is_not_utf8_is_input_error(self, argv, step_file, tmp_path, capsys):
+        # the decode error used to reach main as a numeric failure (exit 3)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe2\n0 1\n1 0\n")
+        files = {"{bad}": str(bad), "{step}": step_file}
+        assert run_cli([files.get(a, a) for a in argv], capsys)[0] == EXIT_USAGE
+
+    def test_step_file_with_an_extra_row_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text("parts: 2\n1 1 2 2\n0.9 0.1\n0.1 0.4\n7 7\n")
+        argv = ["density", "--input", str(path), "--graph", "edge"]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
     @pytest.mark.parametrize("text", ["2\n0 abc\n1 0\n", "2\n0 1\n1\n", "0\n"])
     def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
         # a non-numeric token or a ragged row is bad input (exit 2), not a
@@ -401,6 +431,10 @@ class TestExitCodes:
         ["decompose", "--input", "{matrix}", "--epsilon", "0"],
         ["decompose", "--input", "{matrix}", "--epsilon", "-0.5"],
         ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--max-parts", "-1"],
+        # with c <= 0 the first schedule probe raised NonDecreasingF (exit 3)
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--F", "0*lambda"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--F=-0.25*lambda*eps"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--F=0.25*lambda*eps*0"],
     ])
     def test_flag_out_of_range_is_usage_error(self, argv, matrix_file, step_file, tmp_path,
                                               capsys):
@@ -551,7 +585,7 @@ class TestInputs:
         (["make", "--ensemble", "wrandom", "--N", "6", "--input", "{step}", "--seed", "1",
           "--output", "{out}", "--threads", "2"], {"ensemble", "count", "input", "seed"}),
         (["experiment", "--name", "circle", "--n", "16", "--ks", "3", "--seed", "0",
-          "--output", "{out}", "--timing"], {"name", "n", "ks", "seed"}),
+          "--output", "{out}"], {"name", "n", "ks", "seed"}),
     ])
     def test_inputs_are_the_flags_read(self, argv, echoed, step_file, tmp_path, capsys):
         files = {"{step}": step_file, "{out}": str(tmp_path / "out")}
@@ -651,3 +685,21 @@ def test_numpy_is_the_only_runtime_dependency(matrix_file):
     proc = subprocess.run([sys.executable, "-c", code, matrix_file],
                           capture_output=True, text=True, check=True)
     assert proc.stderr.endswith("[]"), proc.stderr
+
+
+def test_readme_cli_examples_parse():
+    # every example line of the README's CLI block, less its comment and the
+    # brackets that mark optional flags, is accepted by the parser, so a
+    # removed or renamed flag cannot linger in the docs
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line.split("#", 1)[0].replace("[", "").replace("]", ""))
+                for line in block.splitlines() if line.strip()]
+    assert len(commands) >= 8 and all(argv[0] == "graphonlab" for argv in commands)
+    parser = graphonlab.cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")

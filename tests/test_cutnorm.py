@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphonlab import (
-    CutNormConfig,
     Kernel,
     apply_permutation,
     bilinear_form,
@@ -147,20 +146,26 @@ class TestExact:
         k = kernel_from_matrix(random_symmetric(rng, 6), weights=w)
         assert cutnorm_exact(k).lower == pytest.approx(brute_force_cutnorm(k), abs=1e-12)
 
-    def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            cutnorm_exact(kernel_from_matrix(np.zeros((9, 9))), max_n=8)
-
-    def test_ceiling_holds_whatever_max_n_says(self):
-        # a larger max_n must not start a 2^(n-1) enumeration past the ceiling
+    def test_too_large(self, monkeypatch):
+        # refused before the enumeration starts
+        monkeypatch.setattr(cutnorm, "_best_signs", None)
         n = EXACT_CEILING + 1
         with pytest.raises(TooLargeError):
-            cutnorm_exact(kernel_from_matrix(np.zeros((n, n))), max_n=40)
+            cutnorm_exact(kernel_from_matrix(np.zeros((n, n))))
+
+    def test_bracket_never_enumerates_past_the_ceiling(self, monkeypatch):
+        # the largest exact_limit leaves a kernel one atom past the ceiling
+        # to the heuristic, never to a 2^(n-1) enumeration
+        monkeypatch.setattr(cutnorm, "_best_signs", None)
+        n = EXACT_CEILING + 1
+        est = cutnorm_bracket(kernel_from_matrix(np.zeros((n, n))), exact_limit=EXACT_CEILING)
+        assert est.method.startswith("heuristic")
 
     @pytest.mark.parametrize("limit", [-3, EXACT_CEILING + 1, 40])
     def test_config_rejects_exact_limit_outside_the_ceiling(self, limit):
+        # 3 atoms would run at any limit; the limit is refused all the same
         with pytest.raises(ValueError):
-            CutNormConfig(exact_limit=limit)
+            cutnorm_bracket(kernel_from_matrix(np.eye(3)), exact_limit=limit)
 
     def test_at_most_spectral_radius(self, rng):
         for _ in range(10):
@@ -389,7 +394,7 @@ class TestBracket:
 
     def test_dispatch_heuristic_large(self, rng):
         k = kernel_from_matrix(random_symmetric(rng, 30))
-        est = cutnorm_bracket(k, CutNormConfig(seed=5))
+        est = cutnorm_bracket(k, seed=5)
         assert est.method.startswith("heuristic")
 
     def test_truncation_tail_bounded_by_threshold(self, rng):

@@ -5,7 +5,6 @@ import pytest
 
 from graphonlab import DiscreteSpace, step_function
 from graphonlab.distance import (
-    DeltaConfig,
     _density_gap_lower,
     common_refinement,
     delta_bracket,
@@ -144,10 +143,18 @@ class TestDeltaBracket:
         order = np.array([2, 0, 1])
         space2 = DiscreteSpace(np.array([0.4, 0.3, 0.3]))
         sf2 = step_function(space2, [0, 1, 2], block[np.ix_(order, order)])
-        b = delta_bracket(sf1, sf2, "L2", DeltaConfig(max_atoms=16))
+        b = delta_bracket(sf1, sf2, "L2", max_atoms=16)
         assert b.regime == "heuristic"
         assert b.refinement_size == 10
         assert b.upper == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("limit", [-3, 27, 40])
+    def test_exact_limit_outside_the_ceiling_rejected_in_every_regime(self, limit):
+        # 2 atoms take the exact permutation regime, which never reads the
+        # limit; it is refused all the same
+        sf = step_function(DiscreteSpace.uniform(2), [0, 1], [[0.3, 0.6], [0.6, 0.1]])
+        with pytest.raises(ValueError):
+            delta_bracket(sf, sf, "cut", exact_limit=limit)
 
     def test_bracket_sandwich_and_certificate_label(self, rng):
         space = DiscreteSpace.uniform(4)

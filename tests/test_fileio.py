@@ -103,6 +103,11 @@ class TestStepFormat:
         with pytest.raises(FormatError):
             parse_step("2\n1 1\n0.5\n")
 
+    def test_line_after_the_block_rows_rejected(self):
+        # a third block row under 'parts: 2' used to be ignored
+        with pytest.raises(FormatError):
+            parse_step("parts: 2\n1 1 2 2\n0.9 0.1\n0.1 0.4\n7 7\n")
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             parse_step("parts: 2\n1 1 2 2\ninf 0.1\n0.1 0.4\n")

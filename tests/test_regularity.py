@@ -262,9 +262,12 @@ class TestAutomorphisms:
         k = expand_step(sf)
         assert group_order(automorphisms(k)) == brute_force_automorphism_count(k.values)
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        # refused before the search starts
+        monkeypatch.setattr(regularity_module, "_entry_classes", None)
+        n = regularity_module.DEFAULT_AUT_LIMIT + 1
         with pytest.raises(TooLargeError):
-            automorphisms(kernel_from_matrix(np.zeros((5, 5))), max_n=4)
+            automorphisms(kernel_from_matrix(np.zeros((n, n))))
 
 
 class TestSymmetryDecompose:
