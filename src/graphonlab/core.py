@@ -74,6 +74,38 @@ class DiscreteSpace:
         return DiscreteSpace(np.full(n, 1.0 / n))
 
 
+def _draw_atoms(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Atom index of each uniform u in [0, 1): cdf.searchsorted(u,
+    side="right") for cdf = weights.cumsum() / its last entry, exactly. For
+    u = rng.random(shape) that is the draw rng.choice(n, size=shape,
+    p=weights) makes, from the same stream.
+
+    A guide table replaces the binary search. Bucket b(x) = floor(fl(x s)),
+    s = 2n, is nondecreasing in x, so every CDF value in a lower bucket
+    than u is below u and every one in a higher bucket is above it. The
+    answer is therefore first[b(u)] plus the number of CDF values in u's
+    own bucket that are <= u. One comparison counts them when the bucket
+    holds at most one; u in a bucket that holds more goes to searchsorted.
+    With s = n, uniform weights put every CDF value on a bucket edge, where
+    rounding can crowd two into one bucket.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    s = 2 * cdf.size
+    # first[b]: how many CDF values lie in buckets below b. u < 1 keeps
+    # b(u) <= s, and cdf[-1] = 1 lies in bucket s, so first[b(u)] < n
+    first = np.zeros(s + 2, dtype=np.intp)
+    np.cumsum(np.bincount((cdf * s).astype(np.intp), minlength=s + 1), out=first[1:])
+    crowded = np.diff(first) > 1
+    idx = (u * s).astype(np.intp)  # b(u), freed by the lookup that rebinds idx
+    hit = crowded[idx] if crowded.any() else None
+    idx = first[idx]
+    idx += cdf[idx] <= u
+    if hit is not None:
+        idx[hit] = cdf.searchsorted(u[hit], side="right")
+    return idx
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A self-adjoint kernel: a symmetric real matrix over a DiscreteSpace.

@@ -107,7 +107,7 @@ def _single_norm(diff: np.ndarray, space: DiscreteSpace, norm: str,
 
 
 def _apply(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return v[np.ix_(perm, perm)]
+    return v[perm][:, perm]
 
 
 def _greedy_profile_match(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -130,23 +130,74 @@ def _descent_objective(diff: np.ndarray, norm: str) -> float:
     return float(np.sqrt((diff * diff).mean()))
 
 
+def _swap_gains(a, b, i, j, f):
+    """Change of sum f(a - b) when rows and columns i[t] and j[t] of the
+    symmetric a trade places, for each pair t: O(m) per pair. Only rows and
+    columns i and j of the difference change: the columns mirror the rows,
+    the diagonal entries (i, i) and (j, j) take each other's a-value, and
+    (i, j) keeps its value. Every summed term is the difference of a new
+    and an old f-value."""
+    t = np.arange(i.size)
+    ai, aj, bi, bj = a[i], a[j], b[i], b[j]
+    r = f(aj - bi) + f(ai - bj) - f(ai - bi) - f(aj - bj)
+    r[t, i] = r[t, j] = 0.0
+    aii, ajj, bii, bjj = ai[t, i], aj[t, j], bi[t, i], bj[t, j]
+    return 2.0 * r.sum(axis=1) + f(ajj - bii) + f(aii - bjj) - f(aii - bii) - f(ajj - bjj)
+
+
 def _swap_descent(v1, v2, norm, perm, rng):
-    """First-improvement local search over transpositions of the alignment."""
-    best = _descent_objective(_apply(v1, perm) - v2, norm)
+    """First-improvement local search over transpositions of the alignment
+    of the symmetric v1 to the symmetric v2.
+
+    Each round draws one random order of the m(m-1)/2 transpositions and
+    takes the first whose objective, _descent_objective(_apply(v1, cand) -
+    v2), beats best - 1e-15. Only pairs that cannot pass are skipped, so
+    the pair taken, the alignment and best are those of evaluating every
+    pair in turn:
+    - a pair of atoms with equal rows of v1 leaves the aligned matrix, and
+      so the objective, as it is;
+    - a pair whose estimated sum of f(diff) after the swap (the current
+      sum plus _swap_gains) exceeds q, the sum the threshold allows, by
+      more than a rounding margin. Both the estimate and the exact
+      evaluation add (and the gain also subtracts) nonnegative f-values of
+      the entries of the two differences, so each errs by at most about
+      (N + m) u times the current sum plus the candidate's, N = m*m and
+      u = 2**-53. A pair that passes has a sum below q (1 + N u), so the
+      margin 8 (N + m + 16) u (current sum + q), plus an underflow
+      allowance, covers both errors.
+    """
     m = perm.size
+    rows, cols = np.triu_indices(m, 1)  # the pairs (i, j), i < j, in row order
+    f = np.abs if norm == "L1" else np.square
+    _, kind = np.unique(v1, axis=0, return_inverse=True)
+    a = _apply(v1, perm)
+    diff = a - v2
+    best = _descent_objective(diff, norm)
     for _ in range(_DESCENT_ROUNDS):
+        order = rng.permutation(rows.size)  # the stream a shuffled list of the pairs draws
+        threshold = best - 1e-15
+        if not threshold > 0.0:  # no objective is negative
+            break
+        total = float(f(diff).sum())
+        allowed = m * m * (threshold if norm == "L1" else threshold * threshold)
+        limit = allowed + 2.0**-50 * (m * m + m + 16) * (total + allowed) + 2.0**-1000
         improved = False
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        rng.shuffle(pairs)
-        for i, j in pairs:
-            cand = perm.copy()
-            cand[i], cand[j] = cand[j], cand[i]
-            val = _descent_objective(_apply(v1, cand) - v2, norm)
-            if val < best - 1e-15:
-                best = val
-                perm = cand
-                improved = True
-                break
+        start, size = 0, 32
+        while start < order.size and not improved:
+            block = order[start : start + size]
+            start, size = start + size, 2 * size
+            i, j = rows[block], cols[block]
+            keep = total + _swap_gains(a, v2, i, j, f) <= limit
+            for t in np.flatnonzero(keep & (kind[perm[i]] != kind[perm[j]])):
+                cand = perm.copy()
+                cand[i[t]], cand[j[t]] = cand[j[t]], cand[i[t]]
+                aligned = _apply(v1, cand)
+                cand_diff = aligned - v2
+                val = _descent_objective(cand_diff, norm)
+                if val < threshold:
+                    best, perm, a, diff = val, cand, aligned, cand_diff
+                    improved = True
+                    break
         if not improved:
             break
     return perm
@@ -211,10 +262,15 @@ def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
         rng = np.random.default_rng(seed)
         starts = [_greedy_profile_match(v1, v2)]
         starts += [rng.permutation(m) for _ in range(_DESCENT_STARTS - 1)]
+        # the descent runs at the scale where max |v| is in [0.5, 1): the
+        # power-of-two scaling is exact, and the 1e-15 of its threshold then
+        # means the same for every overall scale of the pair
+        _, exponent = np.frexp(max(np.abs(v1).max(), np.abs(v2).max()))
+        s1, s2 = np.ldexp(v1, -exponent), np.ldexp(v2, -exponent)
         best = math.inf
         best_perm = starts[0]
         for start in starts:
-            perm = _swap_descent(v1, v2, norm, np.asarray(start, dtype=int), rng)
+            perm = _swap_descent(s1, s2, norm, np.asarray(start, dtype=int), rng)
             val = _single_norm(_apply(v1, perm) - v2, space, norm, exact_limit, seed)
             if val < best:
                 best = val

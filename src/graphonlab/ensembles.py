@@ -14,6 +14,7 @@ from .core import (
     DiscreteSpace,
     Kernel,
     PermutationAction,
+    _draw_atoms,
     apply_permutation,
     symmetric_kernel,
     weighted_mean,
@@ -164,7 +165,7 @@ def w_random_sample(kernel: Kernel, N: int, seed: int = 0) -> tuple[Kernel, np.n
     if N < 1:
         raise ValueError("N must be positive")
     rng = np.random.default_rng(seed)
-    atoms = rng.choice(kernel.n, size=N, p=kernel.space.weights)
+    atoms = _draw_atoms(kernel.space.weights, rng.random(N))
     probs = np.clip(v[np.ix_(atoms, atoms)], 0.0, 1.0)
     coins = rng.random((N, N))
     upper = np.triu(coins < probs, k=1)

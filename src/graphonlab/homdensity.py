@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kernel, SimpleGraph, StepFunction
+from .core import Kernel, SimpleGraph, StepFunction, _draw_atoms
 from .errors import AllZeroSpectrum, TooManyVerticesError
 from .spectral import SpectralDecomposition, spectrum_distribution
 
@@ -51,7 +51,11 @@ def hom_density_step(graph: SimpleGraph, sf: StepFunction) -> DensityEstimate:
 def hom_density_mc(graph: SimpleGraph, kernel: Kernel, samples: int,
                    seed: int = 0) -> DensityEstimate:
     """Monte Carlo density: average the edge product over independent
-    vertex tuples drawn atom-wise from the weight distribution."""
+    vertex tuples drawn atom-wise from the weight distribution.
+
+    The tuples are the stream rng.choice(n, size=(count, k), p=weights)
+    draws, chunk by chunk, through core._draw_atoms; every vertex takes a
+    draw, isolated ones too."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
@@ -61,7 +65,7 @@ def hom_density_mc(graph: SimpleGraph, kernel: Kernel, samples: int,
     done = 0
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
-        x = rng.choice(kernel.n, size=(count, graph.k), p=w)
+        x = _draw_atoms(w, rng.random((count, graph.k)))
         prod = np.ones(count)
         for (u, v) in edges:
             prod *= kernel.values[x[:, u - 1], x[:, v - 1]]

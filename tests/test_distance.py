@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphonlab import DiscreteSpace, step_function
+from graphonlab import DiscreteSpace, distance, step_function
 from graphonlab.distance import (
     _density_gap_lower,
     common_refinement,
@@ -194,3 +194,114 @@ def test_counting_lemma_constant_shift_is_tight():
                       step_function(space, [0, 1], block + 0.25), "cut")
     assert b.lower == pytest.approx(0.25, rel=1e-12)
     assert b.upper == pytest.approx(0.25, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the swap descent against full re-evaluation
+
+
+def full_swap_descent(v1, v2, norm, perm, rng):
+    """Oracle: the plain swap descent, which re-evaluates every pair in
+    turn."""
+    best = distance._descent_objective(distance._apply(v1, perm) - v2, norm)
+    m = perm.size
+    for _ in range(distance._DESCENT_ROUNDS):
+        improved = False
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        rng.shuffle(pairs)
+        for i, j in pairs:
+            cand = perm.copy()
+            cand[i], cand[j] = cand[j], cand[i]
+            val = distance._descent_objective(distance._apply(v1, cand) - v2, norm)
+            if val < best - 1e-15:
+                best = val
+                perm = cand
+                improved = True
+                break
+        if not improved:
+            break
+    return perm
+
+
+def expanded_block(rng, m, parts, lo=0.0, hi=1.0):
+    """An m x m step kernel: random block values over parts of random size,
+    so atoms of one part have equal rows."""
+    labels = np.sort(rng.integers(0, parts, m))
+    return random_symmetric(rng, parts, lo, hi)[np.ix_(labels, labels)]
+
+
+def descent_inputs(rng, m):
+    yield "distinct rows", random_symmetric(rng, m, 0.0, 1.0), random_symmetric(rng, m, 0.0, 1.0)
+    yield "repeated rows", expanded_block(rng, m, m // 3), expanded_block(rng, m, m // 4)
+    # quarter-valued blocks against two constant blocks: most swaps change
+    # nothing, or change the objective by an exact tie
+    v1 = np.round(4.0 * expanded_block(rng, m, 3)) / 4.0
+    v2 = np.full((m, m), 0.5)
+    v2[: m // 2, : m // 2] = 0.25
+    yield "constant blocks", v1, v2
+    yield "one constant", np.full((m, m), 0.75), expanded_block(rng, m, 2)
+
+
+@pytest.mark.parametrize("m", [9, 12, 24, 60])
+def test_swap_descent_equals_full_reevaluation(m):
+    for seed in range(3):
+        rng = np.random.default_rng([m, seed])
+        for label, v1, v2 in descent_inputs(rng, m):
+            for norm in ("L1", "L2", "cut"):
+                start = rng.permutation(m)
+                r_full, r_fast = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = full_swap_descent(v1, v2, norm, start.copy(), r_full)
+                got = distance._swap_descent(v1, v2, norm, start.copy(), r_fast)
+                assert np.array_equal(got, want), (label, norm, seed)
+                # the same random stream, so later starts draw the same orders
+                assert r_fast.random() == r_full.random(), (label, norm, seed)
+
+
+def perfbench_like_pair(seed, m=60, parts=24):
+    """Two step kernels on a uniform m-atom grid with parts parts each."""
+    rng = np.random.default_rng(seed)
+    return expanded_block(rng, m, parts), expanded_block(rng, m, parts)
+
+
+def test_swap_descent_skips_all_but_few_exact_evaluations(monkeypatch):
+    # counts work, not time: full re-evaluation makes 3483 exact
+    # evaluations over the 640 rounds of this input, about 5.4 per round
+    v1, v2 = perfbench_like_pair(3)
+    calls = 0
+    objective = distance._descent_objective
+
+    def counted(diff, norm):
+        nonlocal calls
+        calls += 1
+        return objective(diff, norm)
+
+    class RoundCounter:  # one permutation of the pairs per round
+        def __init__(self, rng):
+            self.rng, self.rounds = rng, 0
+
+        def permutation(self, n):
+            self.rounds += 1
+            return self.rng.permutation(n)
+
+    monkeypatch.setattr(distance, "_descent_objective", counted)
+    rng = RoundCounter(np.random.default_rng(0))
+    for _ in range(distance._DESCENT_STARTS):
+        distance._swap_descent(v1, v2, "cut", rng.rng.permutation(60), rng)
+    assert rng.rounds >= 400
+    assert calls <= 2 * rng.rounds, (calls, rng.rounds)
+
+
+def test_descent_is_scale_equivariant():
+    # at the unscaled size the objective is below the descent's 1e-15
+    # improvement step, so without rescaling no swap would be taken
+    v1, v2 = perfbench_like_pair(1, m=30, parts=10)
+    space = DiscreteSpace.uniform(30)
+    sf1, sf2 = step_function(space, range(30), v1), step_function(space, range(30), v2)
+    tiny1 = step_function(space, range(30), v1 * 2.0**-50)
+    tiny2 = step_function(space, range(30), v2 * 2.0**-50)
+    for norm in ("L2", "cut"):
+        b = delta_bracket(sf1, sf2, norm, max_atoms=30)
+        tiny = delta_bracket(tiny1, tiny2, norm, max_atoms=30)
+        assert b.regime == tiny.regime == "heuristic"
+        assert np.array_equal(tiny.alignment, b.alignment), norm
+        assert tiny.upper == pytest.approx(b.upper * 2.0**-50, rel=1e-12)

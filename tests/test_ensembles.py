@@ -202,6 +202,17 @@ class TestWRandom:
             errs[N] = float(np.median(gaps))
         assert errs[400] < errs[100]
 
+    def test_atoms_are_the_weighted_choice_stream(self):
+        rng = np.random.default_rng(4)
+        w = rng.random(9) + 1e-3
+        k = kernel_from_matrix(np.full((9, 9), 0.5), w / w.sum())
+        g, atoms = w_random_sample(k, 300, seed=6)
+        ref = np.random.default_rng(6)
+        assert np.array_equal(atoms, ref.choice(9, size=300, p=k.space.weights))
+        coins = ref.random((300, 300))  # the edge coins follow from the same stream
+        upper = np.triu(coins < 0.5, k=1)
+        assert np.array_equal(g.values, (upper | upper.T).astype(float))
+
 
 class TestInvariantDimensionReport:
     def _normalized_cayley(self, p, fvals):

@@ -21,6 +21,7 @@ from graphonlab import (
     step_function,
     triangle_graph,
 )
+from graphonlab.core import _draw_atoms
 from graphonlab.errors import AllZeroSpectrum, TooManyVerticesError
 
 from conftest import random_symmetric
@@ -178,3 +179,78 @@ class TestMomentIdentity:
         dec = decompose(kernel_from_matrix(np.zeros((3, 3))))
         with pytest.raises(AllZeroSpectrum):
             moment_identity_check(dec, 3)
+
+
+# ---------------------------------------------------------------------------
+# the weighted atom sampler against rng.choice
+
+
+def weight_vectors():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 200):
+        yield f"uniform-{n}", np.full(n, 1.0 / n)
+        w = rng.random(n) + 0.01
+        yield f"random-{n}", w / w.sum()
+        # weights spread over 14 decades, down to the 1e-14 atom floor
+        if n > 1:
+            w = np.geomspace(1.0, 1e-14, n)[rng.permutation(n)]
+            w = np.maximum(w / w.sum(), 1e-14)
+            w[w.argmax()] -= w.sum() - 1.0
+            yield f"skewed-{n}", w
+    # one heavy atom and many light ones crowd the buckets
+    w = np.full(300, 1e-14)
+    w[150] = 1.0 - 299e-14
+    yield "one-heavy", w
+
+
+def adversarial_uniforms(cdf):
+    """0, the largest double below 1, and one ulp either side of every
+    bucket edge b/n and b/(2n) and of every CDF value."""
+    n = cdf.size
+    points = np.concatenate([np.arange(n + 1) / n, np.arange(2 * n + 1) / (2 * n), cdf])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                        [0.0, 1.0 - 2.0**-53]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+WEIGHTS = dict(weight_vectors())
+
+
+@pytest.mark.parametrize("label", list(WEIGHTS))
+def test_draw_atoms_is_searchsorted(label):
+    w = WEIGHTS[label]
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    u = adversarial_uniforms(cdf)
+    assert np.array_equal(_draw_atoms(w, u), cdf.searchsorted(u, side="right"))
+    u = np.random.default_rng(1).random((500, 3))
+    assert np.array_equal(_draw_atoms(w, u), cdf.searchsorted(u, side="right"))
+
+
+def reference_density_mc(graph, kernel, samples, seed):
+    """Oracle: hom_density_mc with numpy's weighted choice for the draws."""
+    rng = np.random.default_rng(seed)
+    vals = np.empty(samples)
+    done = 0
+    while done < samples:
+        count = min(65536, samples - done)
+        x = rng.choice(kernel.n, size=(count, graph.k), p=kernel.space.weights)
+        prod = np.ones(count)
+        for (u, v) in sorted(graph.edges):
+            prod *= kernel.values[x[:, u - 1], x[:, v - 1]]
+        vals[done : done + count] = prod
+        done += count
+    stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return float(vals.mean()), stderr
+
+
+@pytest.mark.parametrize("label", list(WEIGHTS))
+def test_monte_carlo_draws_the_choice_stream(label):
+    w = WEIGHTS[label]
+    n = w.size
+    k = kernel_from_matrix(random_symmetric(np.random.default_rng(n), n, 0.0, 1.0), w)
+    # vertex 4 is isolated: it takes its draw all the same
+    graphs = [cycle_graph(4), disjoint_union(path_graph(3), SimpleGraph(1, frozenset()))]
+    for graph, samples in zip(graphs, (3000, 70000 if n == 200 else 1)):
+        est = hom_density_mc(graph, k, samples=samples, seed=9)
+        assert (est.value, est.stderr) == reference_density_mc(graph, k, samples, 9)
