@@ -43,6 +43,7 @@ from .spectral import (
     spectral_radius,
     spectrum_distribution,
     tail_truncate,
+    truncation_quotient,
 )
 from .cutnorm import (
     CutNormEstimate,

@@ -31,6 +31,9 @@ MIN_ATOM_WEIGHT = 1e-14
 # it the input is genuinely asymmetric and rejected.
 SILENT_SKEW = 1e-12
 HARD_SKEW = 1e-9
+# Kernel compares its matrix with its transpose in square tiles of this
+# many rows, so that each transposed read stays in cache.
+SYMMETRY_TILE = 256
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -124,7 +127,7 @@ class Kernel:
                 f"values shape {v.shape} does not match space size {self.space.n}"
             )
         _require_finite(v, "kernel values")
-        if not np.array_equal(v, v.T):
+        if not _exactly_symmetric(v):
             raise AsymmetricMatrixError(
                 "Kernel requires an exactly symmetric matrix; "
                 "use kernel_from_matrix to symmetrize noisy input"
@@ -134,6 +137,18 @@ class Kernel:
     @property
     def n(self) -> int:
         return self.space.n
+
+
+def _exactly_symmetric(v: np.ndarray) -> bool:
+    """np.array_equal(v, v.T) for a finite square v, one pair of
+    SYMMETRY_TILE tiles at a time: each tile below the diagonal against
+    the transpose of its mirror tile above it."""
+    t = SYMMETRY_TILE
+    for i in range(0, v.shape[0], t):
+        for j in range(0, i + 1, t):
+            if not np.array_equal(v[i:i + t, j:j + t], v[j:j + t, i:i + t].T):
+                return False
+    return True
 
 
 def kernel_from_matrix(values, weights=None) -> Kernel:
@@ -237,6 +252,19 @@ def expand_step(sf: StepFunction) -> Kernel:
     return Kernel(sf.space, sf.block[np.ix_(sf.part_of, sf.part_of)])
 
 
+def canonical_parts(space: DiscreteSpace, part_of) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of part_of mapped to 0..s-1 in sorted order, and the
+    weight of each part."""
+    labels_raw = np.asarray(part_of, dtype=int)
+    if labels_raw.shape != (space.n,):
+        raise DimensionMismatchError("part_of must label every atom")
+    uniq, labels = np.unique(labels_raw, return_inverse=True)
+    pw = np.bincount(labels, weights=space.weights, minlength=uniq.size)
+    if np.any(pw == 0.0):
+        raise EmptyPartError("every part must contain at least one atom")
+    return labels, pw
+
+
 def quotient_average(kernel: Kernel, part_of) -> StepFunction:
     """Average a kernel over the block pairs of a partition.
 
@@ -245,15 +273,9 @@ def quotient_average(kernel: Kernel, part_of) -> StepFunction:
     kernel is exactly constant short-circuit to that constant, so composing
     with expand_step is the identity on step-function kernels.
     """
-    labels_raw = np.asarray(part_of, dtype=int)
-    if labels_raw.shape != (kernel.n,):
-        raise DimensionMismatchError("part_of must label every atom")
-    uniq, labels = np.unique(labels_raw, return_inverse=True)
-    s = uniq.size
+    labels, pw = canonical_parts(kernel.space, part_of)
+    s = pw.size
     w = kernel.space.weights
-    pw = np.bincount(labels, weights=w, minlength=s)
-    if np.any(pw == 0.0):
-        raise EmptyPartError("every part must contain at least one atom")
     groups = [np.flatnonzero(labels == p) for p in range(s)]
     block = np.empty((s, s))
     for p in range(s):

@@ -23,6 +23,7 @@ DEFAULT_EXACT_LIMIT = 22
 EXACT_CEILING = 26
 DEFAULT_RESTARTS = 32
 _LOW_BITS = 16  # a g is tabulated over the patterns of this many free coordinates
+_CHUNK_BYTES = 1 << 20  # work buffer of the exact enumeration, well inside L2
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,21 @@ def _best_signs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low = min(n - 1, _LOW_BITS)
     high_bits = n - 1 - low
     table = a[:, :, 1 : low + 1] @ _signs(np.arange(1 << low), low).T  # (b, n, 2^low)
-    buf = np.empty_like(table)
+    # the table is walked in chunks of low patterns whose work buffer fits
+    # in cache, in increasing code order, so ties still go to the first code
+    chunk = 1 << max(0, min(low, (_CHUNK_BYTES // (8 * b * n)).bit_length() - 1))
+    buf = np.empty((b, n, chunk))
     best = np.full(b, -1.0)
     best_code = np.zeros(b, dtype=np.int64)
     for high, pattern in enumerate(_signs(np.arange(1 << high_bits), high_bits)):
         col = a[:, :, 0] + a[:, :, low + 1 :] @ pattern
-        np.add(table, col[:, :, None], out=buf)
-        vals = np.abs(buf, out=buf).sum(axis=1)
-        top = vals.max(axis=1)
-        up = top > best
-        best[up] = top[up]
-        best_code[up] = (high << low) + vals[up].argmax(axis=1)
+        for start in range(0, 1 << low, chunk):
+            np.add(table[:, :, start : start + chunk], col[:, :, None], out=buf)
+            vals = np.abs(buf, out=buf).sum(axis=1)
+            top = vals.max(axis=1)
+            up = top > best
+            best[up] = top[up]
+            best_code[up] = (high << low) + start + vals[up].argmax(axis=1)
     return best, best_code
 
 

@@ -45,6 +45,12 @@ class ProfileFunction:
     cut: float = 0.0
     coeffs: tuple = ()
 
+    def __post_init__(self):
+        # a NaN cut compares false everywhere and would give the zero kernel
+        if not (math.isfinite(self.cut) and np.all(np.isfinite(self.coeffs))
+                and (self.table is None or np.all(np.isfinite(self.table)))):
+            raise ValueError("profile parameters must be finite")
+
     @staticmethod
     def from_table(values) -> "ProfileFunction":
         v = np.asarray(values, dtype=float)
@@ -68,7 +74,7 @@ class ProfileFunction:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "threshold":
-            return np.where(t > self.cut, 1.0, 0.0)
+            return (t > self.cut).astype(float)
         if self.kind == "linear":
             return t.copy()
         if self.kind == "cosine_series":
@@ -166,7 +172,8 @@ def w_random_sample(kernel: Kernel, N: int, seed: int = 0) -> tuple[Kernel, np.n
         raise ValueError("N must be positive")
     rng = np.random.default_rng(seed)
     atoms = _draw_atoms(kernel.space.weights, rng.random(N))
-    probs = np.clip(v[np.ix_(atoms, atoms)], 0.0, 1.0)
+    # clip the small source table once, then gather the N x N probabilities
+    probs = np.clip(v, 0.0, 1.0).take(atoms, axis=0).take(atoms, axis=1)
     coins = rng.random((N, N))
     upper = np.triu(coins < probs, k=1)
     adjacency = (upper | upper.T).astype(float)

@@ -28,9 +28,9 @@ from .ensembles import (
     sphere_kernel,
     w_random_sample,
 )
-from .errors import WorkerError
+from .errors import AllZeroSpectrum, WorkerError
 from .homdensity import cycle_density_spectral
-from .spectral import decompose, tail_truncate
+from .spectral import decompose, truncation_quotient
 
 # Predicted work, as the sum of n^3 over the units, below which the units run
 # in this process. On a 2-core VM four units of n = 300 (1.1e8) took as long
@@ -175,8 +175,7 @@ def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndar
     sample, atoms = w_random_sample(source, count, seed)
     # only the eigenvectors above lam_mid are read
     dec_s = decompose(sample, vectors_above=lam_mid)
-    truncated_s = tail_truncate(dec_s, lam_mid)
-    quot = quotient_average(truncated_s, labels_of_atom[atoms])
+    quot = truncation_quotient(dec_s, lam_mid, labels_of_atom[atoms])
     diff = quot.block - ref_block
     dist = float(np.sqrt(np.sum(np.outer(pw, pw) * diff * diff)))
     return dec_s.rank_above(lam_mid), dist, dec_s.eigenvalues[:track]
@@ -193,9 +192,10 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
     dec_w = decompose(source)
     nonzero = np.abs(dec_w.eigenvalues) > dec_w.cluster_tolerance
     rank_w = int(np.sum(nonzero))
+    if rank_w == 0:
+        raise AllZeroSpectrum("the W-random source has no nonzero eigenvalue to converge to")
     lam_mid = float(np.min(np.abs(dec_w.eigenvalues[nonzero]))) / 2.0
-    truncated_w = tail_truncate(dec_w, lam_mid)
-    ref_block = quotient_average(truncated_w, source_step.part_of)
+    ref_block = truncation_quotient(dec_w, lam_mid, source_step.part_of)
     pw = source_step.part_weights
     top = min(10, source.n)
     ref_eigs = dec_w.eigenvalues[:top]

@@ -24,7 +24,6 @@ from .core import (
     StepFunction,
     apply_permutation,
     expand_step,
-    quotient_average,
     weighted_norm,
 )
 from .cutnorm import CutNormEstimate, cutnorm_bracket
@@ -40,6 +39,7 @@ from .spectral import (
     decompose,
     gap_midpoints,
     tail_truncate,
+    truncation_quotient,
 )
 
 ADDITIVITY_TOL = 1e-9  # sup-norm bound on S + E + R - M
@@ -258,7 +258,7 @@ def cluster_eigenvectors(
     _, labels = np.unique(idx, axis=0, return_inverse=True)
     labels = labels.ravel().astype(int)
 
-    sf = quotient_average(tail_truncate(dec, lam), labels)
+    sf = truncation_quotient(dec, lam, labels)
     return ClusteringResult(step=sf, step_count_bound=bound, rank=k)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DiscreteSpace, Kernel, symmetric_kernel
+from .core import DiscreteSpace, Kernel, StepFunction, canonical_parts, symmetric_kernel
 from .errors import (
     AllZeroSpectrum,
     EigenSolverError,
@@ -116,7 +116,8 @@ def _symmetrized(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     the spectrum of the kernel operator. Kernel values are exactly symmetric
     and float products commute, so the product is exactly symmetric too."""
     rootw = np.sqrt(kernel.space.weights)
-    return kernel.values * np.outer(rootw, rootw), rootw
+    sym = np.outer(rootw, rootw)
+    return np.multiply(kernel.values, sym, out=sym), rootw
 
 
 def _eigvalsh(kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,7 +367,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _validation_scale(kernel: Kernel) -> float:
     """s = max(1, max|K|): errors are measured on K / s, so a kernel of any
     scale meets the tolerance of |K| <= 1."""
-    return max(1.0, float(np.max(np.abs(kernel.values))))
+    v = kernel.values
+    return max(1.0, float(v.max()), -float(v.min()))
 
 
 def _validate(dec: SpectralDecomposition) -> None:
@@ -427,6 +429,28 @@ def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
     f = dec.eigenvectors[:, :k]
     lam = dec.eigenvalues[:k]
     return symmetric_kernel((f * lam) @ f.T, dec.kernel.space)
+
+
+def truncation_quotient(dec: SpectralDecomposition, threshold: float,
+                        part_of) -> StepFunction:
+    """quotient_average(tail_truncate(dec, threshold), part_of), up to
+    rounding, from the kept eigenpairs alone.
+
+    With (W^T F)_{p,i} = sum_{a in p} w_a f_i(a) over the k kept
+    eigenvectors, the block average of [M]_t over parts p, q is
+    (W^T F) diag(lambda) (W^T F)^T divided by W_p W_q: O(n k) work instead
+    of the two n x n passes of forming the truncation and averaging it. The
+    threshold and the labels are checked as tail_truncate and
+    quotient_average check them.
+    """
+    k = _split_check(dec, threshold)
+    labels, pw = canonical_parts(dec.kernel.space, part_of)
+    sums = np.zeros((pw.size, k))  # W^T F
+    np.add.at(sums, labels, dec.eigenvectors[:, :k] * dec.kernel.space.weights[:, None])
+    block = (sums * dec.eigenvalues[:k]) @ sums.T
+    # the two roundings of each off-diagonal pair meet halfway: exactly symmetric
+    block = (block + block.T) / 2.0 / np.outer(pw, pw)
+    return StepFunction(dec.kernel.space, labels, block, pw)
 
 
 def spectral_radius(dec: SpectralDecomposition) -> float:

@@ -255,6 +255,15 @@ class TestSubcommands:
         top_at_200 = rep["results"]["per_count"]["200"]["median_top_eigenvalue"]
         assert abs(top_at_200 - 0.5) <= 0.1
 
+    def test_experiment_wrandom_zero_source(self, tmp_path, capsys):
+        # failed on a reduction over no nonzero eigenvalue
+        src = tmp_path / "zero.step"
+        src.write_text("parts: 1\n1 1\n0\n")
+        code = main(["experiment", "--name", "wrandom-convergence", "--counts", "50",
+                     "--runs", "1", "--seed", "0", "--input", str(src)])
+        assert code == EXIT_NUMERIC
+        assert "AllZeroSpectrum" in capsys.readouterr().err
+
     def test_plot_spectrum(self, matrix_file, tmp_path, capsys):
         report = tmp_path / "rep.json"
         code, out = run_cli(
@@ -472,6 +481,18 @@ class TestExitCodes:
                  "{out}": str(tmp_path / "out")}
         argv = [files.get(a, a) for a in argv]
         assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("spec", [
+        "threshold:nan", "threshold:inf", "table:nan,1", "table:inf,1", "cos:nan",
+    ])
+    def test_non_finite_profile_is_usage_error(self, spec, capsys):
+        # threshold:nan gave an all-zero kernel whose checks passed vacuously
+        # (exit 0), and the table and cosine specs failed as NonFiniteError
+        # (exit 3)
+        argv = ["experiment", "--name", "sphere", "--dims", "2", "--count", "50",
+                "--seeds", "1", "--seed", "0", "--f", spec]
+        assert main(argv) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["3\n0 1 0\n1 0 1\n0 1 0\n", "[1, 2]", "\xff"])
     def test_plot_of_a_file_that_is_no_report_is_input_error(self, tmp_path, capsys, text):

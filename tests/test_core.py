@@ -16,6 +16,7 @@ from graphonlab import (
     step_function,
     weighted_norm,
 )
+from graphonlab.core import SYMMETRY_TILE
 from graphonlab.errors import (
     AsymmetricMatrixError,
     EmptyPartError,
@@ -69,6 +70,17 @@ class TestKernelConstruction:
         with pytest.warns(SymmetrizedWarning):
             k = kernel_from_matrix([[0, 1], [0.9999999999, 0]])
         assert k.values[0, 1] == k.values[1, 0] == pytest.approx(0.99999999995, abs=0)
+
+    @pytest.mark.parametrize("n", [SYMMETRY_TILE - 1, 2 * SYMMETRY_TILE + 37])
+    def test_asymmetry_in_the_last_tile_rejected(self, rng, n):
+        # n is no multiple of the tile, so the last tiles are ragged
+        v = random_symmetric(rng, n)
+        Kernel(DiscreteSpace.uniform(n), v)
+        for i, j in ((n - 1, n - 2), (n - 2, n - 1), (n - 1, 0)):
+            bad = v.copy()
+            bad[i, j] = np.nextafter(bad[i, j], 2.0)
+            with pytest.raises(AsymmetricMatrixError):
+                Kernel(DiscreteSpace.uniform(n), bad)
 
     def test_large_skew_rejected(self):
         with pytest.raises(AsymmetricMatrixError):

@@ -246,6 +246,52 @@ class TestSignEngine:
         assert np.abs(a @ code_signs(int(code[0]), n)).sum() == pytest.approx(
             ref_value, rel=1e-13)
 
+    @pytest.mark.parametrize("kind, n, chunk_bytes", [
+        ("random", 5, None), ("random", 12, None), ("random", 18, None),
+        ("random", 22, None), ("constant", 5, None), ("constant", 19, None),
+        ("integer", 5, None), ("integer", 12, None), ("integer", 20, None),
+        # small chunks: many of them even at small n
+        ("random", 5, 256), ("random", 12, 4096), ("random", 18, 1 << 16),
+        ("constant", 12, 4096), ("integer", 12, 4096), ("integer", 18, 1 << 16),
+    ])
+    def test_chunked_walk_equals_the_untiled_loop(self, rng, monkeypatch, kind, n,
+                                                  chunk_bytes):
+        # constant and small-integer stacks tie exactly; the first code must win
+        if chunk_bytes is not None:
+            monkeypatch.setattr(cutnorm, "_CHUNK_BYTES", chunk_bytes)
+        if kind == "random":
+            stack = np.stack([random_symmetric(rng, n) for _ in range(3)])
+        elif kind == "constant":
+            stack = np.stack([np.full((n, n), c) for c in (0.0, 0.25, -1.0)])
+        else:
+            stack = rng.integers(-2, 3, (3, n, n)).astype(float)
+            stack = stack + stack.transpose(0, 2, 1)
+        best, code = _best_signs(stack)
+        ref_best, ref_code = untiled_reference(stack)
+        assert best.tobytes() == ref_best.tobytes()
+        assert np.array_equal(code, ref_code)
+
+
+def untiled_reference(a):
+    """The engine before its table was walked in chunks: each high pattern
+    adds its column to the whole (b, n, 2^16) table at once."""
+    b, n, _ = a.shape
+    low = min(n - 1, 16)
+    high_bits = n - 1 - low
+    table = a[:, :, 1 : low + 1] @ cutnorm._signs(np.arange(1 << low), low).T
+    buf = np.empty_like(table)
+    best = np.full(b, -1.0)
+    best_code = np.zeros(b, dtype=np.int64)
+    for high, pattern in enumerate(cutnorm._signs(np.arange(1 << high_bits), high_bits)):
+        col = a[:, :, 0] + a[:, :, low + 1 :] @ pattern
+        np.add(table, col[:, :, None], out=buf)
+        vals = np.abs(buf, out=buf).sum(axis=1)
+        top = vals.max(axis=1)
+        up = top > best
+        best[up] = top[up]
+        best_code[up] = (high << low) + vals[up].argmax(axis=1)
+    return best, best_code
+
 
 class TestHeuristic:
     def test_never_exceeds_exact(self, rng):

@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
-from graphonlab import ProfileFunction, experiments
+from graphonlab import DiscreteSpace, ProfileFunction, experiments, step_function
 from graphonlab.cli import canonical_json, main
+from graphonlab.errors import AllZeroSpectrum
 
 CASES = {
     "circle": (
@@ -96,3 +97,13 @@ def test_worker_count_is_capped_by_units_and_cores(monkeypatch):
     assert experiments._worker_count(64, 6) == 3
     assert experiments._worker_count(64, 2) == 2
     assert experiments._worker_count(64, 1) == 1
+
+
+def test_wrandom_zero_source_raises_before_sampling(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(experiments, "w_random_sample", no_sample)
+    zero = step_function(DiscreteSpace.uniform(3), [0, 1, 1], [[0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(AllZeroSpectrum, match="no nonzero eigenvalue"):
+        experiments.wrandom_convergence(zero, [20], [0])
