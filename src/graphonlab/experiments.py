@@ -28,7 +28,7 @@ from .ensembles import (
     sphere_kernel,
     w_random_sample,
 )
-from .errors import AllZeroSpectrum, WorkerError
+from .errors import AllZeroSpectrum, EmptyPartError, WorkerError
 from .homdensity import cycle_density_spectral
 from .spectral import decompose, truncation_quotient
 
@@ -171,11 +171,17 @@ def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndar
                   seed: int) -> tuple[int, float, np.ndarray]:
     """One W-random sample of the source: its rank above lam_mid, the
     aligned L2 distance of its truncation to the reference block, and its
-    top track eigenvalues."""
+    top track eigenvalues. A sample that misses a source part has no block
+    to align with the reference's and raises EmptyPartError."""
     sample, atoms = w_random_sample(source, count, seed)
+    parts = labels_of_atom[atoms]
+    missing = np.flatnonzero(np.bincount(parts, minlength=pw.size) == 0)
+    if missing.size:
+        raise EmptyPartError(f"the W-random sample of {count} atoms at seed {seed} "
+                             f"misses source parts {missing.tolist()}")
     # only the eigenvectors above lam_mid are read
     dec_s = decompose(sample, vectors_above=lam_mid)
-    quot = truncation_quotient(dec_s, lam_mid, labels_of_atom[atoms])
+    quot = truncation_quotient(dec_s, lam_mid, parts)
     diff = quot.block - ref_block
     dist = float(np.sqrt(np.sum(np.outer(pw, pw) * diff * diff)))
     return dec_s.rank_above(lam_mid), dist, dec_s.eigenvalues[:track]

@@ -188,27 +188,32 @@ def _eigh_decomposition(kernel: Kernel) -> SpectralDecomposition:
     return dec
 
 
-def _eigvalsh_margin(sym: np.ndarray) -> float:
-    """(n + 3) eps ||sym||_F: a bound on how far an eigvalsh eigenvalue of
-    sym, or of the unrounded D^{1/2} K D^{1/2}, lies from an exact one.
+def _eigvalsh_margin(n: int, fro: float) -> float:
+    """(n + 3) eps fro, fro = ||sym||_F of an n x n sym: how far an eigvalsh
+    eigenvalue of sym, or of the unrounded D^{1/2} K D^{1/2}, may lie from
+    an exact one. It is the trial shift above the eigvalsh estimate in
+    operator_norm_upper and the eigenvalue allowance of _certified_ritz.
 
     eigvalsh is backward stable: its eigenvalues are exact for sym + E with
-    ||E||_2 <= p(n) eps ||sym||_2, p(n) of order n (LAPACK Users' Guide,
-    section 4.7). LAPACK does not state p(n), so a bound built on this
-    margin rests on taking p(n) <= n; the Cholesky certificate of
-    _certified_radius does not. Forming sym rounds each entry by at most
-    3 eps relative, a perturbation of 2-norm at most 3 eps ||sym||_F, which
-    _certified_radius covers in the same way. By Weyl's inequality neither
-    moves an eigenvalue by more than its 2-norm, and ||sym||_2 <= ||sym||_F.
-    An overflowing norm gives inf.
+    ||E||_2 <= p(n) eps ||sym||_2 <= p(n) eps ||sym||_F, p(n) of order n and
+    taken here as n (LAPACK Users' Guide, section 4.7, does not state it).
+    Forming sym rounds each entry by at most 3 eps relative, a perturbation
+    of 2-norm at most 3 eps ||sym||_F. By Weyl's inequality neither moves an
+    eigenvalue by more than its 2-norm.
     """
-    return (sym.shape[0] + 3) * float(np.finfo(float).eps) * _frobenius(sym)
+    return (n + 3) * float(np.finfo(float).eps) * fro
 
 
 def _frobenius(sym: np.ndarray) -> float:
-    """||sym||_F; inf when it overflows."""
+    """||sym||_F, inf only when it overflows. Outside (2^-450, 2^450) the
+    squares of the plain norm may underflow or overflow, so it is taken on
+    sym scaled exactly by the power of two bringing max |sym| into [1/2, 1)."""
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(sym))
+        fro = float(np.linalg.norm(sym))
+        if 2.0**-450 < fro < 2.0**450:
+            return fro
+        e = math.frexp(float(np.max(np.abs(sym))))[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(sym, -e)), e))
 
 
 def _error_bounds(resid: float, gram_err: float, vals: np.ndarray, r: int,
@@ -259,7 +264,7 @@ def _certified_ritz(sym: np.ndarray, vals: np.ndarray, r: int,
         return np.empty((n, 0)), 0.0
     b = r + KRYLOV_OVERSAMPLE
     blocks = n // (KRYLOV_BASIS_FRACTION * b)
-    margin = _eigvalsh_margin(sym)
+    margin = _eigvalsh_margin(n, _frobenius(sym))
     # the bound the exact eigenvectors would get: if even it fails, stop here
     best = _error_bounds(margin * math.sqrt(r), 0.0, vals, r, margin)[1]
     if blocks == 0 or not best / scale <= RECONSTRUCTION_TOL:
@@ -462,21 +467,24 @@ def operator_norm_upper(kernel: Kernel) -> float:
     """Certified upper bound on the operator norm (spectral radius) of the
     kernel, ||A||_2 for A = D^{1/2} K D^{1/2}.
 
-    From n = 3 KRYLOV_BASIS_FRACTION RADIUS_BLOCK = 96 atoms on, the bound
-    is first sought from _certified_radius: a block Krylov estimate of
-    max |lambda|, proven by two shifted Cholesky factorisations (Rump's
-    test). Two factorisations cost about 2n^3/3 flops against the 4n^3/3
-    and more of eigvalsh. Below that size, when the estimate does not settle
-    within the basis cap, or when a factorisation fails, the bound is
-    max |eigvalsh(A)| plus the margin of _eigvalsh_margin, which rests on
-    LAPACK's backward error. A result that is not finite is reported as
-    inf, which is still an upper bound.
+    Every finite bound but the zero matrix's 0 (exact: ||A||_2 <= ||A||_F)
+    is proven by _certified_radius on a trial shift: first the settled block
+    Krylov estimate of max |lambda| times 1 + RADIUS_SLACK, from n =
+    3 KRYLOV_BASIS_FRACTION RADIUS_BLOCK = 96 atoms on (two factorisations
+    cost about 2n^3/3 flops, eigvalsh 4n^3/3 and more); without it, or when
+    its proof is refused, max |eigvalsh(A)| plus _eigvalsh_margin. When both
+    proofs are refused, or ||A||_F overflows, the bound is inf.
     """
     sym, _ = _symmetrized(kernel)
-    bound = _certified_radius(sym)
+    fro = _frobenius(sym)
+    if fro == 0.0 or fro == math.inf:
+        return fro
+    est = _radius_estimate(sym)
+    bound = None if est is None else _certified_radius(sym, est * (1.0 + RADIUS_SLACK), fro)
     if bound is None:
-        bound = float(np.max(np.abs(_eigenvalues(sym)))) + _eigvalsh_margin(sym)
-    return bound if math.isfinite(bound) else math.inf
+        s = float(np.max(np.abs(_eigenvalues(sym)))) + _eigvalsh_margin(sym.shape[0], fro)
+        bound = _certified_radius(sym, s, fro)
+    return math.inf if bound is None else bound
 
 
 def _radius_estimate(sym: np.ndarray) -> float | None:
@@ -511,39 +519,31 @@ def _radius_estimate(sym: np.ndarray) -> float | None:
     return None
 
 
-def _certified_radius(sym: np.ndarray) -> float | None:
-    """A proven upper bound t on ||A||_2, A the unrounded D^{1/2} K D^{1/2}
-    that sym holds rounded, or None when it cannot be had this way. sym is
-    the factorisations' work space and holds its old values again on return.
+def _certified_radius(sym: np.ndarray, s: float, fro: float) -> float | None:
+    """A proven upper bound t on ||A||_2 from the trial shift s, or None when
+    the proof is refused. fro = ||sym||_F is finite; sym holds the unrounded
+    A = D^{1/2} K D^{1/2} rounded, and is restored after use as work space.
 
-    With s = the _radius_estimate times (1 + RADIUS_SLACK), the matrices
-    M = fl(sI - A) and fl(sI + A) are factored by np.linalg.cholesky. When a
-    factorisation of a symmetric float matrix M runs to completion (so
-    m_ii > 0), its factor satisfies L L^T = M + dM with |dM_ij| <=
-    a sqrt(m_ii m_jj), a = g/(1 - g), g = (n + 1)u/(1 - (n + 1)u), for inner
-    products summed in any order (Higham, Accuracy and Stability, Thm 10.3),
-    so ||dM||_2 <= a tr(M) and M >= -a tr(M) I. Rump (Verification of
-    positive definiteness, BIT 46, 2006) shows the same with a term for
-    underflow added, of order (2n + max m_ii) eta, eta the smallest
-    subnormal; it is taken here as 4 n (2n + max m_ii) eta. Rounding
-    s -/+ a_ii moves the diagonal by at most 2u max m_ii, and forming sym
-    moved A by at most 3 eps ||sym||_F (see _eigvalsh_margin). So both
-    factorisations succeeding proves -t <= lambda(A) <= t for t = s + (the
-    larger of these shifts of the two matrices + 3 eps ||sym||_F); the
-    factor 1 + 1e-6 covers the rounding of evaluating the shift, and one
-    step up that of the final sum. A factor is accepted only when it is
-    finite: an overflow turns some entry inf or NaN, and then its sum.
+    The matrices M = fl(sI - A) and fl(sI + A) are factored by
+    np.linalg.cholesky. When a factorisation of a symmetric float matrix M
+    runs to completion (so m_ii > 0), its factor satisfies L L^T = M + dM
+    with |dM_ij| <= a sqrt(m_ii m_jj), a = g/(1 - g), g = (n + 1)u/(1 -
+    (n + 1)u), for inner products summed in any order (Higham, Accuracy and
+    Stability, Thm 10.3), so ||dM||_2 <= a tr(M) and M >= -a tr(M) I. Rump
+    (Verification of positive definiteness, BIT 46, 2006) shows the same
+    with a term for underflow added, of order (2n + max m_ii) eta, eta the
+    smallest subnormal; it is taken here as 4 n (2n + max m_ii) eta.
+    Rounding s -/+ a_ii moves the diagonal by at most 2u max m_ii, and
+    forming sym moved A by at most 3 eps ||sym||_F in 2-norm (see
+    _eigvalsh_margin). So both factorisations succeeding proves
+    -t <= lambda(A) <= t for t = s + (the larger of these shifts of the two
+    matrices + 3 eps ||sym||_F); the factor 1 + 1e-6 covers the rounding of
+    evaluating the shift, and one step up that of the final sum. A factor is
+    accepted only when it is finite: an overflow turns some entry inf or
+    NaN, and then its sum.
     """
     n = sym.shape[0]
-    eps = float(np.finfo(float).eps)
-    fro = _frobenius(sym)
-    if not math.isfinite(fro):
-        return None
-    est = _radius_estimate(sym)
-    if est is None:
-        return None
-    s = est * (1.0 + RADIUS_SLACK)
-    u = eps / 2
+    u = float(np.finfo(float).eps) / 2
     g = (n + 1) * u / (1 - (n + 1) * u)
     a = g / (1 - g)
     eta = float(np.finfo(float).smallest_subnormal)
@@ -571,7 +571,7 @@ def _certified_radius(sym: np.ndarray) -> float | None:
         if flips % 2:
             np.negative(sym, out=sym)
         np.fill_diagonal(sym, diagonal)
-    bound = s + (shift + 3 * eps * fro) * (1.0 + 1e-6)
+    bound = s + (shift + 6 * u * fro) * (1.0 + 1e-6)
     return float(np.nextafter(bound, math.inf))
 
 

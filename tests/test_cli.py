@@ -264,6 +264,13 @@ class TestSubcommands:
         assert code == EXIT_NUMERIC
         assert "AllZeroSpectrum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts, runs", [("1,3", "2"), ("1", "3")])
+    def test_experiment_wrandom_sample_missing_a_part(self, capsys, counts, runs):
+        code = main(["experiment", "--name", "wrandom-convergence", "--counts", counts,
+                     "--runs", runs, "--seed", "0"])
+        assert code == EXIT_NUMERIC
+        assert "EmptyPartError" in capsys.readouterr().err
+
     def test_plot_spectrum(self, matrix_file, tmp_path, capsys):
         report = tmp_path / "rep.json"
         code, out = run_cli(
@@ -661,9 +668,9 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
     def test_sphere_byte_identical_on_the_certified_radius_path(self, capsys):
-        # count 600 takes the Krylov + Cholesky radius bound (the count-150
-        # run above stays on eigvalsh), and --threads 2 runs the two units
-        # in worker processes
+        # count 600 proves the Krylov estimate of the radius (the count-150
+        # run above proves the eigvalsh one), and --threads 2 runs the two
+        # units in worker processes
         runs = []
         for threads in ("1", "2"):
             code, out = run_cli(

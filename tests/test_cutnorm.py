@@ -22,7 +22,7 @@ from graphonlab import (
 from graphonlab import cutnorm
 from graphonlab.cutnorm import EXACT_CEILING, _ascend, _best_signs, _search_matrix, _sign
 from graphonlab.errors import DimensionMismatchError, TooLargeError
-from graphonlab.spectral import gap_midpoints
+from graphonlab.spectral import _eigvalsh, gap_midpoints
 
 from conftest import random_symmetric
 
@@ -414,13 +414,14 @@ class TestHeuristic:
                 assert est.upper <= operator_norm_upper(k)
 
     def test_upper_never_nan(self, rng):
-        # entries near the float range: the radius overflows to inf, the
-        # bracket falls back to the L1 norm and stays ordered
+        # entries near the float range: squaring them overflows, yet the
+        # radius bound stays finite and the bracket stays ordered
         k = kernel_from_matrix(np.sign(random_symmetric(rng, 30)) * 1e300)
         est = cutnorm_heuristic(k, restarts=4, seed=0)
         assert not np.isnan(est.upper)
         assert est.lower <= est.upper
-        assert est.method == "heuristic+L1"
+        top = float(np.max(np.abs(_eigvalsh(k)[2])))
+        assert top <= operator_norm_upper(k) < np.inf
 
     def test_upper_is_min_of_bounds(self, rng):
         from graphonlab import weighted_norm

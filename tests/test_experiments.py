@@ -3,13 +3,14 @@ checks) out, and the CLI report carries exactly their rounded form."""
 
 import json
 import os
+import re
 import threading
 
 import pytest
 
 from graphonlab import DiscreteSpace, ProfileFunction, experiments, step_function
 from graphonlab.cli import canonical_json, main
-from graphonlab.errors import AllZeroSpectrum
+from graphonlab.errors import AllZeroSpectrum, EmptyPartError
 
 CASES = {
     "circle": (
@@ -107,3 +108,13 @@ def test_wrandom_zero_source_raises_before_sampling(monkeypatch):
     zero = step_function(DiscreteSpace.uniform(3), [0, 1, 1], [[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(AllZeroSpectrum, match="no nonzero eigenvalue"):
         experiments.wrandom_convergence(zero, [20], [0])
+
+
+@pytest.mark.parametrize("counts, seeds", [([1, 3], [0, 1]), ([1], [0, 1, 2])],
+                         ids=["counts-1,3", "counts-1"])
+def test_wrandom_sample_missing_a_part_raises(counts, seeds):
+    # the sample's quotient block has fewer parts than the reference's: it
+    # failed to broadcast, or a 1 x 1 block broadcast over the 3 x 3 one
+    missed = "sample of 1 atoms at seed 0 misses source parts [0, 1]"
+    with pytest.raises(EmptyPartError, match=re.escape(missed)):
+        experiments.wrandom_convergence(experiments.builtin_rank3_step(), counts, seeds)

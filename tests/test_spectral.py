@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from graphonlab import (
     Kernel,
     PermutationAction,
     apply_permutation,
+    cutnorm_heuristic,
     decompose,
     kernel_from_matrix,
     operator_norm_upper,
@@ -214,9 +216,30 @@ class TestSpectralRadius:
             upper = operator_norm_upper(k)
             assert rad <= upper <= rad + 1e-12
 
-    def test_operator_norm_upper_overflow_is_inf(self, rng):
+    def test_operator_norm_upper_near_overflow_is_finite(self, rng):
+        # ||sym||_F ~ 1e300 is finite although squaring the entries overflows
         k = kernel_from_matrix(np.sign(random_symmetric(rng, 6)) * 1e300)
-        assert operator_norm_upper(k) == np.inf
+        top = float(np.max(np.abs(spectral._eigvalsh(k)[2])))
+        assert top <= operator_norm_upper(k) < np.inf
+
+    @pytest.mark.parametrize("value, n, expected", [
+        (1e-300, 5, 5e-300), (1e300, 5, 5e300), (2.0**-1074, 4, 2.0**-1072),
+        (1e308, 4, np.inf), (0.0, 3, 0.0),
+    ])
+    def test_frobenius_does_not_underflow_or_overflow(self, value, n, expected):
+        assert spectral._frobenius(np.full((n, n), value)) == pytest.approx(expected, rel=1e-15)
+
+    def test_tiny_scale_bound_covers_the_unscaled_spectrum(self):
+        # 2^-990 scales exactly; the squares of ||sym||_F underflowed to 0,
+        # which dropped the margins of the bound
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            w = rng.uniform(0.5, 1.5, 64)
+            values = random_symmetric(rng, 64)
+            top = float(np.max(np.abs(spectral._eigvalsh(
+                kernel_from_matrix(values, weights=w / w.sum()))[2])))
+            k = kernel_from_matrix(np.ldexp(values, -990), weights=w / w.sum())
+            assert np.ldexp(operator_norm_upper(k), 990) >= top
 
 
 class TestValidate:
@@ -509,33 +532,92 @@ def _radius_corpus_kernel(kind, n, rng):
         values = -(x @ x.T) / n - 0.1 * np.eye(n)
     else:  # zero
         values = np.zeros((n, n))
+    if scale.startswith("2^"):  # an exact scaling
+        return kernel_from_matrix(np.ldexp(values, int(scale[2:])), weights=w)
     return kernel_from_matrix(values * float(scale or 1.0), weights=w)
 
 
+@pytest.fixture
+def proofs(monkeypatch):
+    """Records every np.linalg.cholesky call as [a copy of its matrix,
+    whether it succeeded], and every _certified_radius call as (trial
+    shift, result)."""
+    record = SimpleNamespace(factorisations=[], radii=[])
+    cholesky, certified_radius = np.linalg.cholesky, spectral._certified_radius
+
+    def spy_cholesky(a, *args, **kwargs):
+        record.factorisations.append([a.copy(), False])
+        factor = cholesky(a, *args, **kwargs)
+        record.factorisations[-1][1] = True
+        return factor
+
+    def spy_certified_radius(sym, s, fro):
+        t = certified_radius(sym, s, fro)
+        record.radii.append((s, t))
+        return t
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+    monkeypatch.setattr(spectral, "_certified_radius", spy_certified_radius)
+    return record
+
+
+def _assert_proven(upper, sym, proofs):
+    """A finite upper bound, but the zero matrix's 0, is what the last
+    _certified_radius call returned, right after two successful
+    factorisations of fl(sI - A) and fl(sI + A) on that call's shift s."""
+    assert not math.isnan(upper)
+    if not math.isfinite(upper):
+        return
+    if upper == 0.0 and not sym.any():
+        assert proofs.factorisations == []
+        return
+    s, t = proofs.radii[-1]
+    assert t == upper
+    (lo, lo_ok), (hi, hi_ok) = proofs.factorisations[-2:]
+    assert lo_ok and hi_ok
+    off = ~np.eye(sym.shape[0], dtype=bool)
+    assert np.array_equal(lo[off], -sym[off]) and np.array_equal(hi[off], sym[off])
+    assert np.array_equal(lo.diagonal(), s - sym.diagonal())
+    assert np.array_equal(hi.diagonal(), s + sym.diagonal())
+
+
+def _eigvalsh_proof(k):
+    """What operator_norm_upper returns when it proves the eigvalsh
+    estimate, and the largest |eigvalsh|."""
+    sym, _, vals = spectral._eigvalsh(k)
+    top = float(np.max(np.abs(vals)))
+    fro = spectral._frobenius(sym)
+    return spectral._certified_radius(sym, top + spectral._eigvalsh_margin(k.n, fro), fro), top
+
+
 class TestCertifiedRadius:
-    """operator_norm_upper: a Krylov estimate proven by two shifted Cholesky
-    factorisations from 96 atoms on, else max |eigvalsh| plus its margin."""
+    """operator_norm_upper: every finite bound is proven by two shifted
+    Cholesky factorisations, on a Krylov estimate from 96 atoms on, else or
+    after a refusal on max |eigvalsh| plus its margin."""
 
     @pytest.mark.parametrize("n", [8, 64, 300, 700])
     @pytest.mark.parametrize("kind", [
         "random", "rank1", "rank2", "rank3", "negative-definite", "sphere", "zero",
         "random*1e-300", "rank2*1e-300", "sphere*1e-300", "random*1e150", "rank3*1e150",
-        "sphere*1e150",
+        "sphere*1e150", "random*2^-990", "rank2*2^-990", "negative-definite*2^-990",
+        "random*2^990", "rank3*2^990", "sphere*2^990",
     ])
-    def test_corpus_bound_is_tight_and_above_eigvalsh(self, kind, n):
+    def test_corpus_bound_is_tight_and_above_eigvalsh(self, kind, n, proofs):
         k = _radius_corpus_kernel(kind, n, np.random.default_rng(n))
         sym, _, vals = spectral._eigvalsh(k)
         top = float(np.max(np.abs(vals)))
         upper = operator_norm_upper(k)
-        assert not math.isnan(upper)
-        assert top <= upper <= top * (1 + 1e-8) + spectral._eigvalsh_margin(sym)
+        _assert_proven(upper, sym, proofs)
+        assert top <= upper <= top * (1 + 1e-8) + spectral._eigvalsh_margin(
+            n, spectral._frobenius(sym))
 
     @pytest.mark.parametrize("n", [300, 700])
-    def test_entries_near_the_float_range(self, rng, n):
+    def test_entries_near_the_float_range(self, rng, n, proofs):
         k = kernel_from_matrix(np.sign(random_symmetric(rng, n)) * 1e300)
-        top = float(np.max(np.abs(spectral._eigvalsh(k)[2])))
+        sym, _, vals = spectral._eigvalsh(k)
         upper = operator_norm_upper(k)
-        assert upper == math.inf or (math.isfinite(upper) and upper >= top)
+        _assert_proven(upper, sym, proofs)
+        assert upper == math.inf or upper >= float(np.max(np.abs(vals)))
 
     def test_certified_without_eigvalsh(self, monkeypatch):
         k = _centred_sphere(600)
@@ -551,10 +633,9 @@ class TestCertifiedRadius:
     @pytest.mark.parametrize("fail_on", [1, 2])
     def test_failed_factorisation_gives_the_eigvalsh_bound(self, monkeypatch, fail_on):
         # the work space is restored after one or two sign flips, so the
-        # fallback sees the very matrix eigvalsh would have
+        # second proof factors the very matrix eigvalsh saw
         k = _centred_sphere(600)
-        sym, _, vals = spectral._eigvalsh(k)
-        expected = float(np.max(np.abs(vals))) + spectral._eigvalsh_margin(sym)
+        expected, top = _eigvalsh_proof(k)
         real, calls = np.linalg.cholesky, []
 
         def refuse_once(a, *args, **kwargs):
@@ -565,24 +646,43 @@ class TestCertifiedRadius:
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse_once)
         assert operator_norm_upper(k) == expected
-        assert calls == [(600, 600)] * fail_on
+        assert top <= expected < math.inf
+        assert calls == [(600, 600)] * (fail_on + 2)
 
-    def test_an_estimate_below_the_radius_is_not_certified(self, monkeypatch):
-        k = _centred_sphere(600)
-        sym, _, vals = spectral._eigvalsh(k)
-        expected = float(np.max(np.abs(vals))) + spectral._eigvalsh_margin(sym)
-        estimate = spectral._radius_estimate
-        monkeypatch.setattr(spectral, "_radius_estimate", lambda a: 0.99 * estimate(a))
-        assert operator_norm_upper(k) == expected
-
-    def test_below_two_blocks_never_factors(self, monkeypatch, rng):
-        n = 3 * spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK - 1
-        k = kernel_from_matrix(np.ones((n, n)) + 0.01 * random_symmetric(rng, n))
-        sym, _, vals = spectral._eigvalsh(k)
-        expected = float(np.max(np.abs(vals))) + spectral._eigvalsh_margin(sym)
+    @pytest.mark.parametrize("n", [600, 40])
+    def test_every_factorisation_refused_gives_inf(self, monkeypatch, n):
+        k = _centred_sphere(n)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("cholesky called below the crossover")
+            raise np.linalg.LinAlgError("refused")
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert operator_norm_upper(k) == math.inf
+        est = cutnorm_heuristic(k, restarts=2, seed=0)
+        assert est.method == "heuristic+L1"
+        assert est.upper == max(weighted_norm(k, "L1"), est.lower)
+
+    def test_an_estimate_below_the_radius_is_not_certified(self, monkeypatch, proofs):
+        # the Krylov shift is refused, then the eigvalsh estimate is proven
+        k = _centred_sphere(600)
+        expected, top = _eigvalsh_proof(k)
+        estimate = spectral._radius_estimate
+        monkeypatch.setattr(spectral, "_radius_estimate", lambda a: 0.99 * estimate(a))
+        proofs.radii.clear()
         assert operator_norm_upper(k) == expected
+        assert [t for _, t in proofs.radii] == [None, expected]
+        assert top <= expected
+
+    def test_below_96_atoms_no_krylov_two_factorisations(self, monkeypatch, rng, proofs):
+        n = 3 * spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK - 1
+        k = kernel_from_matrix(np.ones((n, n)) + 0.01 * random_symmetric(rng, n))
+        expected, top = _eigvalsh_proof(k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Krylov basis was built below the crossover")
+
+        monkeypatch.setattr(spectral, "_krylov_basis", refuse)
+        proofs.factorisations.clear()
+        assert operator_norm_upper(k) == expected
+        assert top <= expected
+        assert [(a.shape, ok) for a, ok in proofs.factorisations] == [((n, n), True)] * 2
