@@ -38,7 +38,7 @@ from .ensembles import (
     sphere_kernel,
     w_random_graph,
 )
-from .errors import GraphonError, GridOverflowError
+from .errors import GraphonError, GridOverflowError, TooManyVerticesError
 from .experiments import builtin_rank3_step
 from .homdensity import cycle_density_spectral, hom_density_mc, hom_density_step
 from .regularity import (
@@ -372,7 +372,9 @@ def _cmd_density(args) -> dict:
     graph = parse_graph_arg(args.graph)
     results: dict = {"graph": args.graph, "vertices": graph.k, "edges": graph.edge_count}
     if kind == "step":
-        est = hom_density_step(graph, fileio.load_step(args.input))
+        sf = fileio.load_step(args.input)
+        with _flag_range(TooManyVerticesError):  # --graph past the exact-density cap
+            est = hom_density_step(graph, sf)
     else:
         _at_least("--samples", 1, args.samples)
         kernel = fileio.load_kernel(args.input)

@@ -78,7 +78,14 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
     mids = gap_midpoints(dec)
     j_max = math.ceil(1.0 / eps**2) + 1
 
-    full_rank = dec.rank_above(0.0)
+    # eigenvalues within the cluster tolerance of zero are solver noise:
+    # probing into them would hold R to an F of that noise, so the probes
+    # stop under the other eigenvalues, and a probe that F drives into the
+    # noise goes under it rather than split its cluster
+    noise = dec.cluster_tolerance
+    abs_lam = np.abs(dec.eigenvalues)
+    noise_top = float(abs_lam[abs_lam <= noise].max(initial=0.0))
+    full_rank = dec.rank_above(noise)
     probes = [_snap_down(1.0, mids)]
     f_prev = None
     while len(probes) <= j_max:
@@ -92,8 +99,9 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
                 f"F({t!r}) = {f_val!r} > {f_prev!r}"
             )
         f_prev = f_val
-        probes.append(_snap_down(min(f_val, t / 2.0), mids))
-        if dec.rank_above(t) == full_rank:  # flat energy below t: (t, next) qualifies
+        probe = _snap_down(min(f_val, t / 2.0), mids)
+        probes.append(min(probe, float(abs_lam.min()) / 2.0) if probe < noise_top else probe)
+        if dec.rank_above(max(t, noise)) == full_rank:  # flat energy below t: (t, next) qualifies
             break
 
     energies = [dec.energy_above(t) for t in probes]
@@ -135,9 +143,10 @@ class Certificates:
 @dataclass(frozen=True)
 class RegularityDecomposition:
     """M = S + E + R with its thresholds and certificates. delta_floor is the
-    last threshold probed: the one after the first probe under every nonzero
-    |lambda|, or after ceil(1/eps^2) + 1 steps if that comes first. spectral
-    is the eigendecomposition of M that S and E were cut from; reuse it."""
+    last threshold probed: the one after the first probe under every |lambda|
+    above the cluster tolerance, or after ceil(1/eps^2) + 1 steps if that
+    comes first. spectral is the eigendecomposition of M that S and E were
+    cut from; reuse it."""
 
     S: Kernel
     E: Kernel
@@ -277,64 +286,51 @@ def _entry_classes(values: np.ndarray) -> np.ndarray:
     return classes.reshape(values.shape)
 
 
-def _refine_colors(entry_cls: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """Iterated color refinement: a vertex color becomes the multiset of
-    (entry class, neighbor color) pairs, until the partition stabilizes."""
+def _refine(entry_cls: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Colour refinement until the partition is stable. Each round numbers
+    the distinct rows (colour, sorted entry-class x neighbour-colour codes)
+    in sorted byte order, so an automorphism that carries one colouring
+    onto another carries their refinements onto each other, colour numbers
+    included. Colours must lie in 0..n."""
     n = colors.size
+    cells = np.unique(colors).size
     while True:
-        sigs = []
-        for v in range(n):
-            pairs = np.stack([entry_cls[v], colors], axis=1)
-            keys = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-            sigs.append((colors[v], keys.tobytes()))
-        uniq = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = np.array([uniq[s] for s in sigs], dtype=int)
-        if len(uniq) == len(set(colors.tolist())):
-            return new_colors
-        colors = new_colors
+        rows = np.column_stack((colors, np.sort(entry_cls * (n + 1) + colors, axis=1)))
+        _, colors = np.unique(rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel(),
+                              return_inverse=True)
+        if colors.max() + 1 == cells:
+            return colors
+        cells = colors.max() + 1
 
 
-def _search_mapping(entry_cls: np.ndarray, colors: np.ndarray, n: int,
-                    fix_upto: int, source: int, target: int):
-    """Backtracking: find any permutation fixing 0..fix_upto-1, mapping
-    source -> target, and preserving all entry classes. None if impossible."""
-    mapping = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
-    for v in range(fix_upto):
-        mapping[v] = v
-        used[v] = True
+def _individualise(colors: np.ndarray, v: int) -> np.ndarray:
+    out = colors.copy()
+    out[v] = colors.size
+    return out
 
-    def consistent(v: int, img: int) -> bool:
-        if colors[img] != colors[v]:
-            return False
-        assigned = mapping >= 0
-        src = entry_cls[v][assigned]
-        dst = entry_cls[img][mapping[assigned]]
-        return bool(np.array_equal(src, dst))
 
-    if used[target] or not consistent(source, target):
+def _search_mapping(entry_cls: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """The lexicographically first automorphism carrying the refined
+    colouring left onto the colouring right, or None. Refines right, then
+    tries the images of the first vertex in a non-singleton cell in
+    increasing order; refinement only drops images that no automorphism
+    takes."""
+    right = _refine(entry_cls, right)
+    sizes = np.bincount(left)
+    if not np.array_equal(sizes, np.bincount(right)):
         return None
-    mapping[source] = target
-    used[target] = True
-
-    order = [v for v in range(n) if v >= fix_upto and v != source]
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for img in range(n):
-            if used[img] or not consistent(v, img):
-                continue
-            mapping[v] = img
-            used[img] = True
-            if backtrack(pos + 1):
-                return True
-            mapping[v] = -1
-            used[img] = False
-        return False
-
-    return mapping.copy() if backtrack(0) else None
+    open_ = np.flatnonzero(sizes[left] > 1)
+    if open_.size == 0:
+        mapping = np.empty(left.size, dtype=int)
+        mapping[np.argsort(left)] = np.argsort(right)
+        return mapping if np.array_equal(entry_cls[np.ix_(mapping, mapping)], entry_cls) else None
+    v = open_[0]
+    child = _refine(entry_cls, _individualise(left, v))
+    for img in np.flatnonzero(right == left[v]):
+        found = _search_mapping(entry_cls, child, _individualise(right, img))
+        if found is not None:
+            return found
+    return None
 
 
 def _orbit(point: int, gens: list[np.ndarray], n: int) -> set[int]:
@@ -353,34 +349,37 @@ def _orbit(point: int, gens: list[np.ndarray], n: int) -> set[int]:
 def automorphisms(kernel: Kernel) -> PermutationAction:
     """Generators of the full automorphism group of the kernel.
 
-    Builds a stabilizer chain over the natural base 0, 1, ..., n-1: at each
-    level every color-consistent image of the base point outside the known
-    orbit is probed by an exhaustive backtracking search, so the returned
-    set is a strong generating set, not just a subgroup. Raises
-    TooLargeError above DEFAULT_AUT_LIMIT atoms.
+    Builds a stabilizer chain over the natural base 0, 1, ..., n-1. At level
+    i every image of i outside the known orbit that keeps the colour of i,
+    once 0..i-1 are individualised and refined, is probed by an exhaustive
+    individualise-and-refine search; the first automorphism of each coset
+    found joins the generators, so they form a strong generating set, not
+    just a subgroup. Raises TooLargeError above DEFAULT_AUT_LIMIT atoms.
     """
     n = kernel.n
     if n > DEFAULT_AUT_LIMIT:
         raise TooLargeError(f"n={n} exceeds the automorphism search limit {DEFAULT_AUT_LIMIT}")
     entry_cls = _entry_classes(kernel.values)
     weight_cls = _entry_classes(kernel.space.weights.reshape(-1, 1)).ravel()
-    diag_cls = np.diagonal(entry_cls)
-    base_colors = np.stack([weight_cls, diag_cls], axis=1)
-    _, init = np.unique(base_colors, axis=0, return_inverse=True)
-    colors = _refine_colors(entry_cls, init.ravel().astype(int))
+    # the diagonal carries the weight class too, so entry classes alone
+    # decide whether a permutation is an automorphism
+    np.fill_diagonal(entry_cls, np.diagonal(entry_cls) * n + weight_cls)
+    _, colors = np.unique(np.diagonal(entry_cls), return_inverse=True)
+    bases = [_refine(entry_cls, colors)]  # bases[i]: 0..i-1 individualised
+    for i in range(n - 1):
+        bases.append(_refine(entry_cls, _individualise(bases[-1], i)))
 
-    gens: list[np.ndarray] = []
+    gens: list[np.ndarray] = []  # all found so far fix 0..i-1
     for i in range(n - 2, -1, -1):
-        level_gens = [g for g in gens if np.array_equal(g[:i], np.arange(i))]
-        orbit = _orbit(i, level_gens, n)
-        for target in range(n):
-            if target == i or target in orbit or colors[target] != colors[i]:
+        base = bases[i]
+        orbit = _orbit(i, gens, n)
+        for target in np.flatnonzero(base == base[i]):
+            if int(target) in orbit:
                 continue
-            found = _search_mapping(entry_cls, colors, n, i, i, target)
+            found = _search_mapping(entry_cls, bases[i + 1], _individualise(base, target))
             if found is not None:
                 gens.append(found)
-                level_gens.append(found)
-                orbit = _orbit(i, level_gens, n)
+                orbit = _orbit(i, gens, n)
     return PermutationAction(kernel.space, tuple(gens))
 
 

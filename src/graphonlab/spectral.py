@@ -577,15 +577,18 @@ def _certified_radius(sym: np.ndarray, s: float, fro: float) -> float | None:
 
 def gap_midpoints(dec: SpectralDecomposition) -> list[float]:
     """Cluster-safe truncation thresholds: midpoints of spectral gaps,
-    sorted decreasing, including the gap down to zero when present."""
+    sorted decreasing, including the gap down to zero when present. A
+    cluster within the cluster tolerance of zero is solver noise around an
+    exactly zero eigenspace, so it is no cluster to cut below; clusters are
+    more than the tolerance apart, so the last midpoint still clears it."""
     abs_lam = np.abs(dec.eigenvalues)
     bounds = [(float(abs_lam[a:b].min()), float(abs_lam[a:b].max())) for a, b in dec.clusters]
+    bounds = [(lo, hi) for lo, hi in bounds if hi > dec.cluster_tolerance]
     mids = []
     for (lo, _), (_, hi_next) in zip(bounds, bounds[1:]):
         mids.append((lo + hi_next) / 2.0)
-    lo_last = bounds[-1][0]
-    if lo_last > 0.0:
-        mids.append(lo_last / 2.0)
+    if bounds and bounds[-1][0] > 0.0:
+        mids.append(bounds[-1][0] / 2.0)
     return mids
 
 

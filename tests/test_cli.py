@@ -24,7 +24,7 @@ from graphonlab.cli import (
 from graphonlab.errors import InvalidSpaceError
 from graphonlab.fileio import format_matrix, format_step
 
-from conftest import random_symmetric
+from conftest import cycle_adjacency, random_symmetric
 
 
 def run_cli(argv, capsys):
@@ -335,6 +335,33 @@ class TestSubcommands:
         assert code == EXIT_USAGE
 
 
+_BLOCK_LABELS = np.arange(60) % 3
+_HALVES = np.arange(40) < 20
+LOW_RANK = {
+    **{f"cycle{n}": cycle_adjacency(n) for n in (8, 12, 30, 64)},
+    "block3x60": np.array([[0.9, 0.2, 0.4], [0.2, 0.6, 0.1],
+                           [0.4, 0.1, 0.8]])[np.ix_(_BLOCK_LABELS, _BLOCK_LABELS)],
+    "bipartite40": (_HALVES[:, None] != _HALVES[None, :]).astype(float),
+    "constant10": np.full((10, 10), 0.5),
+}
+
+
+@pytest.mark.parametrize("eps", ["0.1", "0.3", "0.5"])
+@pytest.mark.parametrize("name", [*LOW_RANK, "cayley16"])
+def test_decompose_passes_its_checks_on_low_rank_kernels(name, eps, tmp_path, capsys):
+    # the zero eigenspace of an exactly low-rank kernel comes out of eigh as a
+    # cluster of noise; a threshold cut under it held R to an F of that noise,
+    # and the cycles and the block kernel failed R_cut_upper_within_F (exit 1)
+    path = tmp_path / "k.txt"
+    if name == "cayley16":  # the 16-cycle, made through the CLI
+        f = ",".join("1" if x in (1, 15) else "0" for x in range(16))
+        argv = ["make", "--ensemble", "cayley", "--n", "16", "--f", f, "--output", str(path)]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+    else:
+        path.write_text(format_matrix(kernel_from_matrix(LOW_RANK[name])))
+    assert run_cli(["decompose", "--input", str(path), "--epsilon", eps], capsys)[0] == EXIT_OK
+
+
 class TestReportSchema:
     def test_reports_validate_and_pass_flags_recompute(self, tmp_path, rng, capsys):
         import jsonschema
@@ -444,6 +471,8 @@ class TestExitCodes:
         ["distance", "{step}", "{step}", "--seed", "0", "--max-atoms", "0"],
         ["density", "--input", "{matrix}", "--graph", "cycle_4", "--samples", "0",
          "--seed", "0"],
+        # past the exact-density vertex cap: exited 3 (TooManyVerticesError)
+        ["density", "--input", "{step}", "--graph", "cycle_11"],
         ["decompose", "--input", "{matrix}", "--epsilon", "0"],
         ["decompose", "--input", "{matrix}", "--epsilon", "-0.5"],
         ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--max-parts", "-1"],
@@ -694,25 +723,39 @@ class TestDeterminism:
         json.loads(outs[0])
 
 
-def test_numpy_is_the_only_runtime_dependency(matrix_file):
-    # a fresh interpreter: modules loaded by site before the import do not count
+def test_numpy_is_the_only_runtime_dependency(matrix_file, step_file):
+    # a fresh interpreter that imports every module and runs each subcommand
+    # family; modules loaded by site before the import do not count, except
+    # scipy and jsonschema, which are installed here but never declared
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
         "before = set(sys.modules)\n"
         "import graphonlab, graphonlab.cli\n"
-        "graphonlab.cli.main(['spectrum', '--input', sys.argv[1]])\n"
+        "for mod in pkgutil.iter_modules(graphonlab.__path__):\n"
+        "    importlib.import_module('graphonlab.' + mod.name)\n"
+        "m, s = sys.argv[1:]\n"
+        "for argv in (['spectrum', '--input', m],\n"
+        "             ['decompose', '--input', m, '--epsilon', '0.3'],\n"
+        "             ['cutnorm', '--input', m, '--seed', '0'],\n"
+        "             ['density', '--input', m, '--graph', 'cycle_4', '--samples', '100',\n"
+        "              '--seed', '0'],\n"
+        "             ['density', '--input', s, '--graph', 'triangle'],\n"
+        "             ['experiment', '--name', 'circle', '--n', '16', '--ks', '3',\n"
+        "              '--seed', '0'],\n"
         # n = 800 takes the eigvalsh + block Krylov path of decompose
-        "graphonlab.cli.main(['experiment', '--name', 'wrandom-convergence',\n"
-        "                     '--counts', '60,800', '--runs', '1', '--seed', '0'])\n"
+        "             ['experiment', '--name', 'wrandom-convergence',\n"
+        "              '--counts', '60,800', '--runs', '1', '--seed', '0']):\n"
+        "    assert graphonlab.cli.main(argv) == 0, argv\n"
         "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
         # shims that numpy.random's Cython-compiled modules register; no package
         "loaded = {m for m in loaded if m != 'cython_runtime' and not m.startswith('_cython_')}\n"
         "allowed = set(sys.stdlib_module_names) | {'numpy', 'graphonlab'}\n"
-        "sys.stderr.write(repr(sorted(loaded - allowed)))\n"
+        "undeclared = {'scipy', 'jsonschema'} & {m.partition('.')[0] for m in sys.modules}\n"
+        "sys.stderr.write(repr((sorted(loaded - allowed), sorted(undeclared))))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, matrix_file],
+    proc = subprocess.run([sys.executable, "-c", code, matrix_file, step_file],
                           capture_output=True, text=True, check=True)
-    assert proc.stderr.endswith("[]"), proc.stderr
+    assert proc.stderr.endswith("([], [])"), proc.stderr
 
 
 def test_readme_cli_examples_parse():

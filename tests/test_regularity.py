@@ -1,10 +1,12 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
 
 from graphonlab import (
     DiscreteSpace,
+    Kernel,
     apply_permutation,
     automorphisms,
     choose_threshold,
@@ -23,6 +25,7 @@ from graphonlab.ensembles import cayley_kernel
 from graphonlab.errors import GridOverflowError, NonDecreasingF, TooLargeError
 import graphonlab.regularity as regularity_module
 from graphonlab.regularity import _threshold_schedule
+from graphonlab.spectral import gap_midpoints
 
 from conftest import cycle_adjacency, petersen_adjacency, random_symmetric
 
@@ -104,6 +107,23 @@ class TestChooseThreshold:
         reg = regularity_decompose(dec.kernel, F_quarter, eps)
         assert reg.certificates.E_l2 <= eps
         assert reg.certificates.R_cut.upper <= F_quarter(reg.lam, eps)
+
+
+class TestLowRankSchedule:
+    @pytest.mark.parametrize("F", [lambda l, e: 1e-17 * l, lambda l, e: 1e-30 * l**3,
+                                   lambda l, e: 3e-18])
+    def test_probes_never_split_the_noise_cluster(self, F):
+        # the 8-cycle's zero eigenspace comes out of eigh as one cluster of
+        # noise, -2.9e-17 and -9.9e-20; an F that drives a probe into it must
+        # not cut the cluster apart
+        dec = decompose(kernel_from_matrix(cycle_adjacency(8)))
+        sched = _threshold_schedule(dec, F, 0.3)
+        for t in sched.probes:
+            tail_truncate(dec, t)  # must not raise
+
+    def test_noise_gets_no_midpoint(self):
+        dec = decompose(kernel_from_matrix(cycle_adjacency(8)))
+        assert min(gap_midpoints(dec)) > dec.cluster_tolerance
 
 
 class TestRegularityDecompose:
@@ -230,6 +250,85 @@ def brute_force_automorphism_count(values):
     return count
 
 
+def brute_force_chain(kernel):
+    """Oracle: the generators automorphisms must return, from the list of
+    every automorphism (tiny n only). The chain runs over the base 0..n-1
+    from level n-2 down; at each level it probes the images of the base
+    point outside the orbit found so far in increasing order, and keeps the
+    lexicographically first automorphism of each nonempty coset."""
+    values, weights = kernel.values, kernel.space.weights
+    n = kernel.n
+    auts = [p for p in itertools.permutations(range(n))  # in lexicographic order
+            if np.array_equal(values[np.ix_(p, p)], values)
+            and np.array_equal(weights[list(p)], weights)]
+    gens = []
+    for i in range(n - 2, -1, -1):
+        orbit = {i}
+        for target in range(n):
+            while (grown := orbit | {g[v] for g in gens for v in orbit}) != orbit:
+                orbit = grown
+            if target in orbit:
+                continue
+            coset = [p for p in auts if p[:i + 1] == (*range(i), target)]
+            if coset:
+                gens.append(coset[0])
+    return tuple(gens)
+
+
+def symmetric_weighted_kernel(seed):
+    """A random kernel on 4 to 7 atoms with repeated entries and weights, so
+    that it has symmetries: a step kernel on random parts, with diagonal
+    entries and atom weights (1 or 2, normalised) drawn per part, and on odd
+    seeds one entry pair flipped."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 8))
+    parts = rng.integers(0, 3, n)
+    block = rng.choice([0.0, 0.3, 0.7], (3, 3))
+    values = (np.triu(block) + np.triu(block, 1).T)[np.ix_(parts, parts)]
+    np.fill_diagonal(values, rng.choice([0.0, 0.7], 3)[parts])
+    if seed % 2:
+        i, j = rng.choice(n, 2, replace=False)
+        values[i, j] = values[j, i] = 1.0 - values[i, j]
+    weights = rng.choice([1.0, 2.0], 3)[parts]
+    return Kernel(DiscreteSpace(weights / weights.sum()), values)
+
+
+def paley(q):
+    squares = list({x * x % q for x in range(1, q)})
+    x = np.arange(q)
+    return np.isin((x[:, None] - x[None, :]) % q, squares).astype(float)
+
+
+def rook(m):
+    row, col = np.divmod(np.arange(m * m), m)
+    same = (row[:, None] == row[None, :]) | (col[:, None] == col[None, :])
+    return (same & ~np.eye(m * m, dtype=bool)).astype(float)
+
+
+def hypercube(d):
+    x = np.arange(2**d)
+    return np.isin(x[:, None] ^ x[None, :], 2 ** np.arange(d)).astype(float)
+
+
+def shrikhande():
+    # Cayley graph of Z_4 x Z_4 on the steps ±(0,1), ±(1,0), ±(1,1), coded 4x + y
+    x, y = np.divmod(np.arange(16), 4)
+    step = 4 * ((x[None, :] - x[:, None]) % 4) + (y[None, :] - y[:, None]) % 4
+    return np.isin(step, [1, 3, 4, 12, 5, 15]).astype(float)
+
+
+def random_cubic(n, seed):
+    """A random 3-regular graph from the configuration model, redrawn until
+    it has no loop or multiple edge."""
+    rng = np.random.default_rng(seed)
+    while True:
+        u, v = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2).T
+        a = np.zeros((n, n))
+        a[u, v] = a[v, u] = 1.0
+        if not np.any(u == v) and a.sum() == 3 * n:
+            return a
+
+
 class TestAutomorphisms:
     def test_c5_dihedral(self):
         k = kernel_from_matrix(cycle_adjacency(5))
@@ -261,6 +360,50 @@ class TestAutomorphisms:
                            [[0.7, 0.2], [0.2, 0.7]])
         k = expand_step(sf)
         assert group_order(automorphisms(k)) == brute_force_automorphism_count(k.values)
+
+    def test_generators_match_the_brute_force_chain(self):
+        orders = []
+        for seed in range(24):
+            k = symmetric_weighted_kernel(seed)
+            action = automorphisms(k)
+            gens = tuple(tuple(int(x) for x in g) for g in action.generators)
+            assert gens == brute_force_chain(k), seed
+            orders.append(group_order(action))
+        assert sum(order > 1 for order in orders) >= 20 and max(orders) >= 120
+
+    @pytest.mark.parametrize("values, order", [
+        (paley(37), 666),
+        (paley(61), 1830),
+        (rook(5), 28800),
+        (hypercube(6), 46080),
+        (shrikhande(), 192),
+    ], ids=["paley37", "paley61", "rook5x5", "Q6", "shrikhande"])
+    def test_group_order_of_symmetric_graphs(self, values, order):
+        k = kernel_from_matrix(values)
+        action = automorphisms(k)
+        assert group_order(action) == order
+        for g in action.generators:
+            assert np.array_equal(apply_permutation(k, g).values, k.values)
+
+    @pytest.mark.parametrize("n, seed", [(20, s) for s in range(1, 7)]
+                             + [(n, s) for n in (30, 64) for s in range(1, 4)])
+    def test_random_cubic_graphs_finish(self, n, seed):
+        # vertex-by-vertex backtracking without refinement took from 5 s to
+        # well over 20 s on most of these graphs
+        k = kernel_from_matrix(random_cubic(n, seed))
+
+        def hang(signum, frame):
+            raise TimeoutError(f"automorphisms still running after 2 s (n={n}, seed={seed})")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(2)
+        try:
+            action = automorphisms(k)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        for g in action.generators:
+            assert np.array_equal(apply_permutation(k, g).values, k.values)
 
     def test_size_limit(self, monkeypatch):
         # refused before the search starts
