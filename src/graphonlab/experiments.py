@@ -30,7 +30,7 @@ from .ensembles import (
 )
 from .errors import AllZeroSpectrum, EmptyPartError, WorkerError
 from .homdensity import cycle_density_spectral
-from .spectral import decompose, truncation_quotient
+from .spectral import decompose, decompose_leading, truncation_quotient
 
 # Predicted work, as the sum of n^3 over the units, below which the units run
 # in this process. On a 2-core VM four units of n = 300 (1.1e8) took as long
@@ -167,12 +167,17 @@ def builtin_rank3_step() -> StepFunction:
 
 
 def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndarray,
-                  pw: np.ndarray, lam_mid: float, track: int, count: int,
-                  seed: int) -> tuple[int, float, np.ndarray]:
+                  pw: np.ndarray, lam_mid: float, rank: int, track: int, count: int,
+                  seed: int) -> tuple[int, float, np.ndarray, float | None]:
     """One W-random sample of the source: its rank above lam_mid, the
-    aligned L2 distance of its truncation to the reference block, and its
-    top track eigenvalues. A sample that misses a source part has no block
-    to align with the reference's and raises EmptyPartError."""
+    aligned L2 distance of its truncation to the reference block, its top
+    track eigenvalues, and its bulk bound. The sample's eigenpairs come from
+    decompose_leading, which proves that exactly the source rank of them
+    lie above lam_mid and bounds the rest by the bulk bound; when that proof
+    is refused, from decompose above lam_mid (every eigenvalue from
+    eigvalsh), and the bulk bound is None. A sample that misses a source
+    part has no block to align with the reference's and raises
+    EmptyPartError."""
     sample, atoms = w_random_sample(source, count, seed)
     parts = labels_of_atom[atoms]
     missing = np.flatnonzero(np.bincount(parts, minlength=pw.size) == 0)
@@ -180,18 +185,20 @@ def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndar
         raise EmptyPartError(f"the W-random sample of {count} atoms at seed {seed} "
                              f"misses source parts {missing.tolist()}")
     # only the eigenvectors above lam_mid are read
-    dec_s = decompose(sample, vectors_above=lam_mid)
+    dec_s = decompose_leading(sample, rank, lam_mid)
+    if dec_s is None:
+        dec_s = decompose(sample, vectors_above=lam_mid)
     quot = truncation_quotient(dec_s, lam_mid, parts)
     diff = quot.block - ref_block
     dist = float(np.sqrt(np.sum(np.outer(pw, pw) * diff * diff)))
-    return dec_s.rank_above(lam_mid), dist, dec_s.eigenvalues[:track]
+    return dec_s.rank_above(lam_mid), dist, dec_s.eigenvalues[:track], dec_s.bulk_bound
 
 
 def wrandom_convergence(source_step: StepFunction, counts: list[int],
                         seeds: list[int], workers: int = 1) -> tuple[dict, list]:
     """W-random graphs of growing size sampled from a step kernel: the rank
-    above the source's half-gap and the top eigenvalues converge to the
-    source's, and the truncated samples approach it in aligned L2. Up to
+    above the source's half-gap and the top source-rank eigenvalues converge
+    to the source's, and the truncated samples approach it in aligned L2. Up to
     workers processes share the (count, seed) samples; the result does not
     depend on how many."""
     source = expand_step(source_step)
@@ -206,15 +213,15 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
     top = min(10, source.n)
     ref_eigs = dec_w.eigenvalues[:top]
 
-    track = min(10, min(counts))
-    reference = (source, source_step.part_of, ref_block.block, pw, lam_mid, track)
+    track = min(rank_w, min(counts))
+    reference = (source, source_step.part_of, ref_block.block, pw, lam_mid, rank_w, track)
     units = [(count, seed) for count in counts for seed in seeds]
     found = iter(_map_units(_wrandom_unit, [reference + unit for unit in units],
                             [count for count, _ in units], workers))
     per_count: dict[int, dict] = {}
     checks = []
     for count in counts:
-        ranks, dists, eig_rows = map(list, zip(*(next(found) for _ in seeds)))
+        ranks, dists, eig_rows, bulk = map(list, zip(*(next(found) for _ in seeds)))
         med = float(np.median(np.array(eig_rows), axis=0)[0])
         per_count[count] = {
             "ranks": ranks,
@@ -223,6 +230,7 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
             "median_aligned_l2": float(np.median(dists)),
             "median_top_eigenvalues": np.median(np.array(eig_rows), axis=0),
             "median_top_eigenvalue": med,
+            "bulk_bounds": bulk,
         }
     last = counts[-1]
     for seed, r in zip(seeds, per_count[last]["ranks"]):

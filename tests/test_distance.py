@@ -305,3 +305,34 @@ def test_descent_is_scale_equivariant():
         assert b.regime == tiny.regime == "heuristic"
         assert np.array_equal(tiny.alignment, b.alignment), norm
         assert tiny.upper == pytest.approx(b.upper * 2.0**-50, rel=1e-12)
+
+
+def test_swap_descent_takes_a_pair_inside_the_rounding_margin():
+    # Swapping atoms 0 and 1 improves the L2 objective by just over the
+    # 1e-15 step: the exact evaluation beats the threshold, while the
+    # estimated sum rounds above the sum the threshold allows. Found by
+    # scanning v2[0, 0] in steps of 1e-17 across the point where the
+    # improvement equals the step; every other swap is worse.
+    v1 = np.array([
+        [0.7482179590766121, 0.7479616682163523, 0.5291627822385288, 0.633849713937989],
+        [0.7479616682163523, 0.7479616682163523, 0.5284180236115209, 0.6332947276698815],
+        [0.5291627822385288, 0.5284180236115209, 0.8060357075271236, 0.3284011521737253],
+        [0.633849713937989, 0.6332947276698815, 0.3284011521737253, 0.4468129517344519],
+    ])
+    v2 = np.array([
+        [0.7371399433062045, 0.7482107040167953, 0.5297371989120453, 0.633994861732363],
+        [0.7482107040167953, 0.7484263898910035, 0.5282711146374506, 0.6333562375696273],
+        [0.5297371989120453, 0.5282711146374506, 0.8051861297507524, 0.3288932395597989],
+        [0.633994861732363, 0.6333562375696273, 0.3288932395597989, 0.44703611119519554],
+    ])
+    start, swapped = np.arange(4), np.array([1, 0, 2, 3])
+    diff = v1 - v2
+    threshold = distance._descent_objective(diff, "L2") - 1e-15
+    estimate = float(np.square(diff).sum()) + distance._swap_gains(
+        v1, v2, np.array([0]), np.array([1]), np.square)[0]
+    assert estimate > 16 * threshold * threshold
+    assert distance._descent_objective(distance._apply(v1, swapped) - v2, "L2") < threshold
+    want = full_swap_descent(v1, v2, "L2", start.copy(), np.random.default_rng(0))
+    got = distance._swap_descent(v1, v2, "L2", start.copy(), np.random.default_rng(0))
+    assert np.array_equal(want, swapped)
+    assert np.array_equal(got, want)

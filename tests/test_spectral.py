@@ -23,8 +23,8 @@ from graphonlab import (
 from graphonlab import experiments
 from graphonlab.cli import canonical_json
 from graphonlab import spectral
-from graphonlab.core import weighted_mean
-from graphonlab.ensembles import ProfileFunction, cayley_kernel, sphere_kernel
+from graphonlab.core import expand_step, weighted_mean
+from graphonlab.ensembles import ProfileFunction, cayley_kernel, sphere_kernel, w_random_sample
 from graphonlab.errors import (
     AllZeroSpectrum,
     DimensionMismatchError,
@@ -469,22 +469,24 @@ class TestPartialDecompose:
             decompose(k, vectors_above=0.5 + 5e-11)
 
     def test_wrandom_convergence_equals_the_full_path(self, monkeypatch):
-        # n = 800 takes the Krylov path, n = 60 falls back. Ranks, checks
-        # and eigenvalues are the report bytes the full eigh gives. aligned_l2
-        # differences block averages near 0.5 that lie about 0.003 apart, so
-        # eigenvector differences at the rounding level (8e-15 here) reach
-        # its twelfth digit: it matches to 1e-10 relative, not to the byte
+        # n = 800 takes the proven route, n = 60 falls back. Ranks, checks
+        # and eigenvalues are the report bytes the full eigh gives, and only
+        # the proven samples have a bulk bound. aligned_l2 differences block
+        # averages near 0.5 that lie about 0.003 apart, so eigenvector
+        # differences at the rounding level (8e-15 here) reach its twelfth
+        # digit: it matches to 1e-10 relative, not to the byte
         taken = []
 
-        def partial(kernel, vectors_above=None):
-            dec = decompose(kernel, vectors_above=vectors_above)
-            taken.append(dec.projector_error is not None)
+        def proven(kernel, rank, above):
+            dec = spectral.decompose_leading(kernel, rank, above)
+            taken.append(dec is not None)
             return dec
 
         args = (experiments.builtin_rank3_step(), [60, 800], [0, 1])
-        monkeypatch.setattr(experiments, "decompose", partial)
+        monkeypatch.setattr(experiments, "decompose_leading", proven)
         fast = canonical_json(dict(zip(("results", "checks"),
                                        experiments.wrandom_convergence(*args))))
+        monkeypatch.setattr(experiments, "decompose_leading", lambda *args: None)
         monkeypatch.setattr(experiments, "decompose", lambda kernel, vectors_above=None:
                             decompose(kernel))
         slow = canonical_json(dict(zip(("results", "checks"),
@@ -492,8 +494,101 @@ class TestPartialDecompose:
         fast, slow = json.loads(fast), json.loads(slow)
         assert np.allclose(_aligned_l2_numbers(fast), _aligned_l2_numbers(slow),
                            rtol=1e-10, atol=0.0)
+        bulk = [entry.pop("bulk_bounds") for entry in fast["results"]["per_count"].values()]
+        assert bulk[0] == [None, None]
+        assert all(0.0 < tau < fast["results"]["lambda_mid"] for tau in bulk[1])
+        assert [entry.pop("bulk_bounds") for entry in slow["results"]["per_count"].values()] \
+            == [[None, None]] * 2
         assert fast == slow
-        assert taken == [False, False, False, True, True]
+        assert taken == [False, False, True, True]
+
+    def test_wrandom_at_1600_takes_no_eigvalsh(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        results, _ = experiments.wrandom_convergence(
+            experiments.builtin_rank3_step(), [1600], [0, 1])
+        assert sizes.count(1600) == 0
+        assert None not in results["per_count"]["1600"]["bulk_bounds"]
+
+
+def _wrandom_sample(n, seed):
+    """A W-random sample of n atoms from the builtin rank-3 source, and the
+    source's half-gap lam_mid, as wrandom_convergence draws and sets them."""
+    source = expand_step(experiments.builtin_rank3_step())
+    lam = decompose(source).eigenvalues
+    lam_mid = float(np.min(np.abs(lam[:3]))) / 2.0
+    return w_random_sample(source, n, seed)[0], lam_mid
+
+
+class TestDecomposeLeading:
+    """decompose_leading proves, without eigvalsh, that its rank Ritz
+    values are the eigenvalues above the threshold and bounds the rest."""
+
+    @pytest.mark.parametrize("n", [200, 800, 1600])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sound_against_eigvalsh(self, n, seed):
+        sample, lam_mid = _wrandom_sample(n, seed)
+        sym, rootw, vals = spectral._eigvalsh(sample)
+        vals = vals[spectral._spectral_order(vals)]
+        margin = spectral._eigvalsh_margin(n, spectral._frobenius(sym))
+        dec = spectral.decompose_leading(sample, 3, lam_mid)
+        if n == 200:  # the bulk reaches above lam_mid
+            assert abs(vals[3]) > lam_mid
+            assert dec is None
+            return
+        tau = dec.bulk_bound
+        assert tau < lam_mid
+        assert np.all(np.abs(vals[3:]) <= tau + margin)
+        # each Ritz interval holds its eigvalsh counterpart
+        x = dec.eigenvectors * rootw[:, None]
+        radius = (np.linalg.norm(sym @ x - x * dec.eigenvalues, axis=0)
+                  / np.linalg.norm(x, axis=0))
+        assert np.all(np.abs(dec.eigenvalues - vals[:3]) <= radius + margin)
+        assert dec.rank_above(lam_mid) == 3 == int(np.sum(np.abs(vals) > lam_mid))
+        assert 0.0 < dec.projector_error < 1e-9
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_a_wrong_rank_is_refused(self, rank):
+        # with 2 pairs the third eigenvalue stays in the bulk, above lam_mid;
+        # with 4 the fourth Ritz interval lies below lam_mid
+        sample, lam_mid = _wrandom_sample(800, 0)
+        assert spectral.decompose_leading(sample, rank, lam_mid) is None
+
+    def test_bulk_above_the_threshold_falls_back_without_factorising(self, monkeypatch):
+        # at n = 400, seed 3 has a fourth eigenvalue above lam_mid
+        sample, lam_mid = _wrandom_sample(400, 3)
+        today = decompose(sample, vectors_above=lam_mid)
+        assert today.rank_above(lam_mid) == 4
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorised although the bulk estimate is above lam_mid")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert spectral.decompose_leading(sample, 3, lam_mid) is None
+        results, checks = experiments.wrandom_convergence(
+            experiments.builtin_rank3_step(), [400], [3])
+        assert results["per_count"]["400"]["ranks"] == [4]
+        assert results["per_count"]["400"]["bulk_bounds"] == [None]
+        assert checks[0] == ("rank_error_at_400_seed3", 1.0, 0.0, "le")
+
+    def test_refused_proof_gives_the_eigvalsh_path(self, monkeypatch):
+        args = (experiments.builtin_rank3_step(), [60, 800], [0, 1])
+        monkeypatch.setattr(experiments, "decompose_leading", lambda *args: None)
+        eigvalsh_path = canonical_json(dict(zip(("results", "checks"),
+                                                experiments.wrandom_convergence(*args))))
+        monkeypatch.undo()
+        monkeypatch.setattr(spectral, "_certified_radius", lambda *args: None)
+        refused = canonical_json(dict(zip(("results", "checks"),
+                                          experiments.wrandom_convergence(*args))))
+        assert refused == eigvalsh_path
+        assert all(entry["bulk_bounds"] == [None, None]
+                   for entry in json.loads(refused)["results"]["per_count"].values())
 
 
 def _aligned_l2_numbers(report: dict) -> list[float]:
@@ -551,8 +646,8 @@ def proofs(monkeypatch):
         record.factorisations[-1][1] = True
         return factor
 
-    def spy_certified_radius(sym, s, fro):
-        t = certified_radius(sym, s, fro)
+    def spy_certified_radius(sym, s, fro, allowance=0.0):
+        t = certified_radius(sym, s, fro, allowance)
         record.radii.append((s, t))
         return t
 
@@ -672,6 +767,15 @@ class TestCertifiedRadius:
         assert operator_norm_upper(k) == expected
         assert [t for _, t in proofs.radii] == [None, expected]
         assert top <= expected
+
+    def test_allowance_adds_to_the_bound(self):
+        k = _centred_sphere(300)
+        sym, _ = spectral._symmetrized(k)
+        fro = spectral._frobenius(sym)
+        s = float(np.max(np.abs(spectral._eigenvalues(sym)))) * 1.01
+        plain = spectral._certified_radius(sym, s, fro)
+        assert spectral._certified_radius(sym, s, fro, 0.0) == plain
+        assert spectral._certified_radius(sym, s, fro, 1e-6) >= plain + 1e-6
 
     def test_below_96_atoms_no_krylov_two_factorisations(self, monkeypatch, rng, proofs):
         n = 3 * spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK - 1
