@@ -174,10 +174,9 @@ def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndar
     track eigenvalues, and its bulk bound. The sample's eigenpairs come from
     decompose_leading, which proves that exactly the source rank of them
     lie above lam_mid and bounds the rest by the bulk bound; when that proof
-    is refused, from decompose above lam_mid (every eigenvalue from
-    eigvalsh), and the bulk bound is None. A sample that misses a source
-    part has no block to align with the reference's and raises
-    EmptyPartError."""
+    is refused, from one full decompose (eigh), and the bulk bound is None.
+    A sample that misses a source part has no block to align with the
+    reference's and raises EmptyPartError."""
     sample, atoms = w_random_sample(source, count, seed)
     parts = labels_of_atom[atoms]
     missing = np.flatnonzero(np.bincount(parts, minlength=pw.size) == 0)
@@ -187,7 +186,7 @@ def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndar
     # only the eigenvectors above lam_mid are read
     dec_s = decompose_leading(sample, rank, lam_mid)
     if dec_s is None:
-        dec_s = decompose(sample, vectors_above=lam_mid)
+        dec_s = decompose(sample)
     quot = truncation_quotient(dec_s, lam_mid, parts)
     diff = quot.block - ref_block
     dist = float(np.sqrt(np.sum(np.outer(pw, pw) * diff * diff)))

@@ -7,19 +7,19 @@ problem D^{1/2} K D^{1/2} (D = diag of weights) and mapping eigenvectors
 back through D^{-1/2} yields weight-orthonormal eigenvectors and the exact
 reconstruction K = sum_i lambda_i f_i f_i^T.
 
-There are three routes to eigenpairs:
+There are two routes to eigenpairs, and one to eigenvalues alone:
 
 - decompose(kernel): every eigenpair from eigh, checked by reconstruction.
-- decompose(kernel, vectors_above=t) keeps only the eigenvectors with
-  |lambda| > t. It takes every eigenvalue from eigvalsh and the kept
-  eigenvectors from Rayleigh-Ritz on a block Krylov basis, certified by
-  their residual and the Davis-Kahan sin-theta theorem at O(n^2 r) cost
-  instead of the O(n^3) eigh and reconstruction check of the full path.
 - decompose_leading(kernel, r, t) takes no eigvalsh: it proves that r Ritz
-  pairs are all the eigenpairs with |lambda| > t, by Rump's Cholesky test
-  on the kernel with those pairs deflated, which also bounds every other
-  |lambda|. It returns None when the proof is refused, and the caller falls
-  back to decompose.
+  pairs from block Krylov are all the eigenpairs with |lambda| > t, by
+  Rump's Cholesky test on the kernel with those pairs deflated, which also
+  bounds every other |lambda|, and certifies the Ritz vectors by the
+  Davis-Kahan sin-theta theorem. It returns None when the proof is
+  refused, and the caller falls back to decompose.
+- decompose(kernel, vectors_above=t) keeps only the eigenvectors with
+  |lambda| > t. When there are none (t = inf reads the spectrum alone),
+  every eigenvalue comes from eigvalsh; otherwise the decomposition is the
+  full eigh's, cut to the kept columns.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ CLUSTER_TOL_FACTOR = 1e-8
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 
-# Partial decompositions: the block Krylov basis, in blocks of r +
-# KRYLOV_OVERSAMPLE vectors, may hold at most n / KRYLOV_BASIS_FRACTION
-# vectors. When the spectrum predicts more blocks than that (n small, r a
-# large fraction of n, or a slow rate), or the certificate fails, decompose
-# falls back to the full eigh.
+# Block Krylov bases, in blocks of r + KRYLOV_OVERSAMPLE vectors for r
+# leading eigenpairs (RADIUS_BLOCK vectors for a norm estimate), hold at
+# most n / KRYLOV_BASIS_FRACTION vectors. When a solve needs more, its
+# caller takes eigh (decompose_leading refuses) or eigvalsh
+# (operator_norm_upper) instead.
 KRYLOV_BASIS_FRACTION = 4
 KRYLOV_OVERSAMPLE = 4
 KRYLOV_SEED = 0  # the start block is fixed, so reruns give identical bytes
@@ -83,13 +83,14 @@ class SpectralDecomposition:
     eigenvalues come first so equal signed values are contiguous).
 
     A partial decomposition (vectors_above = t) holds all eigenvalues but
-    only the leading eigenvectors, those with |lambda| > t. projector_error
-    is then the certified bound on the Hilbert-Schmidt distance between the
-    projector onto their span and the exact spectral projector, or None when
-    they came from eigh and passed its reconstruction check. A leading
+    only the leading eigenvectors, those with |lambda| > t. A leading
     decomposition (from decompose_leading) holds only the eigenpairs with
-    |lambda| > t, and bulk_bound, a proven bound below t on the modulus of
-    every other eigenvalue.
+    |lambda| > t; bulk_bound is a proven bound below t on the modulus of
+    every other eigenvalue, and projector_error the certified bound on the
+    Hilbert-Schmidt distance between the projector onto the span of the
+    Ritz vectors and the exact spectral projector. Both are None on the
+    other routes, whose eigenpairs come from eigh and pass its
+    reconstruction check.
     """
 
     kernel: Kernel
@@ -160,23 +161,18 @@ def decompose(kernel: Kernel, vectors_above: float | None = None) -> SpectralDec
     """Weighted eigendecomposition with multiplicity clusters.
 
     With vectors_above = t, only the eigenvectors with |lambda| > t are
-    kept, and t must not split a cluster. The eigenvalues then come from
-    eigvalsh and the eigenvectors from a certified block Krylov solve; when
-    that solve does not fit or its certificate fails, both come from the
-    full eigh, as without t.
+    kept, and t must not split a cluster. When no |lambda| exceeds t, the
+    eigenvalues come from eigvalsh alone; otherwise the decomposition is
+    the full eigh's, as without t, cut to the kept eigenvectors.
     """
     if vectors_above is None:
         return _eigh_decomposition(kernel)
-    sym, rootw, vals = _eigvalsh(kernel)
+    vals = _eigvalsh(kernel)[2]
     vals = vals[_spectral_order(vals)]
-    dec = SpectralDecomposition(kernel, _readonly(vals), np.empty((kernel.n, 0)),
+    dec = SpectralDecomposition(kernel, _readonly(vals), _readonly(np.empty((kernel.n, 0))),
                                 _cluster_ranges(vals), vectors_above)
-    r = _split_check(dec, vectors_above)
-    found = _certified_ritz(sym, vals, r, _validation_scale(kernel))
-    if found is not None:
-        x, bound = found
-        return replace(dec, eigenvectors=_readonly(x / rootw[:, None]),
-                       projector_error=bound)
+    if _split_check(dec, vectors_above) == 0:
+        return dec
     full = _eigh_decomposition(kernel)
     r = _split_check(full, vectors_above)
     return replace(full, eigenvectors=_readonly(full.eigenvectors[:, :r]),
@@ -204,8 +200,8 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
       rank distinct ones.
 
     So with tau < above the eigenvalues in the intervals are all those with
-    |lambda| > above. The eigenvectors are certified as by decompose(kernel,
-    vectors_above=above), with the eigenvalues [theta..., tau] and the
+    |lambda| > above. The eigenvectors are certified by _error_bounds, to
+    the standard of _validate, with the eigenvalues [theta..., tau] and the
     widest interval radius as margin: a Davis-Kahan gap of min |theta| -
     margin - tau. The proof is refused before any factorisation when the
     bulk estimate, raised by BULK_SLACK, is not below `above`.
@@ -220,7 +216,7 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
     if not 0.0 < fro < math.inf:
         return None
     margin = _eigvalsh_margin(n, fro)
-    found = _block_krylov(sym, rank, blocks, 0, margin)
+    found = _block_krylov(sym, rank, blocks, margin)
     if found is None:
         return None
     x, theta = found
@@ -294,7 +290,8 @@ def _eigvalsh_margin(n: int, fro: float) -> float:
     """(n + 3) eps fro, fro = ||sym||_F of an n x n sym: how far an eigvalsh
     eigenvalue of sym, or of the unrounded D^{1/2} K D^{1/2}, may lie from
     an exact one. It is the trial shift above the eigvalsh estimate in
-    operator_norm_upper and the eigenvalue allowance of _certified_ritz.
+    operator_norm_upper, and decompose_leading's allowance for the rounding
+    of the product sym X in its Ritz residuals.
 
     eigvalsh is backward stable: its eigenvalues are exact for sym + E with
     ||E||_2 <= p(n) eps ||sym||_2 <= p(n) eps ||sym||_F, p(n) of order n and
@@ -323,9 +320,9 @@ def _error_bounds(resid: float, gram_err: float, vals: np.ndarray, r: int,
     """Davis-Kahan bounds for n x r columns X approximating the eigenvectors
     of a symmetric A for its r eigenvalues largest in modulus.
 
-    vals are in spectral order: eigvalsh's eigenvalues of A, each within
-    margin of an exact one, or r such values and a bound on the modulus of
-    every other; ||A X - X diag(vals[:r])||_F <= resid and
+    vals holds r Ritz values in spectral order, each within margin of an
+    exact eigenvalue, then a proven bound on the modulus of every other
+    eigenvalue; ||A X - X diag(vals[:r])||_F <= resid and
     ||X^T X - I||_F <= gram_err. Let U span the exact eigenvectors matched
     to vals[:r] and write X = U C + E Z with E spanning the others. Every
     other exact eigenvalue has modulus at most |vals[r]| + margin, so it is
@@ -348,65 +345,6 @@ def _error_bounds(resid: float, gram_err: float, vals: np.ndarray, r: int,
     c = math.sqrt(1.0 + gram_err)
     projector = 2.0 * c * z + 2.0 * z * z + gram_err
     return projector, c * resid + (abs(float(vals[0])) + margin) * projector
-
-
-def _certified_ritz(sym: np.ndarray, vals: np.ndarray, r: int,
-                    scale: float) -> tuple[np.ndarray, float] | None:
-    """Eigenvectors of sym for vals[:r], as n x r columns, with their
-    certified projector error, or None when the Krylov solve would not fit
-    its basis or the certificate fails.
-
-    The certificate holds the columns to the standard of _validate: weighted
-    orthonormality within ORTHONORMALITY_TOL, and a truncation error bound
-    within RECONSTRUCTION_TOL on the scale K / s. The residual is measured
-    afresh, plus a margin of (n + 3) eps ||sym||_F ||X||_F for the rounding
-    of the product sym X.
-    """
-    n = sym.shape[0]
-    if r == 0:
-        return np.empty((n, 0)), 0.0
-    b = r + KRYLOV_OVERSAMPLE
-    blocks = n // (KRYLOV_BASIS_FRACTION * b)
-    margin = _eigvalsh_margin(n, _frobenius(sym))
-    # the bound the exact eigenvectors would get: if even it fails, stop here
-    best = _error_bounds(margin * math.sqrt(r), 0.0, vals, r, margin)[1]
-    if blocks == 0 or not best / scale <= RECONSTRUCTION_TOL:
-        return None
-    expected = _krylov_blocks(vals, r, b)
-    if expected > blocks:
-        return None
-    found = _block_krylov(sym, r, blocks, expected, margin)
-    if found is None:
-        return None
-    x = found[0]
-    gram = x.T @ x - np.eye(r)
-    if not float(np.max(np.abs(gram))) <= ORTHONORMALITY_TOL:
-        return None
-    resid = float(np.linalg.norm((x.T @ sym).T - x * vals[:r]))
-    resid += margin * float(np.linalg.norm(x))
-    projector, truncation = _error_bounds(resid, float(np.linalg.norm(gram)), vals, r, margin)
-    if not truncation / scale <= RECONSTRUCTION_TOL:
-        return None
-    return x, projector
-
-
-def _krylov_blocks(vals: np.ndarray, r: int, b: int) -> float:
-    """Blocks of b vectors a Krylov solve should need to bring the Ritz
-    residual of the top r eigenvectors from about 1 down to eps.
-
-    The classical Chebyshev bound for block Krylov methods: on the rest of
-    the spectrum, |lambda| <= rho = |vals[b]|, a Chebyshev polynomial grows
-    by g + sqrt(g^2 - 1) per block at g = |vals[r-1]| / rho. Two blocks are
-    added to get under way; inf when g <= 1.
-    """
-    top, rho = abs(float(vals[r - 1])), abs(float(vals[b]))
-    if rho == 0.0:
-        return 2
-    g = top / rho
-    if not g > 1.0:
-        return math.inf
-    rate = math.log(g + math.sqrt(g * g - 1.0))
-    return math.ceil(-math.log(np.finfo(float).eps) / rate) + 2
 
 
 def _krylov_basis(sym: np.ndarray, b: int, blocks: int):
@@ -441,22 +379,19 @@ def _krylov_basis(sym: np.ndarray, b: int, blocks: int):
         q = np.linalg.qr((q - (q @ v.T) @ v).T)[0].T
 
 
-def _block_krylov(sym: np.ndarray, r: int, blocks: int, expected: float,
+def _block_krylov(sym: np.ndarray, r: int, blocks: int,
                   margin: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Ritz vectors (n x r) and Ritz values, in spectral order, for the r
     eigenvalues of sym largest in modulus: Rayleigh-Ritz on the
     _krylov_basis of blocks of r + KRYLOV_OVERSAMPLE vectors, grown until
-    the Ritz residual reaches the rounding level. The residual is first
-    checked four blocks before the expected count. None if it does not get
+    the Ritz residual reaches the rounding level. None if it does not get
     there within the given number of blocks.
     """
     n = sym.shape[0]
     b = r + KRYLOV_OVERSAMPLE
     floor = margin / (n + 3)  # eps ||sym||_F: an exact eigenvector's residual
     previous = math.inf
-    for j, (v, rayleigh, w) in enumerate(_krylov_basis(sym, b, blocks)):
-        if j + 1 < expected - 4:
-            continue
+    for v, rayleigh, w in _krylov_basis(sym, b, blocks):
         theta, y = np.linalg.eigh(rayleigh)
         order = _spectral_order(theta)[:r]
         y = y[:, order]
@@ -501,7 +436,7 @@ def _split_check(dec: SpectralDecomposition, threshold: float) -> int:
     """Number of leading eigenpairs with |lambda| above the threshold;
     raises if a cluster straddles it, or if a partial decomposition holds
     no eigenvectors there."""
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too
         raise ValueError("threshold must be nonnegative")
     if dec.vectors_above is not None and threshold < dec.vectors_above:
         raise EigenvectorsNotKept(

@@ -742,7 +742,7 @@ def test_numpy_is_the_only_runtime_dependency(matrix_file, step_file):
         "             ['density', '--input', s, '--graph', 'triangle'],\n"
         "             ['experiment', '--name', 'circle', '--n', '16', '--ks', '3',\n"
         "              '--seed', '0'],\n"
-        # n = 800 takes the eigvalsh + block Krylov path of decompose
+        # n = 800 takes the block Krylov + Cholesky proof of decompose_leading
         "             ['experiment', '--name', 'wrandom-convergence',\n"
         "              '--counts', '60,800', '--runs', '1', '--seed', '0']):\n"
         "    assert graphonlab.cli.main(argv) == 0, argv\n"

@@ -34,7 +34,6 @@ from graphonlab.errors import (
 )
 from graphonlab.regularity import cluster_eigenvectors
 from graphonlab.spectral import (
-    RECONSTRUCTION_TOL,
     SpectralDecomposition,
     _validate,
     gap_midpoints,
@@ -312,35 +311,34 @@ def _spiked(rng, n, spikes, weights=None):
 
 
 def _partial_corpus():
-    """(name, kernel, threshold, takes the Krylov path)."""
+    """(name, kernel, threshold)."""
     rng = np.random.default_rng(2024)
     out = []
     k = _spiked(rng, 400, [0.8, -0.5, 0.3])
-    out.append(("random", k, 0.2, True))
+    out.append(("random", k, 0.2))
     w = rng.uniform(0.5, 1.5, 400)
     k = _spiked(rng, 400, [0.7, 0.4], weights=w / w.sum())
-    out.append(("random-weighted", k, 0.2, True))
-    # a pure noise kernel: the top eigenvalue barely leaves the bulk, so the
-    # Krylov solve would need too many blocks
+    out.append(("random-weighted", k, 0.2))
+    # a pure noise kernel: the top eigenvalue barely leaves the bulk
     k = kernel_from_matrix(random_symmetric(rng, 300))
     lam = np.sort(np.abs(np.linalg.eigvalsh(k.values / 300)))[::-1]
-    out.append(("random-noise", k, float(lam[0] + lam[1]) / 2, False))
+    out.append(("random-noise", k, float(lam[0] + lam[1]) / 2))
     k = _with_spectrum(rng, 300, [0.6, -0.45, 0.3], np.zeros(297))
-    out.append(("low-rank", k, 0.1, True))
+    out.append(("low-rank", k, 0.1))
     k = _with_spectrum(rng, 500, [-0.9, -0.6, -0.5], -rng.uniform(0.0, 0.05, 497))
-    out.append(("negative-definite", k, 0.25, True))
+    out.append(("negative-definite", k, 0.25))
     k = _spiked(rng, 400, [0.8, -0.5, 0.3])
-    out.append(("scale-1e150", kernel_from_matrix(1e150 * k.values), 0.2e150, True))
+    out.append(("scale-1e150", kernel_from_matrix(1e150 * k.values), 0.2e150))
     # f(x) = cos(2 pi x/n) + 0.5 cos(4 pi x/n) + even noise: frequencies j and
     # n - j give the top cluster {1/2, 1/2} and the next {1/4, 1/4}
     n = 240
     x = np.arange(n)
     noise = rng.uniform(-0.01, 0.01, n)
     f = np.cos(2 * np.pi * x / n) + 0.5 * np.cos(4 * np.pi * x / n) + (noise + noise[-x]) / 2
-    out.append(("circulant-degenerate", cayley_kernel(n, f), 0.375, True))
-    # eigenvalues 0.5 and 0.5 - 1e-6 are separate clusters, too close to certify
+    out.append(("circulant-degenerate", cayley_kernel(n, f), 0.375))
+    # eigenvalues 0.5 and 0.5 - 1e-6 are separate clusters
     k = _with_spectrum(rng, 300, [0.9, 0.5, 0.5 - 1e-6], rng.uniform(-0.3, 0.3, 297))
-    out.append(("tiny-gap", k, 0.5 - 5e-7, False))
+    out.append(("tiny-gap", k, 0.5 - 5e-7))
     return out
 
 
@@ -369,9 +367,8 @@ class TestTruncationQuotient:
 
     @pytest.mark.parametrize("case", PARTIAL_CORPUS[:2], ids=[c[0] for c in PARTIAL_CORPUS[:2]])
     def test_partial_decomposition(self, rng, case):
-        _, kernel, t, _ = case
+        _, kernel, t = case
         dec = decompose(kernel, vectors_above=t)
-        assert dec.projector_error is not None
         labels = rng.integers(0, 5, kernel.n)
         for lam in (t, 0.45):
             self._assert_matches(dec, lam, labels)
@@ -391,9 +388,12 @@ class TestTruncationQuotient:
         dec = decompose(kernel_from_matrix(np.diag([1.0, 1.0 + 2e-10])))
         with pytest.raises(ThresholdSplitsCluster):
             truncation_quotient(dec, 0.5 + 5e-11, [0, 1])
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                truncation_quotient(dec, bad, [0, 1])
         with pytest.raises(ValueError, match="nonnegative"):
-            truncation_quotient(dec, -1.0, [0, 1])
-        _, kernel, t, _ = PARTIAL_CORPUS[0]
+            decompose(dec.kernel, vectors_above=math.nan)
+        _, kernel, t = PARTIAL_CORPUS[0]
         partial = decompose(kernel, vectors_above=t)
         with pytest.raises(EigenvectorsNotKept):
             truncation_quotient(partial, t / 2, np.zeros(kernel.n, dtype=int))
@@ -407,51 +407,34 @@ class TestTruncationQuotient:
 class TestPartialDecompose:
     @pytest.mark.parametrize("case", PARTIAL_CORPUS, ids=[c[0] for c in PARTIAL_CORPUS])
     def test_matches_eigvalsh_and_eigh(self, case):
-        _, kernel, t, krylov = case
+        # with vectors kept, the decomposition is the full eigh's, cut to r columns
+        _, kernel, t = case
         dec = decompose(kernel, vectors_above=t)
         full = decompose(kernel)
         r = full.rank_above(t)
         assert r > 0
         assert dec.vectors_above == t
-        assert dec.eigenvectors.shape == (kernel.n, r)
-        assert (dec.projector_error is not None) == krylov
-        if not krylov:  # the fallback is the full eigh, cut to r columns
-            assert np.array_equal(dec.eigenvalues, full.eigenvalues)
-            assert dec.clusters == full.clusters
-            assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, :r])
-            return
-        rootw = np.sqrt(kernel.space.weights)
-        vals = np.linalg.eigvalsh(kernel.values * np.outer(rootw, rootw))
-        vals = vals[np.lexsort((-vals, -np.abs(vals)))]
-        assert np.array_equal(dec.eigenvalues, vals)
+        assert dec.projector_error is None
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
         assert dec.clusters == full.clusters
-        # projectors in the Euclidean frame D^{1/2} f
-        x = dec.eigenvectors * rootw[:, None]
-        u = full.eigenvectors[:, :r] * rootw[:, None]
-        assert np.linalg.norm(x @ x.T - u @ u.T) <= dec.projector_error < 1e-9
-        # the truncations agree to the tolerance of the reconstruction check
-        s = max(1.0, float(np.max(np.abs(kernel.values))))
-        diff = (tail_truncate(dec, t).values - tail_truncate(full, t).values) / s
-        w = kernel.space.weights
-        assert np.sqrt(w @ (diff * diff) @ w) <= RECONSTRUCTION_TOL
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, :r])
 
     def test_reruns_give_identical_bytes(self):
-        _, kernel, t, _ = PARTIAL_CORPUS[0]
+        _, kernel, t = PARTIAL_CORPUS[0]
         a = decompose(kernel, vectors_above=t)
         b = decompose(kernel, vectors_above=t)
-        assert a.projector_error is not None
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
     def test_threshold_above_the_spectrum_keeps_no_vectors(self):
-        _, kernel, _, _ = PARTIAL_CORPUS[0]
+        _, kernel, _ = PARTIAL_CORPUS[0]
         dec = decompose(kernel, vectors_above=10.0)
         assert dec.eigenvectors.shape == (kernel.n, 0)
-        assert dec.projector_error == 0.0
+        assert dec.projector_error is None
         assert np.all(tail_truncate(dec, 10.0).values == 0.0)
 
     def test_truncation_below_vectors_above_raises(self):
-        _, kernel, t, _ = PARTIAL_CORPUS[0]
+        _, kernel, t = PARTIAL_CORPUS[0]
         dec = decompose(kernel, vectors_above=t)
         with pytest.raises(EigenvectorsNotKept, match="vectors_above"):
             tail_truncate(dec, t / 2)
@@ -487,8 +470,6 @@ class TestPartialDecompose:
         fast = canonical_json(dict(zip(("results", "checks"),
                                        experiments.wrandom_convergence(*args))))
         monkeypatch.setattr(experiments, "decompose_leading", lambda *args: None)
-        monkeypatch.setattr(experiments, "decompose", lambda kernel, vectors_above=None:
-                            decompose(kernel))
         slow = canonical_json(dict(zip(("results", "checks"),
                                        experiments.wrandom_convergence(*args))))
         fast, slow = json.loads(fast), json.loads(slow)
@@ -502,7 +483,8 @@ class TestPartialDecompose:
         assert fast == slow
         assert taken == [False, False, True, True]
 
-    def test_wrandom_at_1600_takes_no_eigvalsh(self, monkeypatch):
+    def test_wrandom_takes_no_eigvalsh(self, monkeypatch):
+        # n = 1600 takes the proven route, n = 100 and n = 400 fall back to eigh
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -512,8 +494,8 @@ class TestPartialDecompose:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         results, _ = experiments.wrandom_convergence(
-            experiments.builtin_rank3_step(), [1600], [0, 1])
-        assert sizes.count(1600) == 0
+            experiments.builtin_rank3_step(), [100, 400, 1600], [0, 1])
+        assert sizes == []
         assert None not in results["per_count"]["1600"]["bulk_bounds"]
 
 
@@ -551,7 +533,10 @@ class TestDecomposeLeading:
                   / np.linalg.norm(x, axis=0))
         assert np.all(np.abs(dec.eigenvalues - vals[:3]) <= radius + margin)
         assert dec.rank_above(lam_mid) == 3 == int(np.sum(np.abs(vals) > lam_mid))
-        assert 0.0 < dec.projector_error < 1e-9
+        # the Davis-Kahan certificate holds against eigh's eigenvectors
+        eig, vecs = np.linalg.eigh(sym)
+        u = vecs[:, spectral._spectral_order(eig)[:3]]
+        assert np.linalg.norm(x @ x.T - u @ u.T) <= dec.projector_error < 1e-9
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_a_wrong_rank_is_refused(self, rank):
@@ -563,8 +548,7 @@ class TestDecomposeLeading:
     def test_bulk_above_the_threshold_falls_back_without_factorising(self, monkeypatch):
         # at n = 400, seed 3 has a fourth eigenvalue above lam_mid
         sample, lam_mid = _wrandom_sample(400, 3)
-        today = decompose(sample, vectors_above=lam_mid)
-        assert today.rank_above(lam_mid) == 4
+        assert decompose(sample).rank_above(lam_mid) == 4
 
         def refuse(*args, **kwargs):
             raise AssertionError("factorised although the bulk estimate is above lam_mid")
@@ -577,16 +561,16 @@ class TestDecomposeLeading:
         assert results["per_count"]["400"]["bulk_bounds"] == [None]
         assert checks[0] == ("rank_error_at_400_seed3", 1.0, 0.0, "le")
 
-    def test_refused_proof_gives_the_eigvalsh_path(self, monkeypatch):
+    def test_refused_proof_gives_the_eigh_path(self, monkeypatch):
         args = (experiments.builtin_rank3_step(), [60, 800], [0, 1])
         monkeypatch.setattr(experiments, "decompose_leading", lambda *args: None)
-        eigvalsh_path = canonical_json(dict(zip(("results", "checks"),
-                                                experiments.wrandom_convergence(*args))))
+        eigh_path = canonical_json(dict(zip(("results", "checks"),
+                                            experiments.wrandom_convergence(*args))))
         monkeypatch.undo()
         monkeypatch.setattr(spectral, "_certified_radius", lambda *args: None)
         refused = canonical_json(dict(zip(("results", "checks"),
                                           experiments.wrandom_convergence(*args))))
-        assert refused == eigvalsh_path
+        assert refused == eigh_path
         assert all(entry["bulk_bounds"] == [None, None]
                    for entry in json.loads(refused)["results"]["per_count"].values())
 
