@@ -477,6 +477,9 @@ def _cmd_experiment(args) -> dict:
         counts = _number_list(args.counts or "100,400,1600")
         runs = 5 if args.runs is None else args.runs
         _at_least("--counts", 1, *counts)
+        repeated = [c for i, c in enumerate(counts) if c in counts[:i]]
+        if repeated:
+            raise UsageError(f"--counts repeats {repeated[0]}")
         _at_least("--runs", 1, runs)
         results, checks = experiments.wrandom_convergence(
             source, counts, [seed + i for i in range(runs)], workers=args.threads)

@@ -199,7 +199,10 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
     above the source's half-gap and the top source-rank eigenvalues converge
     to the source's, and the truncated samples approach it in aligned L2. Up to
     workers processes share the (count, seed) samples; the result does not
-    depend on how many."""
+    depend on how many. Each count may appear once."""
+    repeated = [c for i, c in enumerate(counts) if c in counts[:i]]
+    if repeated:
+        raise ValueError(f"counts repeats {repeated[0]}")
     source = expand_step(source_step)
     dec_w = decompose(source)
     nonzero = np.abs(dec_w.eigenvalues) > dec_w.cluster_tolerance

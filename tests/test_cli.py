@@ -455,6 +455,9 @@ class TestExitCodes:
         ["experiment", "--name", "wrandom-convergence", "--counts", "0,10", "--seed", "0"],
         ["experiment", "--name", "wrandom-convergence", "--counts", "10,20", "--runs", "0",
          "--seed", "0"],
+        # drew the same samples twice and exited 0
+        ["experiment", "--name", "wrandom-convergence", "--counts", "1600,1600", "--runs", "1",
+         "--seed", "0"],
         ["make", "--ensemble", "sphere", "--dim", "2", "--N", "10", "--f", "table:1",
          "--seed", "0", "--output", "{out}"],
         ["make", "--ensemble", "sphere", "--dim", "0", "--N", "10", "--seed", "0",

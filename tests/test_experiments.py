@@ -118,3 +118,14 @@ def test_wrandom_sample_missing_a_part_raises(counts, seeds):
     missed = "sample of 1 atoms at seed 0 misses source parts [0, 1]"
     with pytest.raises(EmptyPartError, match=re.escape(missed)):
         experiments.wrandom_convergence(experiments.builtin_rank3_step(), counts, seeds)
+
+
+def test_wrandom_repeated_count_raises_before_sampling(monkeypatch):
+    # [1600, 1600] drew every sample twice, and the report listed the count
+    # twice but kept one per_count entry
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(experiments, "w_random_sample", no_sample)
+    with pytest.raises(ValueError, match="counts repeats 60"):
+        experiments.wrandom_convergence(experiments.builtin_rank3_step(), [60, 240, 60], [0])

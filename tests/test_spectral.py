@@ -426,6 +426,23 @@ class TestPartialDecompose:
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
+    def test_one_eigh_and_no_eigvalsh(self, monkeypatch):
+        # a finite threshold took eigvalsh and then the full eigh
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def counted(name, solver):
+            def call(a, *args, **kwargs):
+                calls.append(name)
+                return solver(a, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+        _, kernel, t = PARTIAL_CORPUS[0]
+        decompose(kernel, vectors_above=t)
+        assert calls == ["eigh"]
+
     def test_threshold_above_the_spectrum_keeps_no_vectors(self):
         _, kernel, _ = PARTIAL_CORPUS[0]
         dec = decompose(kernel, vectors_above=10.0)
@@ -527,6 +544,9 @@ class TestDecomposeLeading:
         tau = dec.bulk_bound
         assert tau < lam_mid
         assert np.all(np.abs(vals[3:]) <= tau + margin)
+        # the trial shift sits BULK_SLACK above the leading run's estimate of
+        # the bulk norm, which reads it to within 1% on these samples
+        assert tau <= 1.03 * np.max(np.abs(vals[3:]))
         # each Ritz interval holds its eigvalsh counterpart
         x = dec.eigenvectors * rootw[:, None]
         radius = (np.linalg.norm(sym @ x - x * dec.eigenvalues, axis=0)
@@ -537,6 +557,19 @@ class TestDecomposeLeading:
         eig, vecs = np.linalg.eigh(sym)
         u = vecs[:, spectral._spectral_order(eig)[:3]]
         assert np.linalg.norm(x @ x.T - u @ u.T) <= dec.projector_error < 1e-9
+
+    def test_one_krylov_run(self, monkeypatch):
+        runs = []
+        basis = spectral._krylov_basis
+
+        def counted(sym, b, blocks):
+            runs.append(b)
+            return basis(sym, b, blocks)
+
+        monkeypatch.setattr(spectral, "_krylov_basis", counted)
+        sample, lam_mid = _wrandom_sample(800, 0)
+        assert spectral.decompose_leading(sample, 3, lam_mid) is not None
+        assert runs == [3 + spectral.KRYLOV_OVERSAMPLE]
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_a_wrong_rank_is_refused(self, rank):
