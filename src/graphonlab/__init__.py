@@ -41,6 +41,7 @@ from .spectral import (
     decompose,
     operator_norm_upper,
     spectral_radius,
+    spectrum,
     spectrum_distribution,
     tail_truncate,
     truncation_quotient,

@@ -47,7 +47,7 @@ from .regularity import (
     cluster_eigenvectors,
     regularity_decompose,
 )
-from .spectral import decompose, spectral_radius
+from .spectral import decompose, spectral_radius, spectrum
 
 SCHEMA_VERSION = "graphonlab.report/1"
 
@@ -207,6 +207,11 @@ def _at_least(flag: str, low: int, *values) -> None:
     for v in values:
         if not v >= low:  # also rejects NaN
             raise UsageError(f"{flag} must be at least {low}, got {v}")
+
+
+def _distinct(flag: str, values: list) -> None:
+    with _flag_range():
+        experiments.require_distinct(flag, values)
 
 
 def parse_profile(spec: str) -> ProfileFunction:
@@ -381,9 +386,7 @@ def _cmd_density(args) -> dict:
         est = hom_density_mc(graph, kernel, args.samples, args.seed)
         cyc = re.match(r"^cycle_(\d+)$", args.graph)
         if cyc:
-            # only the eigenvalues are read
-            dec = decompose(kernel, vectors_above=math.inf)
-            spectral = cycle_density_spectral(dec, int(cyc.group(1)))
+            spectral = cycle_density_spectral(spectrum(kernel), int(cyc.group(1)))
             results["spectral_value"] = spectral.value
     results.update(
         {"value": est.value, "stderr": est.stderr, "samples": est.samples,
@@ -457,6 +460,7 @@ def _cmd_experiment(args) -> dict:
     if args.name == "circle":
         n = 64 if args.n is None else args.n
         ks = _number_list(args.ks or "3,5")
+        _distinct("--ks", ks)
         if n < 4 or n % 4:
             raise UsageError(f"--n must be at least 4 and divisible by 4, got {n}")
         if any(math.gcd(k, n) != 1 for k in ks):
@@ -468,6 +472,8 @@ def _cmd_experiment(args) -> dict:
         dims = _number_list(args.dims or "2,3,4")
         count = 1500 if args.count is None else args.count
         _at_least("--dims", 1, *dims)
+        _distinct("--dims", dims)
+        _distinct("--seeds", seeds)
         _at_least("--count", 2, count)
         results, checks = experiments.sphere(dims, count, seeds, parse_profile(f),
                                              workers=args.threads)
@@ -477,9 +483,7 @@ def _cmd_experiment(args) -> dict:
         counts = _number_list(args.counts or "100,400,1600")
         runs = 5 if args.runs is None else args.runs
         _at_least("--counts", 1, *counts)
-        repeated = [c for i, c in enumerate(counts) if c in counts[:i]]
-        if repeated:
-            raise UsageError(f"--counts repeats {repeated[0]}")
+        _distinct("--counts", counts)
         _at_least("--runs", 1, runs)
         results, checks = experiments.wrandom_convergence(
             source, counts, [seed + i for i in range(runs)], workers=args.threads)

@@ -26,7 +26,7 @@ from .errors import (
     AsymmetricMatrixError,
     NotCoprimeError,
 )
-from .spectral import decompose, spectral_radius
+from .spectral import spectral_radius, spectrum
 
 STABILIZE_TOL = 1e-9
 
@@ -205,8 +205,7 @@ class InvariantDimensionReport:
 
 
 def _cluster_report(kernel: Kernel) -> ClusterDimensionReport:
-    # only the eigenvalues are read
-    dec = decompose(kernel, vectors_above=math.inf)
+    dec = spectrum(kernel)
     # the numerically zero cluster carries no range and is left out
     dims = [stop - start for start, stop in dec.clusters
             if abs(float(dec.eigenvalues[start])) > dec.cluster_tolerance]

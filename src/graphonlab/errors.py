@@ -39,8 +39,10 @@ class ThresholdSplitsCluster(GraphonError):
 
 
 class EigenvectorsNotKept(GraphonError):
-    """A truncation threshold lies below the vectors_above of a partial
-    decomposition, which holds no eigenvectors there."""
+    """A truncation threshold keeps eigenpairs the decomposition does not
+    hold: below the spectral radius of a spectrum, which holds no
+    eigenvectors, or below the bulk_bound of a leading decomposition, which
+    lists no eigenvalue there."""
 
 
 class AllZeroSpectrum(GraphonError):

@@ -30,7 +30,7 @@ from .ensembles import (
 )
 from .errors import AllZeroSpectrum, EmptyPartError, WorkerError
 from .homdensity import cycle_density_spectral
-from .spectral import decompose, decompose_leading, truncation_quotient
+from .spectral import decompose, decompose_leading, spectrum, truncation_quotient
 
 # Predicted work, as the sum of n^3 over the units, below which the units run
 # in this process. On a 2-core VM four units of n = 300 (1.1e8) took as long
@@ -79,13 +79,21 @@ def _map_units(unit, calls: list[tuple], sizes: list[int], workers: int) -> list
         pool.shutdown(cancel_futures=True)
 
 
+def require_distinct(name: str, values: list) -> None:
+    """Raise ValueError when a value repeats: each names one unit, which
+    would otherwise run twice and report under the same check names."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{name} repeats {repeated[0]}")
+
+
 def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
     """The circle half-plane kernel against its dilations x -> kx: cycle
     densities agree to float precision while the cut distance stays
-    bounded away from zero."""
+    bounded away from zero. Each factor may appear once."""
+    require_distinct("ks", ks)
     kernel = circle_halfplane_kernel(n)
-    # only the eigenvalues are read
-    dec = decompose(kernel, vectors_above=math.inf)
+    dec = spectrum(kernel)
     densities = {j: cycle_density_spectral(dec, j).value for j in range(3, 9)}
     runs = []
     checks = []
@@ -93,7 +101,7 @@ def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
     for k in ks:
         perm = dilation_perm(n, k)
         permuted = apply_permutation(kernel, perm)
-        dec_p = decompose(permuted, vectors_above=math.inf)
+        dec_p = spectrum(permuted)
         delta_density = max(
             abs(cycle_density_spectral(dec_p, j).value - densities[j])
             for j in range(3, 9)
@@ -133,7 +141,10 @@ def sphere(dims: list[int], count: int, seeds: list[int],
            profile: ProfileFunction, workers: int = 1) -> tuple[dict, list]:
     """Sampled sphere kernels are quasirandom: the cut norm of the centered
     kernel stays within 1/sqrt(dim + 1) + 0.05. Up to workers processes
-    share the (dim, seed) kernels; the result does not depend on how many."""
+    share the (dim, seed) kernels; the result does not depend on how many.
+    Each dimension and each seed may appear once."""
+    require_distinct("dims", dims)
+    require_distinct("seeds", seeds)
     units = [(dim, seed) for dim in dims for seed in seeds]
     found = _map_units(_sphere_unit, [(dim, profile, count, seed) for dim, seed in units],
                        [count] * len(units), workers)
@@ -200,9 +211,7 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
     to the source's, and the truncated samples approach it in aligned L2. Up to
     workers processes share the (count, seed) samples; the result does not
     depend on how many. Each count may appear once."""
-    repeated = [c for i, c in enumerate(counts) if c in counts[:i]]
-    if repeated:
-        raise ValueError(f"counts repeats {repeated[0]}")
+    require_distinct("counts", counts)
     source = expand_step(source_step)
     dec_w = decompose(source)
     nonzero = np.abs(dec_w.eigenvalues) > dec_w.cluster_tolerance

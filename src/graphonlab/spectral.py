@@ -16,16 +16,14 @@ There are two routes to eigenpairs, and one to eigenvalues alone:
   bounds every other |lambda|, and certifies the Ritz vectors by the
   Davis-Kahan sin-theta theorem. It returns None when the proof is
   refused, and the caller falls back to decompose.
-- decompose(kernel, vectors_above=t) keeps only the eigenvectors with
-  |lambda| > t: the full eigh's decomposition, cut to the kept columns.
-  t = inf reads the spectrum alone, and every eigenvalue comes from
-  eigvalsh.
+- spectrum(kernel) reads the eigenvalues alone, from one eigvalsh, and
+  keeps no eigenvectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,22 +79,20 @@ class SpectralDecomposition:
     grouping numerically equal |lambda| (within a cluster, positive
     eigenvalues come first so equal signed values are contiguous).
 
-    A partial decomposition (vectors_above = t) holds all eigenvalues but
-    only the leading eigenvectors, those with |lambda| > t. A leading
-    decomposition (from decompose_leading) holds only the eigenpairs with
-    |lambda| > t; bulk_bound is a proven bound below t on the modulus of
-    every other eigenvalue, and projector_error the certified bound on the
-    Hilbert-Schmidt distance between the projector onto the span of the
-    Ritz vectors and the exact spectral projector. Both are None on the
-    other routes, whose eigenpairs come from eigh and pass its
-    reconstruction check.
+    A spectrum (from spectrum) holds every eigenvalue and no eigenvector.
+    A leading decomposition (from decompose_leading) holds only the
+    eigenpairs with |lambda| > t; bulk_bound is a proven bound below t on
+    the modulus of every other eigenvalue, and projector_error the
+    certified bound on the Hilbert-Schmidt distance between the projector
+    onto the span of the Ritz vectors and the exact spectral projector.
+    Both are None on the other routes. decompose's eigenpairs come from
+    eigh and pass its reconstruction check.
     """
 
     kernel: Kernel
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple
-    vectors_above: float | None = None
     projector_error: float | None = None
     bulk_bound: float | None = None
 
@@ -142,12 +138,6 @@ def _symmetrized(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(kernel.values, sym, out=sym), rootw
 
 
-def _eigvalsh(kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_symmetrized(kernel) and the eigenvalues of its matrix, ascending."""
-    sym, rootw = _symmetrized(kernel)
-    return sym, rootw, _eigenvalues(sym)
-
-
 def _eigenvalues(sym: np.ndarray) -> np.ndarray:
     """eigvalsh(sym), ascending."""
     try:
@@ -156,24 +146,32 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
         raise EigenSolverError(f"eigvalsh failed to converge: {exc}") from exc
 
 
-def decompose(kernel: Kernel, vectors_above: float | None = None) -> SpectralDecomposition:
-    """Weighted eigendecomposition with multiplicity clusters.
+def decompose(kernel: Kernel) -> SpectralDecomposition:
+    """Weighted eigendecomposition with multiplicity clusters: every
+    eigenpair from eigh, checked by _validate."""
+    sym, rootw = _symmetrized(kernel)
+    try:
+        vals, vecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigh failed to converge: {exc}") from exc
+    order = _spectral_order(vals)
+    vals = vals[order]
+    # back-transform to weight-orthonormal eigenvectors
+    vecs = (vecs / rootw[:, None])[:, order]
+    dec = SpectralDecomposition(kernel, _readonly(vals), _readonly(vecs), _cluster_ranges(vals))
+    _validate(dec)
+    return dec
 
-    With vectors_above = t, only the eigenvectors with |lambda| > t are
-    kept, and t must not split a cluster: the full eigh's decomposition,
-    cut to the kept columns, if any. t = inf takes eigvalsh alone.
-    """
-    if vectors_above is None:
-        return _eigh_decomposition(kernel)
-    if vectors_above == math.inf:
-        vals = _eigvalsh(kernel)[2]
-        vals = vals[_spectral_order(vals)]
-        return SpectralDecomposition(kernel, _readonly(vals), _readonly(np.empty((kernel.n, 0))),
-                                     _cluster_ranges(vals), vectors_above)
-    full = _eigh_decomposition(kernel)
-    r = _split_check(full, vectors_above)
-    return replace(full, eigenvectors=_readonly(full.eigenvectors[:, :r]),
-                   vectors_above=vectors_above)
+
+def spectrum(kernel: Kernel) -> SpectralDecomposition:
+    """Every eigenvalue of the kernel, with its clusters, from one eigvalsh
+    and no eigenvectors: for reads of the eigenvalues alone, at about half
+    the cost of decompose. Truncating it at or above the spectral radius
+    gives zero, and below it raises EigenvectorsNotKept."""
+    vals = _eigenvalues(_symmetrized(kernel)[0])
+    vals = vals[_spectral_order(vals)]
+    return SpectralDecomposition(kernel, _readonly(vals), _readonly(np.empty((kernel.n, 0))),
+                                 _cluster_ranges(vals))
 
 
 def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomposition | None:
@@ -253,34 +251,12 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
     if not truncation / _validation_scale(kernel) <= RECONSTRUCTION_TOL:
         return None
     return SpectralDecomposition(kernel, _readonly(theta), _readonly(x / rootw[:, None]),
-                                 _cluster_ranges(theta), above, projector, tau)
+                                 _cluster_ranges(theta), projector, tau)
 
 
 def _spectral_order(vals: np.ndarray) -> np.ndarray:
     """Decreasing |lambda|; within equal |lambda|, positive values first."""
     return np.lexsort((-vals, -np.abs(vals)))
-
-
-def _eigh_decomposition(kernel: Kernel) -> SpectralDecomposition:
-    """Every eigenpair from eigh, checked by _validate."""
-    sym, rootw = _symmetrized(kernel)
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigh failed to converge: {exc}") from exc
-    # back-transform to weight-orthonormal eigenvectors
-    vecs = vecs / rootw[:, None]
-    order = _spectral_order(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    dec = SpectralDecomposition(
-        kernel=kernel,
-        eigenvalues=_readonly(vals),
-        eigenvectors=_readonly(vecs),
-        clusters=_cluster_ranges(vals),
-    )
-    _validate(dec)
-    return dec
 
 
 def _eigvalsh_margin(n: int, fro: float) -> float:
@@ -432,15 +408,16 @@ def _validate(dec: SpectralDecomposition) -> None:
 
 def _split_check(dec: SpectralDecomposition, threshold: float) -> int:
     """Number of leading eigenpairs with |lambda| above the threshold;
-    raises if a cluster straddles it, or if a partial decomposition holds
-    no eigenvectors there."""
+    raises if a cluster straddles it, or if the decomposition holds too few
+    eigenpairs there: fewer eigenvectors than the eigenvalues above it, or,
+    for a leading decomposition, a threshold below its bulk_bound, where
+    some unlisted eigenvalue may lie above it."""
     if not threshold >= 0:  # NaN too
         raise ValueError("threshold must be nonnegative")
-    if dec.vectors_above is not None and threshold < dec.vectors_above:
+    if dec.bulk_bound is not None and threshold < dec.bulk_bound:
         raise EigenvectorsNotKept(
-            f"threshold {threshold!r} is below vectors_above={dec.vectors_above!r}: "
-            "this decomposition holds no eigenvectors there; decompose again "
-            "with a lower vectors_above"
+            f"threshold {threshold!r} is below bulk_bound={dec.bulk_bound!r}: this "
+            "leading decomposition lists no eigenvalue there; use decompose"
         )
     abs_lam = np.abs(dec.eigenvalues)
     kept = 0
@@ -456,6 +433,11 @@ def _split_check(dec: SpectralDecomposition, threshold: float) -> int:
             )
         else:
             break  # the clusters come in decreasing |lambda|
+    if kept > dec.eigenvectors.shape[1]:
+        raise EigenvectorsNotKept(
+            f"threshold {threshold!r} keeps {kept} eigenpairs, but this decomposition "
+            f"holds {dec.eigenvectors.shape[1]} eigenvectors; use decompose"
+        )
     return kept
 
 
@@ -464,12 +446,11 @@ def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
 
     The threshold must not split a multiplicity cluster, so the result is a
     sum of whole eigenspace projectors and does not depend on the basis
-    chosen inside degenerate eigenspaces. On a partial decomposition it must
-    not lie below vectors_above.
+    chosen inside degenerate eigenspaces. It raises EigenvectorsNotKept
+    where the decomposition holds too few eigenpairs: on a spectrum below
+    the spectral radius, on a leading decomposition below its bulk_bound.
     """
     k = _split_check(dec, threshold)
-    if k == 0:
-        return Kernel(dec.kernel.space, np.zeros((dec.n, dec.n)))
     f = dec.eigenvectors[:, :k]
     lam = dec.eigenvalues[:k]
     return symmetric_kernel((f * lam) @ f.T, dec.kernel.space)
@@ -483,8 +464,9 @@ def truncation_quotient(dec: SpectralDecomposition, threshold: float,
     With (W^T F)_{p,i} = sum_{a in p} w_a f_i(a) over the k kept
     eigenvectors, the block average of [M]_t over parts p, q is
     (W^T F) diag(lambda) (W^T F)^T divided by W_p W_q: O(n k) work instead
-    of the two n x n passes of forming the truncation and averaging it. The
-    threshold and the labels are checked as tail_truncate and
+    of the two n x n passes of forming the truncation and averaging it, and
+    a leading decomposition serves every threshold from its bulk_bound up.
+    The threshold and the labels are checked as tail_truncate and
     quotient_average check them.
     """
     k = _split_check(dec, threshold)

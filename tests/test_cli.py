@@ -458,6 +458,12 @@ class TestExitCodes:
         # drew the same samples twice and exited 0
         ["experiment", "--name", "wrandom-convergence", "--counts", "1600,1600", "--runs", "1",
          "--seed", "0"],
+        # ran the same unit twice under one check name and exited 0
+        ["experiment", "--name", "circle", "--n", "16", "--ks", "3,3", "--seed", "0"],
+        ["experiment", "--name", "sphere", "--dims", "2,2", "--count", "50", "--seeds", "1",
+         "--seed", "0"],
+        ["experiment", "--name", "sphere", "--dims", "2", "--count", "50", "--seeds", "1,1",
+         "--seed", "0"],
         ["make", "--ensemble", "sphere", "--dim", "2", "--N", "10", "--f", "table:1",
          "--seed", "0", "--output", "{out}"],
         ["make", "--ensemble", "sphere", "--dim", "0", "--N", "10", "--seed", "0",

@@ -120,6 +120,23 @@ def test_wrandom_sample_missing_a_part_raises(counts, seeds):
         experiments.wrandom_convergence(experiments.builtin_rank3_step(), counts, seeds)
 
 
+@pytest.mark.parametrize("run, builder, message", [
+    (lambda: experiments.circle(16, [3, 5, 3], 0), "circle_halfplane_kernel", "ks repeats 3"),
+    (lambda: experiments.sphere([2, 2], 50, [1], ProfileFunction.threshold(0.0)),
+     "sphere_kernel", "dims repeats 2"),
+    (lambda: experiments.sphere([2], 50, [1, 1], ProfileFunction.threshold(0.0)),
+     "sphere_kernel", "seeds repeats 1"),
+], ids=["circle-ks", "sphere-dims", "sphere-seeds"])
+def test_repeated_unit_raises_before_building(monkeypatch, run, builder, message):
+    # a repeated value ran the same unit twice under one check name
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(experiments, builder, no_kernel)
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
 def test_wrandom_repeated_count_raises_before_sampling(monkeypatch):
     # [1600, 1600] drew every sample twice, and the report listed the count
     # twice but kept one per_count entry

@@ -15,6 +15,7 @@ from graphonlab import (
     operator_norm_upper,
     quotient_average,
     spectral_radius,
+    spectrum,
     spectrum_distribution,
     tail_truncate,
     truncation_quotient,
@@ -218,7 +219,7 @@ class TestSpectralRadius:
     def test_operator_norm_upper_near_overflow_is_finite(self, rng):
         # ||sym||_F ~ 1e300 is finite although squaring the entries overflows
         k = kernel_from_matrix(np.sign(random_symmetric(rng, 6)) * 1e300)
-        top = float(np.max(np.abs(spectral._eigvalsh(k)[2])))
+        top = spectral_radius(spectrum(k))
         assert top <= operator_norm_upper(k) < np.inf
 
     @pytest.mark.parametrize("value, n, expected", [
@@ -235,8 +236,7 @@ class TestSpectralRadius:
         for _ in range(200):
             w = rng.uniform(0.5, 1.5, 64)
             values = random_symmetric(rng, 64)
-            top = float(np.max(np.abs(spectral._eigvalsh(
-                kernel_from_matrix(values, weights=w / w.sum()))[2])))
+            top = spectral_radius(spectrum(kernel_from_matrix(values, weights=w / w.sum())))
             k = kernel_from_matrix(np.ldexp(values, -990), weights=w / w.sum())
             assert np.ldexp(operator_norm_upper(k), 990) >= top
 
@@ -292,7 +292,7 @@ class TestSpectrumDistribution:
 
 
 # ---------------------------------------------------------------------------
-# partial decompositions: decompose(kernel, vectors_above=t)
+# partial decompositions: spectrum(kernel) and decompose_leading
 
 
 def _with_spectrum(rng, n, top, rest):
@@ -368,9 +368,9 @@ class TestTruncationQuotient:
     @pytest.mark.parametrize("case", PARTIAL_CORPUS[:2], ids=[c[0] for c in PARTIAL_CORPUS[:2]])
     def test_partial_decomposition(self, rng, case):
         _, kernel, t = case
-        dec = decompose(kernel, vectors_above=t)
+        dec = spectral.decompose_leading(kernel, spectrum(kernel).rank_above(t), t)
         labels = rng.integers(0, 5, kernel.n)
-        for lam in (t, 0.45):
+        for lam in (dec.bulk_bound, t, 0.45):
             self._assert_matches(dec, lam, labels)
 
     def test_nothing_kept_gives_zero_blocks(self, rng):
@@ -391,12 +391,9 @@ class TestTruncationQuotient:
         for bad in (-1.0, math.nan):
             with pytest.raises(ValueError, match="nonnegative"):
                 truncation_quotient(dec, bad, [0, 1])
-        with pytest.raises(ValueError, match="nonnegative"):
-            decompose(dec.kernel, vectors_above=math.nan)
         _, kernel, t = PARTIAL_CORPUS[0]
-        partial = decompose(kernel, vectors_above=t)
         with pytest.raises(EigenvectorsNotKept):
-            truncation_quotient(partial, t / 2, np.zeros(kernel.n, dtype=int))
+            truncation_quotient(spectrum(kernel), t, np.zeros(kernel.n, dtype=int))
 
     def test_raises_as_quotient_average(self):
         dec = decompose(kernel_from_matrix(np.full((3, 3), 0.5)))
@@ -404,30 +401,14 @@ class TestTruncationQuotient:
             truncation_quotient(dec, 0.1, [0, 1])
 
 
-class TestPartialDecompose:
+class TestSpectrum:
     @pytest.mark.parametrize("case", PARTIAL_CORPUS, ids=[c[0] for c in PARTIAL_CORPUS])
-    def test_matches_eigvalsh_and_eigh(self, case):
-        # with vectors kept, the decomposition is the full eigh's, cut to r columns
-        _, kernel, t = case
-        dec = decompose(kernel, vectors_above=t)
-        full = decompose(kernel)
-        r = full.rank_above(t)
-        assert r > 0
-        assert dec.vectors_above == t
-        assert dec.projector_error is None
-        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
-        assert dec.clusters == full.clusters
-        assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, :r])
-
-    def test_reruns_give_identical_bytes(self):
-        _, kernel, t = PARTIAL_CORPUS[0]
-        a = decompose(kernel, vectors_above=t)
-        b = decompose(kernel, vectors_above=t)
-        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
-        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-
-    def test_one_eigh_and_no_eigvalsh(self, monkeypatch):
-        # a finite threshold took eigvalsh and then the full eigh
+    def test_one_eigvalsh_in_spectral_order(self, monkeypatch, case):
+        # the eigenvalues are eigvalsh's of D^1/2 K D^1/2, byte for byte
+        _, kernel, _ = case
+        sym, _ = spectral._symmetrized(kernel)
+        vals = np.linalg.eigvalsh(sym)
+        vals = vals[np.lexsort((-vals, -np.abs(vals)))]
         calls = []
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -439,34 +420,50 @@ class TestPartialDecompose:
 
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
-        _, kernel, t = PARTIAL_CORPUS[0]
-        decompose(kernel, vectors_above=t)
-        assert calls == ["eigh"]
-
-    def test_threshold_above_the_spectrum_keeps_no_vectors(self):
-        _, kernel, _ = PARTIAL_CORPUS[0]
-        dec = decompose(kernel, vectors_above=10.0)
-        assert dec.eigenvectors.shape == (kernel.n, 0)
-        assert dec.projector_error is None
-        assert np.all(tail_truncate(dec, 10.0).values == 0.0)
-
-    def test_truncation_below_vectors_above_raises(self):
-        _, kernel, t = PARTIAL_CORPUS[0]
-        dec = decompose(kernel, vectors_above=t)
-        with pytest.raises(EigenvectorsNotKept, match="vectors_above"):
-            tail_truncate(dec, t / 2)
-        with pytest.raises(EigenvectorsNotKept):
-            cluster_eigenvectors(dec, t / 2, 0.3)
-        # at or above t the kept vectors suffice
+        spec = spectrum(kernel)
+        assert calls == ["eigvalsh"]
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.shape == (kernel.n, 0)
+        assert spec.projector_error is None and spec.bulk_bound is None
+        monkeypatch.undo()
         full = decompose(kernel)
-        for lam in (t, 0.4):
+        assert spec.clusters == full.clusters
+        assert np.max(np.abs(spec.eigenvalues - full.eigenvalues)) <= 1e-12 * spectral_radius(full)
+
+    def test_truncation_needs_eigenvectors(self):
+        _, kernel, t = PARTIAL_CORPUS[0]
+        spec = spectrum(kernel)
+        radius = spectral_radius(spec)
+        for lam in (radius, 10.0):
+            assert np.all(tail_truncate(spec, lam).values == 0.0)
+            assert np.all(truncation_quotient(spec, lam, np.zeros(kernel.n, dtype=int)).block == 0.0)
+        for lam in (float(np.nextafter(radius, 0.0)), t):
+            with pytest.raises(EigenvectorsNotKept, match="holds 0 eigenvectors"):
+                tail_truncate(spec, lam)
+            with pytest.raises(EigenvectorsNotKept):
+                cluster_eigenvectors(spec, lam, 0.3)
+
+
+class TestPartialDecompose:
+    def test_truncation_below_bulk_bound_raises(self):
+        # every unlisted |lambda| is at most bulk_bound, so the leading
+        # eigenpairs serve the thresholds from there up, and no lower one
+        sample, lam_mid = _wrandom_sample(800, 0)
+        dec = spectral.decompose_leading(sample, 3, lam_mid)
+        tau = dec.bulk_bound
+        assert 0.0 < tau < lam_mid
+        for lam in (float(np.nextafter(tau, 0.0)), tau / 2):
+            with pytest.raises(EigenvectorsNotKept, match="bulk_bound"):
+                tail_truncate(dec, lam)
+            with pytest.raises(EigenvectorsNotKept):
+                truncation_quotient(dec, lam, np.zeros(sample.n, dtype=int))
+            with pytest.raises(EigenvectorsNotKept):
+                cluster_eigenvectors(dec, lam, 0.3)
+        full = decompose(sample)
+        for lam in (tau, (tau + lam_mid) / 2, float(np.nextafter(lam_mid, 0.0))):
+            assert full.rank_above(lam) == 3
             diff = tail_truncate(dec, lam).values - tail_truncate(full, lam).values
             assert np.max(np.abs(diff)) < 1e-9
-
-    def test_threshold_inside_a_cluster_raises(self):
-        k = kernel_from_matrix(np.diag([1.0, 1.0 + 2e-10]))
-        with pytest.raises(ThresholdSplitsCluster):
-            decompose(k, vectors_above=0.5 + 5e-11)
 
     def test_wrandom_convergence_equals_the_full_path(self, monkeypatch):
         # n = 800 takes the proven route, n = 60 falls back. Ranks, checks
@@ -533,8 +530,8 @@ class TestDecomposeLeading:
     @pytest.mark.parametrize("seed", range(5))
     def test_sound_against_eigvalsh(self, n, seed):
         sample, lam_mid = _wrandom_sample(n, seed)
-        sym, rootw, vals = spectral._eigvalsh(sample)
-        vals = vals[spectral._spectral_order(vals)]
+        sym, rootw = spectral._symmetrized(sample)
+        vals = spectrum(sample).eigenvalues
         margin = spectral._eigvalsh_margin(n, spectral._frobenius(sym))
         dec = spectral.decompose_leading(sample, 3, lam_mid)
         if n == 200:  # the bulk reaches above lam_mid
@@ -696,8 +693,8 @@ def _assert_proven(upper, sym, proofs):
 def _eigvalsh_proof(k):
     """What operator_norm_upper returns when it proves the eigvalsh
     estimate, and the largest |eigvalsh|."""
-    sym, _, vals = spectral._eigvalsh(k)
-    top = float(np.max(np.abs(vals)))
+    sym, _ = spectral._symmetrized(k)
+    top = spectral_radius(spectrum(k))
     fro = spectral._frobenius(sym)
     return spectral._certified_radius(sym, top + spectral._eigvalsh_margin(k.n, fro), fro), top
 
@@ -716,8 +713,8 @@ class TestCertifiedRadius:
     ])
     def test_corpus_bound_is_tight_and_above_eigvalsh(self, kind, n, proofs):
         k = _radius_corpus_kernel(kind, n, np.random.default_rng(n))
-        sym, _, vals = spectral._eigvalsh(k)
-        top = float(np.max(np.abs(vals)))
+        sym, _ = spectral._symmetrized(k)
+        top = spectral_radius(spectrum(k))
         upper = operator_norm_upper(k)
         _assert_proven(upper, sym, proofs)
         assert top <= upper <= top * (1 + 1e-8) + spectral._eigvalsh_margin(
@@ -726,14 +723,14 @@ class TestCertifiedRadius:
     @pytest.mark.parametrize("n", [300, 700])
     def test_entries_near_the_float_range(self, rng, n, proofs):
         k = kernel_from_matrix(np.sign(random_symmetric(rng, n)) * 1e300)
-        sym, _, vals = spectral._eigvalsh(k)
+        sym, _ = spectral._symmetrized(k)
         upper = operator_norm_upper(k)
         _assert_proven(upper, sym, proofs)
-        assert upper == math.inf or upper >= float(np.max(np.abs(vals)))
+        assert upper == math.inf or upper >= spectral_radius(spectrum(k))
 
     def test_certified_without_eigvalsh(self, monkeypatch):
         k = _centred_sphere(600)
-        top = float(np.max(np.abs(spectral._eigvalsh(k)[2])))
+        top = spectral_radius(spectrum(k))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the certified path called eigvalsh")
