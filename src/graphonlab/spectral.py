@@ -14,8 +14,10 @@ There are two routes to eigenpairs, and one to eigenvalues alone:
   pairs from block Krylov are all the eigenpairs with |lambda| > t, by
   Rump's Cholesky test on the kernel with those pairs deflated, which also
   bounds every other |lambda|, and certifies the Ritz vectors by the
-  Davis-Kahan sin-theta theorem. It returns None when the proof is
-  refused, and the caller falls back to decompose.
+  Davis-Kahan sin-theta theorem. The Krylov run checks its Ritz residual
+  on a schedule set by the residual's rate of fall, and is refused as soon
+  as that rate predicts more blocks than its basis cap. It returns None
+  when the proof is refused, and the caller falls back to decompose.
 - spectrum(kernel) reads the eigenvalues alone, from one eigvalsh, and
   keeps no eigenvectors.
 """
@@ -240,7 +242,7 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
     scaled = x * theta
     # the rounded product leaves the two triangles of sym unequal; each
     # entry is within the allowance's entrywise bound, so the proof holds
-    # for the triangle the factorisations read
+    # for either triangle, and the factorisations read the upper one
     for start in range(0, n, DEFLATE_ROWS):
         sym[start:start + DEFLATE_ROWS] -= scaled[start:start + DEFLATE_ROWS] @ x.T
     tau = _certified_radius(sym, s, _frobenius(sym), allowance)
@@ -360,12 +362,21 @@ def _block_krylov(sym: np.ndarray, r: int, blocks: int,
     the Ritz residual reaches the rounding level, and every Ritz value of
     the final basis, ascending. None if that takes more than the given
     number of blocks.
+
+    A check takes an eigh of the whole Rayleigh matrix, so the residual is
+    checked at blocks 0-2 and then on a schedule: the residual falls
+    geometrically, and the last two checks give its rate. The next check
+    comes half the blocks still needed at that rate ahead, and at every
+    block once at most two are left. When the rate predicts more blocks
+    than the cap allows, the run is refused there.
     """
     n = sym.shape[0]
     b = r + KRYLOV_OVERSAMPLE
     floor = margin / (n + 3)  # eps ||sym||_F: an exact eigenvector's residual
-    previous = math.inf
-    for v, rayleigh, w in _krylov_basis(sym, b, blocks):
+    previous, checked, due = math.inf, 0, 0
+    for j, (v, rayleigh, w) in enumerate(_krylov_basis(sym, b, blocks)):
+        if j < due:
+            continue
         theta, y = np.linalg.eigh(rayleigh)
         order = _spectral_order(theta)[:r]
         y = y[:, order]
@@ -374,8 +385,22 @@ def _block_krylov(sym: np.ndarray, r: int, blocks: int,
         # done at the rounding level, or once below the margin it stalls
         if resid <= floor or previous / 2 < resid <= margin:
             return (y.T @ v).T, theta[order], theta
-        previous = resid
+        due = j + 1
+        if j >= 2:  # the step out of the random start block sets no rate
+            ahead = _blocks_needed(resid, floor, (resid / previous) ** (1.0 / (j - checked)))
+            if j + ahead > blocks - 1:
+                return None
+            due = j + max(1, math.ceil(ahead / 2))
+        previous, checked = resid, j
     return None
+
+
+def _blocks_needed(value: float, target: float, rate: float) -> float:
+    """Blocks a quantity falling by the factor rate per block takes to come
+    down from value to target; inf when it does not fall."""
+    if not 0.0 < rate < 1.0:
+        return math.inf
+    return math.log(target / value) / math.log(rate)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -532,9 +557,7 @@ def _radius_estimate(sym: np.ndarray) -> float | None:
         if abs(step) <= RADIUS_SETTLE * top:
             return top
         if j > 3 and 0 < step < last_step:
-            # blocks still needed, at this rate, to settle
-            rate = step / last_step
-            if j + math.log(RADIUS_SETTLE * top / step) / math.log(rate) > blocks:
+            if j + _blocks_needed(step, RADIUS_SETTLE * top, step / last_step) > blocks:
                 return None
         previous = top
     return None
@@ -582,7 +605,9 @@ def _certified_radius(sym: np.ndarray, s: float, fro: float,
             m = s + sign * diagonal
             np.fill_diagonal(sym, m)
             try:
-                factor = np.linalg.cholesky(sym)
+                # sym.T is F-ordered: LAPACK's copy of it reads rows of sym,
+                # contiguously, and factors its upper triangle
+                factor = np.linalg.cholesky(sym.T)
             except np.linalg.LinAlgError:
                 return None
             if not math.isfinite(float(factor.sum())):

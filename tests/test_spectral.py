@@ -528,16 +528,38 @@ class TestDecomposeLeading:
 
     @pytest.mark.parametrize("n", [200, 800, 1600])
     @pytest.mark.parametrize("seed", range(5))
-    def test_sound_against_eigvalsh(self, n, seed):
+    def test_sound_against_eigvalsh(self, monkeypatch, n, seed):
         sample, lam_mid = _wrandom_sample(n, seed)
         sym, rootw = spectral._symmetrized(sample)
-        vals = spectrum(sample).eigenvalues
+        # one eigh gives the reference eigenvalues and eigenvectors; it is
+        # backward stable as eigvalsh is, so the same margin covers it
+        eig, vecs = np.linalg.eigh(sym)
+        order = spectral._spectral_order(eig)
+        vals = eig[order]
         margin = spectral._eigvalsh_margin(n, spectral._frobenius(sym))
+        blocks = n // (spectral.KRYLOV_BASIS_FRACTION * (3 + spectral.KRYLOV_OVERSAMPLE))
+        stop = _every_block_stop(sym, 3, blocks, margin)
+        grown = _count_krylov_blocks(monkeypatch)
+        rayleigh = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            rayleigh.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         dec = spectral.decompose_leading(sample, 3, lam_mid)
+        monkeypatch.undo()
         if n == 200:  # the bulk reaches above lam_mid
             assert abs(vals[3]) > lam_mid
             assert dec is None
             return
+        # the residual checks are scheduled by its rate, yet the run stops
+        # at the block where a check after every block stops it
+        assert grown == [stop + 1]
+        assert max(rayleigh) < n  # no eigh but of the Rayleigh matrix
+        if n == 1600:
+            assert len(rayleigh) <= 8  # of 19 blocks at seed 0
         tau = dec.bulk_bound
         assert tau < lam_mid
         assert np.all(np.abs(vals[3:]) <= tau + margin)
@@ -551,8 +573,7 @@ class TestDecomposeLeading:
         assert np.all(np.abs(dec.eigenvalues - vals[:3]) <= radius + margin)
         assert dec.rank_above(lam_mid) == 3 == int(np.sum(np.abs(vals) > lam_mid))
         # the Davis-Kahan certificate holds against eigh's eigenvectors
-        eig, vecs = np.linalg.eigh(sym)
-        u = vecs[:, spectral._spectral_order(eig)[:3]]
+        u = vecs[:, order[:3]]
         assert np.linalg.norm(x @ x.T - u @ u.T) <= dec.projector_error < 1e-9
 
     def test_one_krylov_run(self, monkeypatch):
@@ -584,7 +605,10 @@ class TestDecomposeLeading:
             raise AssertionError("factorised although the bulk estimate is above lam_mid")
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        grown = _count_krylov_blocks(monkeypatch)
         assert spectral.decompose_leading(sample, 3, lam_mid) is None
+        # the residual's rate predicts more blocks than the cap of 14 allows
+        assert grown[0] <= 4
         results, checks = experiments.wrandom_convergence(
             experiments.builtin_rank3_step(), [400], [3])
         assert results["per_count"]["400"]["ranks"] == [4]
@@ -603,6 +627,38 @@ class TestDecomposeLeading:
         assert refused == eigh_path
         assert all(entry["bulk_bounds"] == [None, None]
                    for entry in json.loads(refused)["results"]["per_count"].values())
+
+
+def _every_block_stop(sym, r, blocks, margin):
+    """The block at which _block_krylov's stopping rule first holds when
+    the residual is checked after every block, or None within the cap."""
+    b = r + spectral.KRYLOV_OVERSAMPLE
+    floor = margin / (sym.shape[0] + 3)
+    previous = math.inf
+    for j, (_, rayleigh, w) in enumerate(spectral._krylov_basis(sym, b, blocks)):
+        theta, y = np.linalg.eigh(rayleigh)
+        y = y[:, spectral._spectral_order(theta)[:r]]
+        resid = float(np.linalg.norm(y[-b:].T @ w))
+        if resid <= floor or previous / 2 < resid <= margin:
+            return j
+        previous = resid
+    return None
+
+
+def _count_krylov_blocks(monkeypatch) -> list[int]:
+    """Wrap spectral._krylov_basis; the list returned gets, per basis, the
+    number of blocks grown."""
+    grown = []
+    basis = spectral._krylov_basis
+
+    def counted(*args):
+        grown.append(0)
+        for block in basis(*args):
+            grown[-1] += 1
+            yield block
+
+    monkeypatch.setattr(spectral, "_krylov_basis", counted)
+    return grown
 
 
 def _aligned_l2_numbers(report: dict) -> list[float]:
@@ -781,6 +837,44 @@ class TestCertifiedRadius:
         assert operator_norm_upper(k) == expected
         assert [t for _, t in proofs.radii] == [None, expected]
         assert top <= expected
+
+    @pytest.mark.parametrize("fail_on", [None, 1, 2])
+    def test_either_triangle_of_a_deflated_matrix(self, monkeypatch, fail_on):
+        # deflating rounded pairs leaves the triangles of sym unequal; both
+        # are within the allowance, so factoring either gives the same bound,
+        # and sym comes back bit for bit whether the proof holds or not
+        sample, _ = _wrandom_sample(400, 0)
+        sym, _ = spectral._symmetrized(sample)
+        vals, vecs = np.linalg.eigh(sym)
+        top = spectral._spectral_order(vals)[:3]
+        sym -= (vecs[:, top] * vals[top]) @ vecs[:, top].T
+        assert not np.array_equal(sym, sym.T)
+        other = np.ascontiguousarray(sym.T)  # sym's lower triangle as its upper
+        fro = spectral._frobenius(sym)
+        s = 1.05 * float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+        real, factored = np.linalg.cholesky, []
+
+        def refuse_on(a, *args, **kwargs):
+            factored[-1].append(np.tril(a))  # the triangle cholesky reads
+            if len(factored[-1]) == fail_on:
+                raise np.linalg.LinAlgError("refused")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse_on)
+        bounds = []
+        for matrix in (sym, other):
+            factored.append([])
+            before = matrix.tobytes()
+            bounds.append(spectral._certified_radius(matrix, s, fro, 1e-12))
+            assert matrix.tobytes() == before
+            assert len(factored[-1]) == (fail_on or 2)
+        if fail_on is None:
+            assert bounds[0] == bounds[1] is not None
+            assert bounds[0] >= s + 1e-12
+            for mine, theirs in zip(*factored):
+                assert not np.array_equal(mine, theirs)
+        else:
+            assert bounds == [None, None]
 
     def test_allowance_adds_to_the_bound(self):
         k = _centred_sphere(300)
