@@ -14,12 +14,18 @@ There are two routes to eigenpairs, and one to eigenvalues alone:
   pairs from block Krylov are all the eigenpairs with |lambda| > t, by
   Rump's Cholesky test on the kernel with those pairs deflated, which also
   bounds every other |lambda|, and certifies the Ritz vectors by the
-  Davis-Kahan sin-theta theorem. The Krylov run checks its Ritz residual
-  on a schedule set by the residual's rate of fall, and is refused as soon
-  as that rate predicts more blocks than its basis cap. It returns None
-  when the proof is refused, and the caller falls back to decompose.
+  Davis-Kahan sin-theta theorem. It returns None when the proof is
+  refused, and the caller falls back to decompose.
 - spectrum(kernel) reads the eigenvalues alone, from one eigvalsh, and
   keeps no eigenvectors.
+
+operator_norm_upper(kernel) proves a bound on the spectral radius by the
+same Cholesky test, on a trial shift from the top Ritz value of a block
+Krylov run, or from eigvalsh when that run or its proof is refused. Both
+Krylov runs go through one driver, _block_krylov: it checks its Ritz
+residual against the caller's target on a schedule set by the residual's
+rate of fall, and is refused as soon as that rate predicts more blocks
+than its basis cap.
 """
 
 from __future__ import annotations
@@ -46,20 +52,18 @@ ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 
 # Block Krylov bases, in blocks of r + KRYLOV_OVERSAMPLE vectors for r
-# leading eigenpairs (RADIUS_BLOCK vectors for a norm estimate), hold at
-# most n / KRYLOV_BASIS_FRACTION vectors. When a solve needs more, its
-# caller takes eigh (decompose_leading refuses) or eigvalsh
+# leading eigenpairs (RADIUS_BLOCK vectors for the one pair of a radius
+# bound), hold at most n / KRYLOV_BASIS_FRACTION vectors. When a run needs
+# more, its caller takes eigh (decompose_leading refuses) or eigvalsh
 # (operator_norm_upper) instead.
 KRYLOV_BASIS_FRACTION = 4
 KRYLOV_OVERSAMPLE = 4
 KRYLOV_SEED = 0  # the start block is fixed, so reruns give identical bytes
 
-# Radius bounds: the estimate is the largest |Ritz value| on a Krylov basis
-# of RADIUS_BLOCK-vector blocks, taken once it moves by at most
-# RADIUS_SETTLE relative over a block; the Cholesky certificate is then
-# tried at RADIUS_SLACK relative above it.
+# Radius bounds: the run stops once the top Ritz pair's residual is at most
+# RADIUS_SLACK ||A||_F, and the Cholesky certificate is tried RADIUS_SLACK
+# relative above the top |Ritz value|.
 RADIUS_BLOCK = 8
-RADIUS_SETTLE = 1e-12
 RADIUS_SLACK = 1e-10
 
 # Leading decompositions: the norm of the deflated bulk is estimated by the
@@ -206,15 +210,15 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
     `above` the proof is refused before any factorisation.
     """
     n = kernel.n
-    blocks = n // (KRYLOV_BASIS_FRACTION * (rank + KRYLOV_OVERSAMPLE))
-    if 0 in (rank, blocks):
+    if rank == 0:
         return None
     sym, rootw = _symmetrized(kernel)
     fro = _frobenius(sym)
     if not 0.0 < fro < math.inf:
         return None
     margin = _eigvalsh_margin(n, fro)
-    found = _block_krylov(sym, rank, blocks, margin)
+    # the rounding level eps ||A||_F: an exact eigenvector's residual
+    found = _block_krylov(sym, rank, rank + KRYLOV_OVERSAMPLE, margin / (n + 3), margin)
     if found is None:
         return None
     x, theta, ritz = found
@@ -227,7 +231,7 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
     if not gram_max <= ORTHONORMALITY_TOL:
         return None
     # each column's residual, plus the rounding of the product sym X
-    resid = np.linalg.norm((x.T @ sym).T - x * theta, axis=0)
+    resid = _frobenius((x.T @ sym).T - x * theta, axis=0)
     resid += margin * np.linalg.norm(x, axis=0)
     radius = resid / math.sqrt(1.0 - gram_max) * (1.0 + 1e-6)
     ascending = np.argsort(theta)
@@ -248,7 +252,7 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
     tau = _certified_radius(sym, s, _frobenius(sym), allowance)
     if tau is None or not tau < above:
         return None
-    projector, truncation = _error_bounds(float(np.linalg.norm(resid)), float(np.linalg.norm(gram)),
+    projector, truncation = _error_bounds(_frobenius(resid), float(np.linalg.norm(gram)),
                                           np.append(theta, tau), rank, float(radius.max()))
     if not truncation / _validation_scale(kernel) <= RECONSTRUCTION_TOL:
         return None
@@ -265,7 +269,8 @@ def _eigvalsh_margin(n: int, fro: float) -> float:
     """(n + 3) eps fro, fro = ||sym||_F of an n x n sym: how far an eigvalsh
     eigenvalue of sym, or of the unrounded D^{1/2} K D^{1/2}, may lie from
     an exact one. It is the trial shift above the eigvalsh estimate in
-    operator_norm_upper, and decompose_leading's allowance for the rounding
+    operator_norm_upper, the residual below which _block_krylov takes a
+    stalled run as done, and decompose_leading's allowance for the rounding
     of the product sym X in its Ritz residuals.
 
     eigvalsh is backward stable: its eigenvalues are exact for sym + E with
@@ -278,16 +283,18 @@ def _eigvalsh_margin(n: int, fro: float) -> float:
     return (n + 3) * float(np.finfo(float).eps) * fro
 
 
-def _frobenius(sym: np.ndarray) -> float:
-    """||sym||_F, inf only when it overflows. Outside (2^-450, 2^450) the
-    squares of the plain norm may underflow or overflow, so it is taken on
-    sym scaled exactly by the power of two bringing max |sym| into [1/2, 1)."""
+def _frobenius(a: np.ndarray, axis: int | None = None):
+    """||a||_F, or given an axis the 2-norms along it, as np.linalg.norm
+    takes them; inf only where one overflows. Outside (2^-450, 2^450) the
+    squares of the plain norm may underflow or overflow, so there each norm
+    is taken on its entries scaled exactly by the power of two bringing
+    their max modulus into [1/2, 1)."""
     with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(sym))
-        if 2.0**-450 < fro < 2.0**450:
-            return fro
-        e = math.frexp(float(np.max(np.abs(sym))))[1]
-        return float(np.ldexp(np.linalg.norm(np.ldexp(sym, -e)), e))
+        norm = np.linalg.norm(a, axis=axis)
+        if not np.all((2.0**-450 < norm) & (norm < 2.0**450)):
+            e = np.frexp(np.max(np.abs(a), axis=axis, keepdims=True))[1]
+            norm = np.ldexp(np.linalg.norm(np.ldexp(a, -e), axis=axis), np.squeeze(e, axis))
+    return float(norm) if axis is None else norm
 
 
 def _error_bounds(resid: float, gram_err: float, vals: np.ndarray, r: int,
@@ -354,14 +361,15 @@ def _krylov_basis(sym: np.ndarray, b: int, blocks: int):
         q = np.linalg.qr((q - (q @ v.T) @ v).T)[0].T
 
 
-def _block_krylov(sym: np.ndarray, r: int, blocks: int,
+def _block_krylov(sym: np.ndarray, r: int, b: int, target: float,
                   margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Ritz vectors (n x r) and Ritz values, in spectral order, for the r
     eigenvalues of sym largest in modulus: Rayleigh-Ritz on the
-    _krylov_basis of blocks of r + KRYLOV_OVERSAMPLE vectors, grown until
-    the Ritz residual reaches the rounding level, and every Ritz value of
-    the final basis, ascending. None if that takes more than the given
-    number of blocks.
+    _krylov_basis of b-vector blocks, grown until the Ritz residual is at
+    most target, or stalls below margin (the rounding level, see
+    _eigvalsh_margin), and every Ritz value of the final basis, ascending.
+    None if that takes more blocks than the cap of n / KRYLOV_BASIS_FRACTION
+    vectors allows.
 
     A check takes an eigh of the whole Rayleigh matrix, so the residual is
     checked at blocks 0-2 and then on a schedule: the residual falls
@@ -370,9 +378,7 @@ def _block_krylov(sym: np.ndarray, r: int, blocks: int,
     block once at most two are left. When the rate predicts more blocks
     than the cap allows, the run is refused there.
     """
-    n = sym.shape[0]
-    b = r + KRYLOV_OVERSAMPLE
-    floor = margin / (n + 3)  # eps ||sym||_F: an exact eigenvector's residual
+    blocks = sym.shape[0] // (KRYLOV_BASIS_FRACTION * b)
     previous, checked, due = math.inf, 0, 0
     for j, (v, rayleigh, w) in enumerate(_krylov_basis(sym, b, blocks)):
         if j < due:
@@ -381,13 +387,12 @@ def _block_krylov(sym: np.ndarray, r: int, blocks: int,
         order = _spectral_order(theta)[:r]
         y = y[:, order]
         # A V y - V y theta = (A Q_j - V h^T) y_j, from the last block alone
-        resid = float(np.linalg.norm(y[-b:].T @ w))
-        # done at the rounding level, or once below the margin it stalls
-        if resid <= floor or previous / 2 < resid <= margin:
+        resid = _frobenius(y[-b:].T @ w)
+        if resid <= target or previous / 2 < resid <= margin:
             return (y.T @ v).T, theta[order], theta
         due = j + 1
         if j >= 2:  # the step out of the random start block sets no rate
-            ahead = _blocks_needed(resid, floor, (resid / previous) ** (1.0 / (j - checked)))
+            ahead = _blocks_needed(resid, target, (resid / previous) ** (1.0 / (j - checked)))
             if j + ahead > blocks - 1:
                 return None
             due = j + max(1, math.ceil(ahead / 2))
@@ -514,53 +519,26 @@ def operator_norm_upper(kernel: Kernel) -> float:
     kernel, ||A||_2 for A = D^{1/2} K D^{1/2}.
 
     Every finite bound but the zero matrix's 0 (exact: ||A||_2 <= ||A||_F)
-    is proven by _certified_radius on a trial shift: first the settled block
-    Krylov estimate of max |lambda| times 1 + RADIUS_SLACK, from n =
-    3 KRYLOV_BASIS_FRACTION RADIUS_BLOCK = 96 atoms on (two factorisations
-    cost about 2n^3/3 flops, eigvalsh 4n^3/3 and more); without it, or when
-    its proof is refused, max |eigvalsh(A)| plus _eigvalsh_margin. When both
-    proofs are refused, or ||A||_F overflows, the bound is inf.
+    is proven by _certified_radius on a trial shift: first the top |Ritz
+    value| of a _block_krylov run for one pair, in RADIUS_BLOCK-vector
+    blocks, to a residual of RADIUS_SLACK ||A||_F, times 1 + RADIUS_SLACK
+    (two factorisations cost about 2n^3/3 flops, eigvalsh 4n^3/3 and more);
+    when that run is refused (below n = KRYLOV_BASIS_FRACTION RADIUS_BLOCK
+    it has no block), or its proof is, max |eigvalsh(A)| plus
+    _eigvalsh_margin. When both proofs are refused, or ||A||_F overflows,
+    the bound is inf.
     """
     sym, _ = _symmetrized(kernel)
     fro = _frobenius(sym)
     if fro == 0.0 or fro == math.inf:
         return fro
-    est = _radius_estimate(sym)
-    bound = None if est is None else _certified_radius(sym, est * (1.0 + RADIUS_SLACK), fro)
+    margin = _eigvalsh_margin(sym.shape[0], fro)
+    found = _block_krylov(sym, 1, RADIUS_BLOCK, RADIUS_SLACK * fro, margin)
+    bound = None if found is None else _certified_radius(
+        sym, abs(float(found[1][0])) * (1.0 + RADIUS_SLACK), fro)
     if bound is None:
-        s = float(np.max(np.abs(_eigenvalues(sym)))) + _eigvalsh_margin(sym.shape[0], fro)
-        bound = _certified_radius(sym, s, fro)
+        bound = _certified_radius(sym, float(np.max(np.abs(_eigenvalues(sym)))) + margin, fro)
     return math.inf if bound is None else bound
-
-
-def _radius_estimate(sym: np.ndarray) -> float | None:
-    """max |Ritz value| of sym on its _krylov_basis, once it has settled,
-    or None when the basis cap allows fewer than three blocks (a settled
-    value needs a step after the start block's) or it will not settle within
-    them. Ritz values lie inside the spectrum, so this is at most the
-    spectral radius.
-
-    The value grows monotonically with the basis, and geometrically once
-    under way. When the last two steps predict, at their rate, more blocks
-    than the cap allows, the solve stops there: a spectrum whose edge is
-    not separated from the bulk (a random matrix, for one) settles too
-    slowly to beat eigvalsh. The first block holds only the random start
-    vectors, so the step out of it does not count towards a rate.
-    """
-    blocks = sym.shape[0] // (KRYLOV_BASIS_FRACTION * RADIUS_BLOCK)
-    if blocks < 3:
-        return None
-    previous, step = math.inf, math.inf
-    for j, (_, rayleigh, _) in enumerate(_krylov_basis(sym, RADIUS_BLOCK, blocks), 1):
-        top = float(np.max(np.abs(np.linalg.eigh(rayleigh)[0])))
-        step, last_step = top - previous, step
-        if abs(step) <= RADIUS_SETTLE * top:
-            return top
-        if j > 3 and 0 < step < last_step:
-            if j + _blocks_needed(step, RADIUS_SETTLE * top, step / last_step) > blocks:
-                return None
-        previous = top
-    return None
 
 
 def _certified_radius(sym: np.ndarray, s: float, fro: float,

@@ -577,17 +577,23 @@ class TestDecomposeLeading:
         assert np.linalg.norm(x @ x.T - u @ u.T) <= dec.projector_error < 1e-9
 
     def test_one_krylov_run(self, monkeypatch):
-        runs = []
-        basis = spectral._krylov_basis
-
-        def counted(sym, b, blocks):
-            runs.append(b)
-            return basis(sym, b, blocks)
-
-        monkeypatch.setattr(spectral, "_krylov_basis", counted)
+        runs, grown = _driver_runs(monkeypatch), _count_krylov_blocks(monkeypatch)
         sample, lam_mid = _wrandom_sample(800, 0)
         assert spectral.decompose_leading(sample, 3, lam_mid) is not None
-        assert runs == [3 + spectral.KRYLOV_OVERSAMPLE]
+        assert runs == [(3, 3 + spectral.KRYLOV_OVERSAMPLE)] and len(grown) == 1
+
+    @pytest.mark.parametrize("n, seed", [(800, 0), (1600, 1)])
+    def test_scale_free_near_the_float_range(self, n, seed):
+        # scaling by a power of two is exact, so the proof at 2^990 is the
+        # one at scale 1, scaled; no norm squares an entry past the range
+        sample, lam_mid = _wrandom_sample(n, seed)
+        plain = spectral.decompose_leading(sample, 3, lam_mid)
+        scaled = spectral.decompose_leading(
+            Kernel(sample.space, np.ldexp(sample.values, 990)), 3, np.ldexp(lam_mid, 990))
+        assert plain is not None and scaled is not None
+        np.testing.assert_allclose(np.ldexp(scaled.eigenvalues, -990), plain.eigenvalues,
+                                   rtol=1.5e-15, atol=0)
+        assert np.ldexp(scaled.bulk_bound, -990) == pytest.approx(plain.bulk_bound, rel=1.5e-15)
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_a_wrong_rank_is_refused(self, rank):
@@ -643,6 +649,20 @@ def _every_block_stop(sym, r, blocks, margin):
             return j
         previous = resid
     return None
+
+
+def _driver_runs(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap spectral._block_krylov; the list returned gets, per run, its
+    pair count r and block width b."""
+    runs = []
+    block_krylov = spectral._block_krylov
+
+    def counted(sym, r, b, target, margin):
+        runs.append((r, b))
+        return block_krylov(sym, r, b, target, margin)
+
+    monkeypatch.setattr(spectral, "_block_krylov", counted)
+    return runs
 
 
 def _count_krylov_blocks(monkeypatch) -> list[int]:
@@ -757,8 +777,8 @@ def _eigvalsh_proof(k):
 
 class TestCertifiedRadius:
     """operator_norm_upper: every finite bound is proven by two shifted
-    Cholesky factorisations, on a Krylov estimate from 96 atoms on, else or
-    after a refusal on max |eigvalsh| plus its margin."""
+    Cholesky factorisations, on the top Ritz value of a block Krylov run,
+    or after a refusal on max |eigvalsh| plus its margin."""
 
     @pytest.mark.parametrize("n", [8, 64, 300, 700])
     @pytest.mark.parametrize("kind", [
@@ -831,8 +851,13 @@ class TestCertifiedRadius:
         # the Krylov shift is refused, then the eigvalsh estimate is proven
         k = _centred_sphere(600)
         expected, top = _eigvalsh_proof(k)
-        estimate = spectral._radius_estimate
-        monkeypatch.setattr(spectral, "_radius_estimate", lambda a: 0.99 * estimate(a))
+        block_krylov = spectral._block_krylov
+
+        def lowered(*args):
+            x, theta, ritz = block_krylov(*args)
+            return x, 0.99 * theta, ritz
+
+        monkeypatch.setattr(spectral, "_block_krylov", lowered)
         proofs.radii.clear()
         assert operator_norm_upper(k) == expected
         assert [t for _, t in proofs.radii] == [None, expected]
@@ -885,16 +910,35 @@ class TestCertifiedRadius:
         assert spectral._certified_radius(sym, s, fro, 0.0) == plain
         assert spectral._certified_radius(sym, s, fro, 1e-6) >= plain + 1e-6
 
-    def test_below_96_atoms_no_krylov_two_factorisations(self, monkeypatch, rng, proofs):
-        n = 3 * spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK - 1
+    def test_below_one_block_no_krylov_two_factorisations(self, monkeypatch, rng, proofs):
+        # one atom short of a block: the basis cap of n / KRYLOV_BASIS_FRACTION
+        # vectors holds no block of RADIUS_BLOCK vectors
+        n = spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK - 1
         k = kernel_from_matrix(np.ones((n, n)) + 0.01 * random_symmetric(rng, n))
         expected, top = _eigvalsh_proof(k)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Krylov basis was built below the crossover")
-
-        monkeypatch.setattr(spectral, "_krylov_basis", refuse)
+        grown = _count_krylov_blocks(monkeypatch)
         proofs.factorisations.clear()
         assert operator_norm_upper(k) == expected
         assert top <= expected
+        assert grown == [0]
         assert [(a.shape, ok) for a, ok in proofs.factorisations] == [((n, n), True)] * 2
+
+    def test_two_blocks_prove_a_low_rank_shift(self, monkeypatch, rng, proofs):
+        # with two blocks the basis holds the range of a rank-2 kernel
+        n = 2 * spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK
+        x = rng.standard_normal((n, 2))
+        k = kernel_from_matrix(x @ x.T / n)
+        top = spectral_radius(spectrum(k))
+        grown = _count_krylov_blocks(monkeypatch)
+        proofs.radii.clear()
+        upper = operator_norm_upper(k)
+        assert grown == [2]
+        assert len(proofs.radii) == 1
+        _assert_proven(upper, spectral._symmetrized(k)[0], proofs)
+        assert top <= upper <= top * (1 + 1e-9)
+
+    def test_one_krylov_run(self, monkeypatch):
+        # the driver decompose_leading runs, for one pair
+        runs, grown = _driver_runs(monkeypatch), _count_krylov_blocks(monkeypatch)
+        operator_norm_upper(_centred_sphere(600))
+        assert runs == [(1, spectral.RADIUS_BLOCK)] and len(grown) == 1
