@@ -6,7 +6,9 @@ digits, no wall-clock data (the runtime goes to stderr). Identical flags and
 seeds therefore produce byte-identical reports regardless of --threads.
 
 Exit codes: 0 pass, 1 check failed (a bound was violated), 2 usage error,
-3 numeric failure.
+3 numeric failure. This module only parses flags and dispatches: a flag
+value outside its range is reported by the library function that reads it,
+as errors.ParameterError, and exits 2 like a flag that does not parse.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import numpy as np
 
 from . import experiments, fileio, svgplot
 from .core import SimpleGraph, builtin_graph, expand_step, weighted_mean, weighted_norm
-from .cutnorm import (
-    DEFAULT_EXACT_LIMIT,
-    DEFAULT_RESTARTS,
-    EXACT_CEILING,
-    check_exact_limit,
-    cutnorm_bracket,
-)
+from .cutnorm import DEFAULT_EXACT_LIMIT, DEFAULT_RESTARTS, EXACT_CEILING, cutnorm_bracket
 from .distance import DEFAULT_MAX_ATOMS, delta_bracket
 from .ensembles import (
     ProfileFunction,
@@ -38,7 +34,7 @@ from .ensembles import (
     sphere_kernel,
     w_random_graph,
 )
-from .errors import GraphonError, GridOverflowError, TooManyVerticesError
+from .errors import GraphonError, GridOverflowError, ParameterError
 from .experiments import builtin_rank3_step
 from .homdensity import cycle_density_spectral, hom_density_mc, hom_density_step
 from .regularity import (
@@ -192,28 +188,6 @@ def _number_list(spec: str, kind=int) -> list:
     return values
 
 
-@contextlib.contextmanager
-def _flag_range(*also: type[Exception]):
-    """Around a constructor called on flag values alone: its ValueError, or
-    an error of the types in also, says a flag is out of range, which is a
-    usage error."""
-    try:
-        yield
-    except (ValueError, *also) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _at_least(flag: str, low: int, *values) -> None:
-    for v in values:
-        if not v >= low:  # also rejects NaN
-            raise UsageError(f"{flag} must be at least {low}, got {v}")
-
-
-def _distinct(flag: str, values: list) -> None:
-    with _flag_range():
-        experiments.require_distinct(flag, values)
-
-
 def parse_profile(spec: str) -> ProfileFunction:
     """'threshold:c', 'linear', 'cos:c0,c1,...' or 'table:v0,v1,...'."""
     if spec == "linear":
@@ -221,13 +195,12 @@ def parse_profile(spec: str) -> ProfileFunction:
     if ":" in spec:
         kind, arg = spec.split(":", 1)
         values = _number_list(arg, float)
-        with _flag_range():
-            if kind == "threshold" and len(values) == 1:
-                return ProfileFunction.threshold(values[0])
-            if kind == "cos":
-                return ProfileFunction.cosine_series(values)
-            if kind == "table":
-                return ProfileFunction.from_table(values)
+        if kind == "threshold" and len(values) == 1:
+            return ProfileFunction.threshold(values[0])
+        if kind == "cos":
+            return ProfileFunction.cosine_series(values)
+        if kind == "table":
+            return ProfileFunction.from_table(values)
     raise UsageError(f"unreadable profile spec {spec!r}")
 
 
@@ -299,9 +272,6 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_cutnorm(args) -> dict:
-    _at_least("--restarts", 1, args.restarts)
-    with _flag_range():  # an --exact-limit outside [0, EXACT_CEILING]
-        check_exact_limit(args.exact_limit)
     kernel = fileio.load_kernel(args.input)
     est = cutnorm_bracket(kernel, exact_limit=args.exact_limit, restarts=args.restarts,
                           seed=args.seed)
@@ -317,9 +287,6 @@ def _cmd_cutnorm(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     eps = args.epsilon
-    if not 0.0 < eps < math.inf:
-        raise UsageError(f"--epsilon must be positive and finite, got {eps}")
-    _at_least("--max-parts", 1, args.max_parts)
     F, f_desc = parse_F(args.F)
     kernel = fileio.load_kernel(args.input)
     reg = regularity_decompose(kernel, F, eps)
@@ -377,11 +344,8 @@ def _cmd_density(args) -> dict:
     graph = parse_graph_arg(args.graph)
     results: dict = {"graph": args.graph, "vertices": graph.k, "edges": graph.edge_count}
     if kind == "step":
-        sf = fileio.load_step(args.input)
-        with _flag_range(TooManyVerticesError):  # --graph past the exact-density cap
-            est = hom_density_step(graph, sf)
+        est = hom_density_step(graph, fileio.load_step(args.input))
     else:
-        _at_least("--samples", 1, args.samples)
         kernel = fileio.load_kernel(args.input)
         est = hom_density_mc(graph, kernel, args.samples, args.seed)
         cyc = re.match(r"^cycle_(\d+)$", args.graph)
@@ -396,9 +360,6 @@ def _cmd_density(args) -> dict:
 
 
 def _cmd_distance(args) -> dict:
-    _at_least("--max-atoms", 1, args.max_atoms)
-    with _flag_range():  # an --exact-limit outside [0, EXACT_CEILING]
-        check_exact_limit(args.exact_limit)
     sf1 = fileio.load_step(args.first)
     sf2 = fileio.load_step(args.second)
     norm = {"l1": "L1", "l2": "L2", "cut": "cut"}[args.norm]
@@ -421,26 +382,25 @@ def _cmd_make(args) -> dict:
     inputs = _inputs(args, ens, _ENSEMBLE_FLAGS)
     if ens == "cayley":
         vals = _number_list(args.f, float)
-        with _flag_range(GraphonError):  # e.g. an --f that is not even
+        try:  # an --f that is not even raises AsymmetricMatrixError
             kernel = cayley_kernel(args.n, vals)
+        except GraphonError as exc:
+            raise UsageError(str(exc)) from exc
         params = {"n": args.n, "f": vals}
     elif ens == "circle":
-        with _flag_range():
-            kernel = circle_halfplane_kernel(args.n)
+        kernel = circle_halfplane_kernel(args.n)
         params = {"n": args.n}
     elif ens == "sphere":
         f = args.f or "threshold:0"
         profile = parse_profile(f)
-        with _flag_range():
-            kernel = sphere_kernel(args.dim, profile, args.count, args.seed)
+        kernel = sphere_kernel(args.dim, profile, args.count, args.seed)
         params = {"dim": args.dim, "count": args.count, "f": f}
     else:  # wrandom
         if fileio.sniff_kind(args.input) == "step":
             source = expand_step(fileio.load_step(args.input))
         else:
             source = fileio.load_kernel(args.input)
-        with _flag_range():  # a count below 1, or source values outside [0, 1]
-            kernel = w_random_graph(source, args.count, args.seed)
+        kernel = w_random_graph(source, args.count, args.seed)
         params = {"count": args.count, "source": args.input}
     fileio.write_text_atomic(args.output, fileio.format_matrix(kernel))
     results = {
@@ -456,25 +416,14 @@ def _cmd_make(args) -> dict:
 def _cmd_experiment(args) -> dict:
     inputs = _inputs(args, args.name, _EXPERIMENT_FLAGS)
     seed = args.seed
-    # the experiments do numeric work, so flag ranges are checked up front
     if args.name == "circle":
         n = 64 if args.n is None else args.n
-        ks = _number_list(args.ks or "3,5")
-        _distinct("--ks", ks)
-        if n < 4 or n % 4:
-            raise UsageError(f"--n must be at least 4 and divisible by 4, got {n}")
-        if any(math.gcd(k, n) != 1 for k in ks):
-            raise UsageError(f"every --ks factor must be coprime to n = {n}")
-        results, checks = experiments.circle(n, ks, seed)
+        results, checks = experiments.circle(n, _number_list(args.ks or "3,5"), seed)
     elif args.name == "sphere":
         f = args.f or "threshold:0"
         seeds = _number_list(args.seeds) if args.seeds else [seed + i for i in range(3)]
         dims = _number_list(args.dims or "2,3,4")
         count = 1500 if args.count is None else args.count
-        _at_least("--dims", 1, *dims)
-        _distinct("--dims", dims)
-        _distinct("--seeds", seeds)
-        _at_least("--count", 2, count)
         results, checks = experiments.sphere(dims, count, seeds, parse_profile(f),
                                              workers=args.threads)
         results["f"] = f
@@ -482,9 +431,6 @@ def _cmd_experiment(args) -> dict:
         source = fileio.load_step(args.input) if args.input else builtin_rank3_step()
         counts = _number_list(args.counts or "100,400,1600")
         runs = 5 if args.runs is None else args.runs
-        _at_least("--counts", 1, *counts)
-        _distinct("--counts", counts)
-        _at_least("--runs", 1, runs)
         results, checks = experiments.wrandom_convergence(
             source, counts, [seed + i for i in range(runs)], workers=args.threads)
     return _report("experiment", inputs, results, [_check(*c) for c in checks])
@@ -626,9 +572,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.monotonic()
     try:
-        _at_least("--threads", 1, args.threads)
+        if not args.threads >= 1:  # every subcommand takes --threads
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         report = _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, fileio.FormatError) as exc:

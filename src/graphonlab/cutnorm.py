@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Kernel, weighted_norm
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import DimensionMismatchError, ParameterError, TooLargeError
 from .spectral import operator_norm_upper
 
 DEFAULT_EXACT_LIMIT = 22
@@ -44,11 +44,16 @@ class CutNormEstimate:
 
 
 def check_exact_limit(exact_limit: int) -> None:
-    """Raise ValueError unless 0 <= exact_limit <= EXACT_CEILING: a limit
-    past the ceiling is refused even where the input at hand is small, since
-    the next input might not be."""
+    """Raise ParameterError unless 0 <= exact_limit <= EXACT_CEILING: a
+    limit past the ceiling is refused even where the input at hand is small,
+    since the next input might not be."""
     if not 0 <= exact_limit <= EXACT_CEILING:
-        raise ValueError(f"exact_limit must be in [0, {EXACT_CEILING}], got {exact_limit}")
+        raise ParameterError(f"exact_limit must be in [0, {EXACT_CEILING}], got {exact_limit}")
+
+
+def _check_restarts(restarts: int) -> None:
+    if not restarts >= 1:
+        raise ParameterError(f"restarts must be at least 1, got {restarts}")
 
 
 def bilinear_form(f, kernel: Kernel, g) -> float:
@@ -172,8 +177,7 @@ def cutnorm_heuristic(
     in float64. Start vectors come from seed streams split by restart
     index, so the result does not depend on execution order or thread count.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    _check_restarts(restarts)
     n = kernel.n
     g0 = [np.random.default_rng(c).integers(0, 2, size=n) * 2 - 1
           for c in np.random.SeedSequence(seed).spawn(restarts)]
@@ -193,8 +197,9 @@ def cutnorm_heuristic(
 def cutnorm_bracket(kernel: Kernel, *, exact_limit: int = DEFAULT_EXACT_LIMIT,
                     restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CutNormEstimate:
     """Exact up to exact_limit atoms (at most EXACT_CEILING), heuristic
-    bracket otherwise."""
+    bracket otherwise. Both parameters are checked whichever way n falls."""
     check_exact_limit(exact_limit)
+    _check_restarts(restarts)
     if kernel.n <= exact_limit:
         return cutnorm_exact(kernel)
     return cutnorm_heuristic(kernel, restarts=restarts, seed=seed)

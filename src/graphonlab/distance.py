@@ -22,7 +22,7 @@ from .core import (
     weighted_norm,
 )
 from .cutnorm import DEFAULT_EXACT_LIMIT, _best_signs, check_exact_limit, cutnorm_bracket
-from .errors import IrrationalWeightsError
+from .errors import IrrationalWeightsError, ParameterError
 from .homdensity import hom_density_step
 
 EXACT_PERMUTATION_LIMIT = 8
@@ -53,6 +53,8 @@ class DistanceBracket:
 
 def _grid_size(parts_weights: list[np.ndarray], max_atoms: int) -> int:
     """Smallest m <= max_atoms putting every part weight on the 1/m grid."""
+    if not max_atoms >= 1:
+        raise ParameterError(f"max_atoms must be at least 1, got {max_atoms}")
     for m in range(1, max_atoms + 1):
         ok = True
         for pw in parts_weights:
@@ -238,7 +240,7 @@ def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
     with exact_limit and seed.
     """
     if norm not in ("L1", "L2", "cut"):
-        raise ValueError("norm must be 'L1', 'L2' or 'cut'")
+        raise ParameterError(f"norm must be 'L1', 'L2' or 'cut', got {norm!r}")
     check_exact_limit(exact_limit)  # also where the exact regime never reads it
     space, k1, k2 = common_refinement(sf1, sf2, max_atoms)
     m = space.n

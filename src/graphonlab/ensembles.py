@@ -25,6 +25,7 @@ from .errors import (
     ActionDoesNotStabilizeError,
     AsymmetricMatrixError,
     NotCoprimeError,
+    ParameterError,
 )
 from .spectral import spectral_radius, spectrum
 
@@ -49,13 +50,13 @@ class ProfileFunction:
         # a NaN cut compares false everywhere and would give the zero kernel
         if not (math.isfinite(self.cut) and np.all(np.isfinite(self.coeffs))
                 and (self.table is None or np.all(np.isfinite(self.table)))):
-            raise ValueError("profile parameters must be finite")
+            raise ParameterError("profile parameters must be finite")
 
     @staticmethod
     def from_table(values) -> "ProfileFunction":
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 2:
-            raise ValueError("table needs at least two grid values")
+            raise ParameterError("table needs at least two grid values")
         v.setflags(write=False)
         return ProfileFunction(kind="table", table=v)
 
@@ -104,7 +105,7 @@ def cayley_kernel(n: int, f) -> Kernel:
     """
     vals = np.asarray(f, dtype=float)
     if vals.shape != (n,):
-        raise ValueError(f"f must list one value per group element, expected {n}")
+        raise ParameterError(f"f must list one value per group element, expected {n}")
     if np.max(np.abs(vals - vals[(-np.arange(n)) % n])) > 1e-12:
         raise AsymmetricMatrixError("f must be even: f(n - x) = f(x)")
     x = np.arange(n)
@@ -118,7 +119,7 @@ def circle_halfplane_kernel(n: int) -> Kernel:
     turn. Evaluated in integer arithmetic so the xy = 0 boundary (hit when
     4 | n) resolves to 0 rather than to floating-point noise."""
     if n < 4 or n % 4 != 0:
-        raise ValueError("n must be at least 4 and divisible by 4")
+        raise ParameterError(f"n must be at least 4 and divisible by 4, got {n}")
     d = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     values = ((4 * d < n) | (4 * d > 3 * n)).astype(float)
     return Kernel(DiscreteSpace.uniform(n), values)
@@ -138,9 +139,9 @@ def sphere_kernel(dim: int, f: ProfileFunction, N: int, seed: int = 0) -> Kernel
     standard normals in dim+1 coordinates), K[i, j] = f(x_i . x_j), with
     the diagonal pinned to f(1)."""
     if dim < 1:
-        raise ValueError("sphere dimension must be at least 1")
+        raise ParameterError(f"sphere dimension must be at least 1, got {dim}")
     if N < 2:
-        raise ValueError("need at least two sample points")
+        raise ParameterError(f"need at least two sample points, got {N}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((N, dim + 1))
     norms = np.linalg.norm(x, axis=1)
@@ -167,9 +168,9 @@ def w_random_sample(kernel: Kernel, N: int, seed: int = 0) -> tuple[Kernel, np.n
     convergence experiments need for quotient alignment."""
     v = kernel.values
     if float(v.min()) < -1e-12 or float(v.max()) > 1.0 + 1e-12:
-        raise ValueError("kernel entries must lie in [0, 1] to sample a graph")
+        raise ParameterError("kernel entries must lie in [0, 1] to sample a graph")
     if N < 1:
-        raise ValueError("N must be positive")
+        raise ParameterError(f"N must be positive, got {N}")
     rng = np.random.default_rng(seed)
     atoms = _draw_atoms(kernel.space.weights, rng.random(N))
     # clip the small source table once, then gather the N x N probabilities
@@ -207,8 +208,8 @@ class InvariantDimensionReport:
 def _cluster_report(kernel: Kernel) -> ClusterDimensionReport:
     dec = spectrum(kernel)
     # the numerically zero cluster carries no range and is left out
-    dims = [stop - start for start, stop in dec.clusters
-            if abs(float(dec.eigenvalues[start])) > dec.cluster_tolerance]
+    r = dec.nonzero_rank
+    dims = [stop - start for start, stop in dec.clusters if start < r]
     d = min(dims, default=None)
     l2 = weighted_norm(kernel, "L2")
     rad = spectral_radius(dec)

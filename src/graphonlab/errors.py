@@ -5,6 +5,12 @@ class GraphonError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class ParameterError(GraphonError, ValueError):
+    """An argument outside its documented range. The library function that
+    reads the argument raises it, before the numeric work that uses it; the
+    CLI reports it as a usage error."""
+
+
 class InvalidSpaceError(GraphonError):
     """Weight vector is not a strictly positive probability vector."""
 
@@ -63,11 +69,11 @@ class GridOverflowError(GraphonError):
     configured cap; raise epsilon or the cap."""
 
 
-class TooManyVerticesError(GraphonError):
+class TooManyVerticesError(ParameterError):
     """Template graph exceeds the exact-density vertex cap."""
 
 
-class NotCoprimeError(GraphonError):
+class NotCoprimeError(ParameterError):
     """Dilation factor shares a divisor with the grid size."""
 
 

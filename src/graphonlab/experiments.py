@@ -1,7 +1,9 @@
 """Experiment drivers: circle dilations, sphere quasirandomness and W-random
 spectral convergence. Each is a pure function of plain values returning
 (results, checks), where a check is a (name, value, bound, op) tuple with op
-'le' or 'ge'; rounding and the report format belong to the CLI."""
+'le' or 'ge'; rounding and the report format belong to the CLI. Every list
+argument must be non-empty and hold distinct values, and each parameter
+outside its range raises ParameterError."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .ensembles import (
     sphere_kernel,
     w_random_sample,
 )
-from .errors import AllZeroSpectrum, EmptyPartError, WorkerError
+from .errors import AllZeroSpectrum, EmptyPartError, ParameterError, WorkerError
 from .homdensity import cycle_density_spectral
 from .spectral import decompose, decompose_leading, spectrum, truncation_quotient
 
@@ -80,26 +82,30 @@ def _map_units(unit, calls: list[tuple], sizes: list[int], workers: int) -> list
 
 
 def require_distinct(name: str, values: list) -> None:
-    """Raise ValueError when a value repeats: each names one unit, which
-    would otherwise run twice and report under the same check names."""
+    """Raise ParameterError when the list is empty, which would make every
+    check pass vacuously, or when a value repeats: each names one unit,
+    which would otherwise run twice and report under the same check names."""
+    if not values:
+        raise ParameterError(f"{name} must not be empty")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
-        raise ValueError(f"{name} repeats {repeated[0]}")
+        raise ParameterError(f"{name} repeats {repeated[0]}")
 
 
 def circle(n: int, ks: list[int], seed: int) -> tuple[dict, list]:
     """The circle half-plane kernel against its dilations x -> kx: cycle
     densities agree to float precision while the cut distance stays
-    bounded away from zero. Each factor may appear once."""
+    bounded away from zero. The factors, at least one, must be distinct and
+    coprime to n."""
     require_distinct("ks", ks)
     kernel = circle_halfplane_kernel(n)
+    perms = [dilation_perm(n, k) for k in ks]  # every factor checked before the spectrum
     dec = spectrum(kernel)
     densities = {j: cycle_density_spectral(dec, j).value for j in range(3, 9)}
     runs = []
     checks = []
     coarse_labels = (np.arange(n) * 16) // n
-    for k in ks:
-        perm = dilation_perm(n, k)
+    for k, perm in zip(ks, perms):
         permuted = apply_permutation(kernel, perm)
         dec_p = spectrum(permuted)
         delta_density = max(
@@ -142,7 +148,7 @@ def sphere(dims: list[int], count: int, seeds: list[int],
     """Sampled sphere kernels are quasirandom: the cut norm of the centered
     kernel stays within 1/sqrt(dim + 1) + 0.05. Up to workers processes
     share the (dim, seed) kernels; the result does not depend on how many.
-    Each dimension and each seed may appear once."""
+    The dimensions and the seeds, at least one of each, must be distinct."""
     require_distinct("dims", dims)
     require_distinct("seeds", seeds)
     units = [(dim, seed) for dim in dims for seed in seeds]
@@ -210,15 +216,16 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
     above the source's half-gap and the top source-rank eigenvalues converge
     to the source's, and the truncated samples approach it in aligned L2. Up to
     workers processes share the (count, seed) samples; the result does not
-    depend on how many. Each count may appear once."""
+    depend on how many. The counts and the seeds, at least one of each, must
+    be distinct."""
     require_distinct("counts", counts)
+    require_distinct("seeds", seeds)
     source = expand_step(source_step)
     dec_w = decompose(source)
-    nonzero = np.abs(dec_w.eigenvalues) > dec_w.cluster_tolerance
-    rank_w = int(np.sum(nonzero))
+    rank_w = dec_w.nonzero_rank
     if rank_w == 0:
         raise AllZeroSpectrum("the W-random source has no nonzero eigenvalue to converge to")
-    lam_mid = float(np.min(np.abs(dec_w.eigenvalues[nonzero]))) / 2.0
+    lam_mid = abs(float(dec_w.eigenvalues[rank_w - 1])) / 2.0
     ref_block = truncation_quotient(dec_w, lam_mid, source_step.part_of)
     pw = source_step.part_weights
     top = min(10, source.n)

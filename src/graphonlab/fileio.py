@@ -134,7 +134,10 @@ def parse_graph(text: str) -> SimpleGraph:
         if len(edge) != 2:
             raise FormatError(f"edge line must be 'u v', got {ln!r}")
         edges.add(tuple(edge))
-    return SimpleGraph(k, frozenset(edges))
+    try:  # no vertices, a loop, or a vertex outside 1..k
+        return SimpleGraph(k, frozenset(edges))
+    except ValueError as exc:
+        raise FormatError(f"not a simple graph: {exc}") from exc
 
 
 def format_graph(graph: SimpleGraph) -> str:

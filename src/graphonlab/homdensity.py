@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Kernel, SimpleGraph, StepFunction, _draw_atoms
-from .errors import AllZeroSpectrum, TooManyVerticesError
+from .errors import AllZeroSpectrum, ParameterError, TooManyVerticesError
 from .spectral import SpectralDecomposition, spectrum_distribution
 
 MAX_EXACT_VERTICES = 10
@@ -56,8 +56,8 @@ def hom_density_mc(graph: SimpleGraph, kernel: Kernel, samples: int,
     The tuples are the stream rng.choice(n, size=(count, k), p=weights)
     draws, chunk by chunk, through core._draw_atoms; every vertex takes a
     draw, isolated ones too."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if not samples >= 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     w = kernel.space.weights
     edges = sorted(graph.edges)

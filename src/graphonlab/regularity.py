@@ -31,6 +31,7 @@ from .errors import (
     EpsilonViolatedWarning,
     GridOverflowError,
     NonDecreasingF,
+    ParameterError,
     TooLargeError,
 )
 from .spectral import (
@@ -67,9 +68,12 @@ def _snap_down(t: float, midpoints: list[float]) -> float:
     return max(below) if below else t
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:  # NaN too
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
+
+
 def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdSchedule:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     total_energy = float(np.sum(dec.eigenvalues**2))
     if total_energy > 1.0 + 1e-9:
         raise ValueError(
@@ -84,8 +88,8 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
     # noise goes under it rather than split its cluster
     noise = dec.cluster_tolerance
     abs_lam = np.abs(dec.eigenvalues)
-    noise_top = float(abs_lam[abs_lam <= noise].max(initial=0.0))
-    full_rank = dec.rank_above(noise)
+    full_rank = dec.nonzero_rank
+    noise_top = float(abs_lam[full_rank:].max(initial=0.0))
     probes = [_snap_down(1.0, mids)]
     f_prev = None
     while len(probes) <= j_max:
@@ -122,7 +126,9 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
 
 def choose_threshold(dec: SpectralDecomposition, F, eps: float) -> tuple[float, float]:
     """First consecutive snapped thresholds (lam, lam') whose energy
-    increment is at most eps^2, with lam' <= F(lam, eps)."""
+    increment is at most eps^2, with lam' <= F(lam, eps). eps must be
+    positive and finite."""
+    _check_eps(eps)
     sched = _threshold_schedule(dec, F, eps)
     return sched.lam, sched.lam_next
 
@@ -169,8 +175,10 @@ def regularity_decompose(
     If S + E exceeds 1 entrywise it is clamped to [-1, 1]; the clamp excess
     then lands in R so that S + E + R = M stays exact, and the run is
     flagged. A clamp that pushes ||E||_2 past eps is reported through an
-    EpsilonViolatedWarning and the certificate, never hidden.
+    EpsilonViolatedWarning and the certificate, never hidden. eps must be
+    positive and finite.
     """
+    _check_eps(eps)
     if weighted_norm(kernel, "Linf") > 1.0 + 1e-12:
         raise ValueError("kernel entries must lie in [-1, 1]")
     dec = decompose(kernel)
@@ -231,12 +239,14 @@ def cluster_eigenvectors(
     The retained part G = [M]_lam is a rank-k sum with |lambda_i| <= m and
     ||f_i||_inf <= m. Binning every eigenvector into B = floor(20km^3/eps)
     equal cells over [-m, m] keeps the within-part oscillation of G below
-    eps and the part count below (20km^3/eps)^k.
+    eps and the part count below (20km^3/eps)^k. eps must be positive and
+    finite, lam positive and max_parts at least 1.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_eps(eps)
+    if not lam > 0:
+        raise ParameterError(f"lam must be positive, got {lam}")
+    if not max_parts >= 1:
+        raise ParameterError(f"max_parts must be at least 1, got {max_parts}")
     k = _split_check(dec, lam)
     n = dec.n
     if k == 0:

@@ -121,6 +121,14 @@ class SpectralDecomposition:
     def rank_above(self, threshold: float) -> int:
         return int(np.sum(np.abs(self.eigenvalues) > threshold))
 
+    @property
+    def nonzero_rank(self) -> int:
+        """r = rank_above(cluster_tolerance): the numerically nonzero
+        eigenvalues are eigenvalues[:r], and a cluster is one of them when
+        its start is below r. The rest are solver noise around an exactly
+        zero eigenspace."""
+        return self.rank_above(self.cluster_tolerance)
+
 
 def _cluster_tolerance(sorted_vals: np.ndarray) -> float:
     return CLUSTER_TOL_FACTOR * max(abs(float(sorted_vals[0])), 1.0)
@@ -339,8 +347,11 @@ def _krylov_basis(sym: np.ndarray, b: int, blocks: int):
     longer asking for blocks.
 
     Vectors are kept as rows, and sym being symmetric, the product A Q is
-    formed as Q^T A, which runs faster for thin Q.
+    formed as Q^T A, which runs faster for thin Q. With no block to grow it
+    yields nothing and neither draws nor factors a start block.
     """
+    if blocks == 0:
+        return
     n = sym.shape[0]
     basis = np.empty((blocks * b, n))
     rayleigh = np.zeros((blocks * b, blocks * b))
@@ -369,7 +380,7 @@ def _block_krylov(sym: np.ndarray, r: int, b: int, target: float,
     most target, or stalls below margin (the rounding level, see
     _eigvalsh_margin), and every Ritz value of the final basis, ascending.
     None if that takes more blocks than the cap of n / KRYLOV_BASIS_FRACTION
-    vectors allows.
+    vectors allows, at once when the cap holds no block.
 
     A check takes an eigh of the whole Rayleigh matrix, so the residual is
     checked at blocks 0-2 and then on a schedule: the residual falls
@@ -609,8 +620,9 @@ def gap_midpoints(dec: SpectralDecomposition) -> list[float]:
     exactly zero eigenspace, so it is no cluster to cut below; clusters are
     more than the tolerance apart, so the last midpoint still clears it."""
     abs_lam = np.abs(dec.eigenvalues)
-    bounds = [(float(abs_lam[a:b].min()), float(abs_lam[a:b].max())) for a, b in dec.clusters]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > dec.cluster_tolerance]
+    r = dec.nonzero_rank
+    bounds = [(float(abs_lam[a:b].min()), float(abs_lam[a:b].max()))
+              for a, b in dec.clusters if a < r]
     mids = []
     for (lo, _), (_, hi_next) in zip(bounds, bounds[1:]):
         mids.append((lo + hi_next) / 2.0)
@@ -633,7 +645,7 @@ class SpectrumDistribution:
 
 def spectrum_distribution(dec: SpectralDecomposition) -> SpectrumDistribution:
     # the numerically-zero cluster is solver noise, not support
-    lam = dec.eigenvalues[np.abs(dec.eigenvalues) > dec.cluster_tolerance]
+    lam = dec.eigenvalues[:dec.nonzero_rank]
     fourth = lam**4
     total = float(fourth.sum())
     if lam.size == 0 or total == 0.0:

@@ -583,6 +583,45 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert message in capsys.readouterr().err
 
+    def test_parameter_error_in_a_worker_is_usage_error(self, monkeypatch, capsys):
+        # dim 0 is refused by sphere_kernel inside a forked worker, and the
+        # ParameterError it raises there comes back through the pool
+        parent = os.getpid()
+        build = experiments.sphere_kernel
+
+        def only_in_a_worker(*args):
+            assert os.getpid() != parent, "a unit ran in the parent process"
+            return build(*args)
+
+        monkeypatch.setattr(experiments, "sphere_kernel", only_in_a_worker)
+        monkeypatch.setattr(experiments, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code = main(["experiment", "--name", "sphere", "--dims", "0,2", "--count", "40",
+                     "--seed", "1", "--threads", "2"])
+        assert code == EXIT_USAGE
+        assert "sphere dimension must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["3 2\n1 1\n1 2\n", "3 1\n1 5\n", "0 0\n"])
+    def test_graph_file_that_is_not_a_simple_graph_is_input_error(self, text, matrix_file,
+                                                                  tmp_path, capsys):
+        # a loop, a vertex out of range, no vertices: each exited 3
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        argv = ["density", "--input", matrix_file, "--graph", str(path), "--samples", "10",
+                "--seed", "0"]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
+    def test_wrandom_source_outside_0_1_is_usage_error(self, tmp_path, capsys):
+        # exited 3, while make --ensemble wrandom on the same source exits 2
+        path = tmp_path / "s.txt"
+        path.write_text("parts: 2\n1 1 2 2\n1.5 0.1\n0.1 0.4\n")
+        argv = ["experiment", "--name", "wrandom-convergence", "--input", str(path),
+                "--counts", "10,20", "--runs", "1", "--seed", "0"]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+        argv = ["make", "--ensemble", "wrandom", "--input", str(path), "--N", "10",
+                "--seed", "0", "--output", str(tmp_path / "k.txt")]
+        assert run_cli(argv, capsys)[0] == EXIT_USAGE
+
     def test_check_failure_exit(self, tmp_path, capsys):
         # sphere bound with an absurd negative slack cannot pass: instead,
         # force a failing check via wrandom rank at tiny sizes, or simply

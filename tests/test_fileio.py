@@ -168,6 +168,13 @@ class TestGraphFormat:
         with pytest.raises(FormatError):
             parse_graph(text)
 
+    @pytest.mark.parametrize("text", ["3 2\n1 1\n1 2\n", "3 1\n1 5\n", "0 0\n"])
+    def test_not_a_simple_graph(self, text):
+        # a loop, a vertex outside 1..k, no vertices: SimpleGraph's ValueError
+        # used to escape, which the CLI reads as a numeric failure
+        with pytest.raises(FormatError, match="not a simple graph"):
+            parse_graph(text)
+
 
 class TestHelpers:
     def test_sniff(self, tmp_path):

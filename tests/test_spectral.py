@@ -291,6 +291,23 @@ class TestSpectrumDistribution:
             spectrum_distribution(dec)
 
 
+class TestNonzeroRank:
+    def test_one_count_splits_signal_from_noise(self, rng):
+        # a rank-3 kernel: eigh leaves n - 3 eigenvalues at the rounding level
+        x = rng.standard_normal((40, 3))
+        dec = decompose(kernel_from_matrix(x @ x.T / 40))
+        r = dec.nonzero_rank
+        assert r == 3 == dec.rank_above(dec.cluster_tolerance)
+        above = np.abs(dec.eigenvalues) > dec.cluster_tolerance
+        assert np.array_equal(dec.eigenvalues[:r], dec.eigenvalues[above])
+        assert np.array_equal(spectrum_distribution(dec).support, dec.eigenvalues[:r])
+        assert [start for start, _ in dec.clusters if start < r] == [0, 1, 2]
+        assert len(gap_midpoints(dec)) == 3
+
+    def test_zero_kernel_has_none(self):
+        assert decompose(kernel_from_matrix(np.zeros((3, 3)))).nonzero_rank == 0
+
+
 # ---------------------------------------------------------------------------
 # partial decompositions: spectrum(kernel) and decompose_leading
 
@@ -922,6 +939,40 @@ class TestCertifiedRadius:
         assert top <= expected
         assert grown == [0]
         assert [(a.shape, ok) for a, ok in proofs.factorisations] == [((n, n), True)] * 2
+
+    def test_no_block_draws_nothing(self, monkeypatch, rng):
+        # below one block the run is refused before a start block is drawn
+        # or factored, and the bound is the eigvalsh proof's, as before
+        n = spectral.KRYLOV_BASIS_FRACTION * spectral.RADIUS_BLOCK - 1
+        k = kernel_from_matrix(random_symmetric(rng, n))
+        expected, _ = _eigvalsh_proof(k)
+        sym, _ = spectral._symmetrized(k)
+
+        def no_start_block(*args, **kwargs):
+            raise AssertionError("a start block was drawn or factored")
+
+        monkeypatch.setattr(np.random, "default_rng", no_start_block)
+        monkeypatch.setattr(np.linalg, "qr", no_start_block)
+        assert spectral._block_krylov(sym, 1, spectral.RADIUS_BLOCK, 1.0, 0.0) is None
+        assert operator_norm_upper(k).hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [40, 48, 60])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_one_block_proves_a_large_top_eigenspace(self, monkeypatch, n, centred, proofs):
+        # the one block the cap holds below 2 KRYLOV_BASIS_FRACTION RADIUS_BLOCK
+        # atoms succeeds when the top eigenspace holds nearly every vector
+        k = kernel_from_matrix(np.eye(n) - (1.0 / n if centred else 0.0))
+        top = spectral_radius(spectrum(k))
+        grown = _count_krylov_blocks(monkeypatch)
+
+        def no_eigvalsh(sym):
+            raise AssertionError("the eigvalsh fallback ran")
+
+        monkeypatch.setattr(spectral, "_eigenvalues", no_eigvalsh)
+        upper = operator_norm_upper(k)
+        assert grown == [1]
+        assert top <= upper <= top * (1 + 1e-9)
+        _assert_proven(upper, spectral._symmetrized(k)[0], proofs)
 
     def test_two_blocks_prove_a_low_rank_shift(self, monkeypatch, rng, proofs):
         # with two blocks the basis holds the range of a rank-2 kernel
