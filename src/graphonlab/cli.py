@@ -40,6 +40,7 @@ from .homdensity import cycle_density_spectral, hom_density_mc, hom_density_step
 from .regularity import (
     ADDITIVITY_TOL,
     DEFAULT_GRID_CAP,
+    check_max_parts,
     cluster_eigenvectors,
     regularity_decompose,
 )
@@ -288,6 +289,7 @@ def _cmd_cutnorm(args) -> dict:
 def _cmd_decompose(args) -> dict:
     eps = args.epsilon
     F, f_desc = parse_F(args.F)
+    check_max_parts(args.max_parts)  # before the decomposition, not after it
     kernel = fileio.load_kernel(args.input)
     reg = regularity_decompose(kernel, F, eps)
     dec = reg.spectral
@@ -299,10 +301,12 @@ def _cmd_decompose(args) -> dict:
         sf = None
     certs = reg.certificates
     f_at_run = F(reg.lam, eps)
+    additivity = reg.S.values + reg.E.values  # S + E + R - M in one buffer
+    additivity += reg.R.values
+    additivity -= kernel.values
     checks = [
-        _check("additivity_sup_error",
-               float(np.max(np.abs(reg.S.values + reg.E.values + reg.R.values
-                                   - kernel.values))), ADDITIVITY_TOL, "le"),
+        _check("additivity_sup_error", float(np.max(np.abs(additivity, out=additivity))),
+               ADDITIVITY_TOL, "le"),
         _check("E_l2_within_eps", certs.E_l2, eps, "le"),
         _check("R_cut_upper_within_F", certs.R_cut.upper, f_at_run, "le"),
         _check("SE_sup_norm", certs.SE_linf, 1.0 + 1e-9, "le"),

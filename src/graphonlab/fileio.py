@@ -1,7 +1,10 @@
 """Plain-text file formats.
 
 Matrix:   first line `n`, optional second line `weights: w1 ... wn`,
-          then n rows of n space-separated decimals.
+          then n rows of n space-separated decimals. The rows are parsed
+          straight from the stream: a row ends at a line break (\n, \r\n or
+          \r) only, and any other whitespace, a form feed included,
+          separates two numbers.
 Step:     line `parts: s`, a line of n part labels (any integers; mapped to
           0..s-1 in sorted order; atoms are uniform), then s block rows.
 Graph:    line `k m`, then m lines `u v` with 1-based vertex indices.
@@ -10,8 +13,10 @@ Graph:    line `k m`, then m lines `u v` with 1-based vertex indices.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -56,29 +61,56 @@ def _ints(tokens: list[str]) -> list[int]:
         raise FormatError(f"unreadable integer: {exc}") from exc
 
 
-def parse_matrix(text: str) -> Kernel:
-    lines = _lines(text)
-    if not lines:
+def _read_matrix(fh) -> Kernel:
+    """The matrix file on the text stream fh: the size line and the optional
+    weights line are read line by line, then one np.loadtxt parses every
+    row straight from the stream, so no copy of the text is held."""
+    head = _next_line(fh)
+    if head is None:
         raise FormatError("empty matrix file")
     try:
-        n = int(lines[0])
+        n = int(head)
     except ValueError as exc:
-        raise FormatError(f"first line must be the size, got {lines[0]!r}") from exc
+        raise FormatError(f"first line must be the size, got {head!r}") from exc
     if n < 1:
         raise FormatError(f"size must be positive, got {n}")
-    pos = 1
     weights = None
-    if pos < len(lines) and lines[pos].startswith("weights:"):
+    start = fh.tell()
+    line = _next_line(fh)
+    if line is not None and line.startswith("weights:"):
         try:
-            weights = np.array(lines[pos].split(":", 1)[1].split(), dtype=float)
+            weights = np.array(line.split(":", 1)[1].split(), dtype=float)
         except ValueError as exc:
             raise FormatError(f"unreadable weights: {exc}") from exc
         if weights.size != n:
             raise FormatError(f"expected {n} weights, got {weights.size}")
-        pos += 1
-    if len(lines) - pos != n:
-        raise FormatError(f"expected {n} matrix rows, got {len(lines) - pos}")
-    return kernel_from_matrix(_floats(lines[pos:], (n, n)), weights)
+    else:
+        fh.seek(start)  # that line was the first row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            a = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
+        except UnicodeDecodeError:
+            raise  # _utf8 names the file
+        except ValueError as exc:
+            raise FormatError(f"unreadable numbers: {exc}") from exc
+    if a.shape[0] != n:
+        raise FormatError(f"expected {n} matrix rows, got {a.shape[0]}")
+    if a.shape[1] != n:
+        raise FormatError(f"expected {n}x{n} numbers, got {a.shape[0]}x{a.shape[1]}")
+    return kernel_from_matrix(a, weights)
+
+
+def _next_line(fh) -> str | None:
+    """The next line of fh that is not blank, stripped; None at the end."""
+    for line in iter(fh.readline, ""):
+        if line.strip():
+            return line.strip()
+    return None
+
+
+def parse_matrix(text: str) -> Kernel:
+    return _read_matrix(io.StringIO(text, newline=None))
 
 
 def format_matrix(kernel: Kernel) -> str:
@@ -160,7 +192,7 @@ def _utf8(path: str):
 
 def load_kernel(path: str) -> Kernel:
     with _utf8(path) as fh:
-        return parse_matrix(fh.read())
+        return _read_matrix(fh)
 
 
 def load_step(path: str) -> StepFunction:

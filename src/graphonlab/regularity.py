@@ -37,6 +37,7 @@ from .errors import (
 from .spectral import (
     SpectralDecomposition,
     _split_check,
+    _truncation,
     decompose,
     gap_midpoints,
     tail_truncate,
@@ -71,6 +72,14 @@ def _snap_down(t: float, midpoints: list[float]) -> float:
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < math.inf:  # NaN too
         raise ParameterError(f"eps must be positive and finite, got {eps}")
+
+
+def check_max_parts(max_parts: float) -> None:
+    """Raise ParameterError unless max_parts >= 1 (NaN fails): the cap on
+    cluster_eigenvectors' step bound, checked also by the functions that
+    run a decomposition before the clustering reads it."""
+    if not max_parts >= 1:
+        raise ParameterError(f"max_parts must be at least 1, got {max_parts}")
 
 
 def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdSchedule:
@@ -177,20 +186,28 @@ def regularity_decompose(
     flagged. A clamp that pushes ||E||_2 past eps is reported through an
     EpsilonViolatedWarning and the certificate, never hidden. eps must be
     positive and finite.
+
+    S + E is formed first, in one buffer, and R from it; R is bracketed
+    before S and E are formed, and the buffer then becomes E in place. So
+    the run holds at most M, its eigenvectors, S, E, R and one n x n work
+    buffer at a time, beside the working set of R's radius proof.
     """
     _check_eps(eps)
     if weighted_norm(kernel, "Linf") > 1.0 + 1e-12:
         raise ValueError("kernel entries must lie in [-1, 1]")
     dec = decompose(kernel)
     sched = _threshold_schedule(dec, F, eps)
-    s_kernel = tail_truncate(dec, sched.lam)
-    inner = tail_truncate(dec, sched.lam_next)
-    se = inner.values
+    # S + E = clip([M]_lam') in the one buffer that later becomes E
+    se = _truncation(dec, sched.lam_next)
     clamped = bool(np.max(np.abs(se)) > 1.0)
     if clamped:
-        se = np.clip(se, -1.0, 1.0)
-    e_kernel = Kernel(kernel.space, se - s_kernel.values)
+        np.clip(se, -1.0, 1.0, out=se)
+    se_linf = float(np.max(np.abs(se)))
     r_kernel = Kernel(kernel.space, kernel.values - se)
+    # before S and E exist: R's radius proof is the run's largest working set
+    r_cut = cutnorm_bracket(r_kernel)
+    s_kernel = tail_truncate(dec, sched.lam)
+    e_kernel = Kernel(kernel.space, np.subtract(se, s_kernel.values, out=se))
     e_l2 = weighted_norm(e_kernel, "L2")
     violated = e_l2 > eps
     if violated:
@@ -200,8 +217,8 @@ def regularity_decompose(
         )
     certs = Certificates(
         E_l2=e_l2,
-        R_cut=cutnorm_bracket(r_kernel),
-        SE_linf=float(np.max(np.abs(se))),
+        R_cut=r_cut,
+        SE_linf=se_linf,
         clamped=clamped,
         epsilon_violated=violated,
     )
@@ -245,8 +262,7 @@ def cluster_eigenvectors(
     _check_eps(eps)
     if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam}")
-    if not max_parts >= 1:
-        raise ParameterError(f"max_parts must be at least 1, got {max_parts}")
+    check_max_parts(max_parts)
     k = _split_check(dec, lam)
     n = dec.n
     if k == 0:
@@ -430,6 +446,7 @@ def symmetry_decompose(
     precision; the clustered T deviates by at most twice its approximation
     error, hence stays within eps.
     """
+    check_max_parts(max_parts)
     reg = regularity_decompose(kernel, F, eps)
     clustering = cluster_eigenvectors(reg.spectral, reg.lam, eps, max_parts=max_parts)
     action = automorphisms(kernel)

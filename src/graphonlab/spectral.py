@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteSpace, Kernel, StepFunction, canonical_parts, symmetric_kernel
+from .core import SYMMETRY_TILE, DiscreteSpace, Kernel, StepFunction, canonical_parts
 from .errors import (
     AllZeroSpectrum,
     EigenSolverError,
@@ -168,10 +168,11 @@ def decompose(kernel: Kernel) -> SpectralDecomposition:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigh failed to converge: {exc}") from exc
+    del sym
     order = _spectral_order(vals)
     vals = vals[order]
-    # back-transform to weight-orthonormal eigenvectors
-    vecs = (vecs / rootw[:, None])[:, order]
+    vecs = np.take(vecs, order, axis=1)  # C-ordered, unlike vecs[:, order]
+    vecs /= rootw[:, None]  # back-transform to weight-orthonormal eigenvectors
     dec = SpectralDecomposition(kernel, _readonly(vals), _readonly(vecs), _cluster_ranges(vals))
     _validate(dec)
     return dec
@@ -433,16 +434,24 @@ def _validation_scale(kernel: Kernel) -> float:
 
 
 def _validate(dec: SpectralDecomposition) -> None:
+    """Reject eigenpairs whose eigenvectors are off weight-orthonormal by
+    more than ORTHONORMALITY_TOL (max entry of F^T D F - I), or whose
+    reconstruction of K / s, s = _validation_scale, is off by more than
+    RECONSTRUCTION_TOL in weighted L2. Each is formed in two n x n work
+    buffers, reused in place."""
     # "not err <= tol" so that a NaN error fails the check
     w = dec.kernel.space.weights
     f = dec.eigenvectors
-    gram = (f * w[:, None]).T @ f
-    err = float(np.max(np.abs(gram - np.eye(dec.n))))
+    work = np.multiply(f, w[:, None])
+    gram = np.matmul(work.T, f)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    err = float(np.max(np.abs(gram, out=gram)))
     if not err <= ORTHONORMALITY_TOL:
         raise EigenSolverError(f"weighted orthonormality off by {err:.3e}")
     s = _validation_scale(dec.kernel)
-    diff = dec.kernel.values / s - (f * (dec.eigenvalues / s)) @ f.T
-    l2 = math.sqrt(float(w @ (diff * diff) @ w))
+    diff = np.matmul(np.multiply(f, dec.eigenvalues / s, out=work), f.T, out=gram)
+    np.subtract(np.divide(dec.kernel.values, s, out=work), diff, out=diff)
+    l2 = math.sqrt(float(w @ np.square(diff, out=diff) @ w))
     if not l2 <= RECONSTRUCTION_TOL:
         raise EigenSolverError(f"spectral reconstruction off by {l2:.3e}")
 
@@ -491,10 +500,26 @@ def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
     where the decomposition holds too few eigenpairs: on a spectrum below
     the spectral radius, on a leading decomposition below its bulk_bound.
     """
+    return Kernel(dec.kernel.space, _truncation(dec, threshold))
+
+
+def _truncation(dec: SpectralDecomposition, threshold: float) -> np.ndarray:
+    """The values of tail_truncate(dec, threshold) in one writable n x n
+    buffer: P = F_k diag(lambda_k) F_k^T, then symmetric_kernel's
+    (P + P^T) / 2 formed in place, one pair of mirror SYMMETRY_TILE tiles
+    at a time. Float addition commutes, so both tiles of a pair take the
+    same values and the result is exactly symmetric."""
     k = _split_check(dec, threshold)
     f = dec.eigenvectors[:, :k]
-    lam = dec.eigenvalues[:k]
-    return symmetric_kernel((f * lam) @ f.T, dec.kernel.space)
+    out = (f * dec.eigenvalues[:k]) @ f.T
+    t = SYMMETRY_TILE
+    for i in range(0, dec.n, t):
+        for j in range(i, dec.n, t):
+            tile = out[i:i + t, j:j + t] + out[j:j + t, i:i + t].T
+            tile /= 2.0
+            out[i:i + t, j:j + t] = tile
+            out[j:j + t, i:i + t] = tile.T
+    return out
 
 
 def truncation_quotient(dec: SpectralDecomposition, threshold: float,

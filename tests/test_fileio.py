@@ -7,6 +7,7 @@ from graphonlab.fileio import (
     format_graph,
     format_matrix,
     format_step,
+    load_kernel,
     parse_graph,
     parse_matrix,
     parse_step,
@@ -79,6 +80,66 @@ class TestMatrixFormat:
             parse_matrix("2\ninf 0\n0 1\n")
         with pytest.raises(InvalidSpaceError):
             parse_matrix("2\nweights: nan 0.5\n0 1\n1 0\n")
+
+
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+
+# (text, values and weights, or the start of the FormatError message)
+MATRIX_CASES = {
+    "blank-lines": ("\n \t\n2\n\n0 1\n   \n1 0\n\n \n", (SWAP, None)),
+    "weights-line": ("2\nweights: 0.25 0.75\n0 1\n1 0\n", (SWAP, [0.25, 0.75])),
+    "blank-around-weights": ("\n2\n \nweights: 0.25 0.75\n\n0 1\n1 0\n", (SWAP, [0.25, 0.75])),
+    "padded-rows": ("  2 \n 0 1  \n\t1\t0\n", (SWAP, None)),
+    "crlf": ("2\r\nweights: 0.25 0.75\r\n\r\n0 1\r\n1 0\r\n", (SWAP, [0.25, 0.75])),
+    "short-row": ("3\n0 1 1\n1 0\n1 1 0\n", "unreadable numbers"),
+    "one-row-too-many": ("2\n0 1\n1 0\n1 1\n", "expected 2 matrix rows, got 3"),
+    "one-row-too-few": ("2\n0 1\n", "expected 2 matrix rows, got 1"),
+    "header-only": ("2\n", "expected 2 matrix rows, got 0"),
+    "weights-and-no-rows": ("2\nweights: 0.25 0.75\n\n", "expected 2 matrix rows, got 0"),
+    "rows-too-long": ("2\n0 1 2\n1 0 3\n", "expected 2x2 numbers, got 2x3"),
+    "empty": (" \n\n", "empty matrix file"),
+    "size-not-an-integer": ("2.0\n0 1\n1 0\n", "first line must be the size"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CASES))
+def test_matrix_format_cases(name, tmp_path):
+    text, expected = MATRIX_CASES[name]
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, str):
+        for read in (lambda: parse_matrix(text), lambda: load_kernel(str(path))):
+            with pytest.raises(FormatError, match="^" + expected):
+                read()
+        return
+    values, weights = expected
+    k = parse_matrix(text)
+    assert np.array_equal(k.values, values)
+    assert np.array_equal(k.space.weights, [0.5, 0.5] if weights is None else weights)
+    loaded = load_kernel(str(path))
+    assert np.array_equal(loaded.values, k.values)
+    assert np.array_equal(loaded.space.weights, k.space.weights)
+
+
+def test_bytes_that_do_not_decode_inside_the_rows_name_the_file(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"2\n0 1\n1 \xff0\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        load_kernel(str(path))
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x0b", "\u2028"])
+def test_a_form_feed_inside_a_row_separates_numbers(sep, tmp_path):
+    # matrix rows end at a line break (\n, \r\n or \r) only: a form feed, a
+    # vertical tab or U+2028 inside a row is whitespace between two numbers
+    text = f"2\n0{sep}1\n1 0\n"
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert np.array_equal(parse_matrix(text).values, SWAP)
+    assert np.array_equal(load_kernel(str(path)).values, SWAP)
+    # so it does not split one line into two rows
+    with pytest.raises(FormatError, match="expected 2 matrix rows, got 1"):
+        parse_matrix(f"2\n0 1{sep}1 0\n")
 
 
 class TestStepFormat:

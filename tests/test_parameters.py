@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import graphonlab.cli
+import graphonlab.regularity
 from graphonlab import (
     ProfileFunction,
     cutnorm_bracket,
@@ -15,15 +17,18 @@ from graphonlab import (
     experiments,
     kernel_from_matrix,
     regularity_decompose,
+    symmetry_decompose,
 )
 from graphonlab.cutnorm import check_exact_limit
 from graphonlab.ensembles import circle_halfplane_kernel, sphere_kernel, w_random_graph
+from graphonlab.cli import EXIT_USAGE
 from graphonlab.errors import (
     GraphonError,
     NotCoprimeError,
     ParameterError,
     TooManyVerticesError,
 )
+from graphonlab.fileio import format_matrix
 from graphonlab.homdensity import hom_density_mc
 from graphonlab.regularity import choose_threshold, cluster_eigenvectors
 from graphonlab.spectral import decompose
@@ -106,6 +111,28 @@ def test_max_parts_and_eps_are_checked_by_the_clustering():
             cluster_eigenvectors(dec, lam, eps, max_parts=max_parts)
     with pytest.raises(ParameterError):
         choose_threshold(dec, _f, math.inf)
+
+
+def _no_decomposition(*args, **kwargs):
+    raise AssertionError("the decomposition ran before the max_parts check")
+
+
+@pytest.mark.parametrize("max_parts", ["-1", "0", "nan"])
+def test_decompose_cli_checks_max_parts_before_the_decomposition(max_parts, tmp_path,
+                                                                 monkeypatch, capsys):
+    path = tmp_path / "k.txt"
+    path.write_text(format_matrix(_kernel(10)))
+    monkeypatch.setattr(graphonlab.cli, "regularity_decompose", _no_decomposition)
+    argv = ["decompose", "--input", str(path), "--epsilon", "0.3", "--max-parts", max_parts]
+    assert graphonlab.cli.main(argv) == EXIT_USAGE
+    assert "max_parts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_parts", [0.0, -1.0, math.nan])
+def test_symmetry_decompose_checks_max_parts_before_decompose(max_parts, monkeypatch):
+    monkeypatch.setattr(graphonlab.regularity, "decompose", _no_decomposition)
+    with pytest.raises(ParameterError, match="max_parts"):
+        symmetry_decompose(_kernel(10), _f, 0.3, max_parts=max_parts)
 
 
 def test_parameter_error_is_a_value_error_and_a_graphon_error():

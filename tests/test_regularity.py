@@ -181,6 +181,18 @@ class TestRegularityDecompose:
             regularity_decompose(kernel_from_matrix(np.full((3, 3), 1.5)),
                                  F_quarter, 0.2)
 
+    def test_r_is_bracketed_before_s_and_e_are_formed(self, rng, monkeypatch):
+        events = []
+        bracket, truncate = regularity_module.cutnorm_bracket, regularity_module.tail_truncate
+        monkeypatch.setattr(regularity_module, "cutnorm_bracket",
+                            lambda k: events.append("bracket R") or bracket(k))
+        monkeypatch.setattr(regularity_module, "tail_truncate",
+                            lambda dec, t: events.append("form S") or truncate(dec, t))
+        reg = regularity_decompose(normalized_l2(rng, 30), F_quarter, 0.3)
+        assert events == ["bracket R", "form S"]
+        sum_ = reg.S.values + reg.E.values + reg.R.values
+        assert np.max(np.abs(sum_ - reg.spectral.kernel.values)) <= 1e-12
+
 
 class TestClusterEigenvectors:
     def test_constant_eigenvector_single_part(self):

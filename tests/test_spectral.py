@@ -192,6 +192,17 @@ class TestTailTruncate:
             moved = apply_permutation(t, shift)
             assert np.max(np.abs(moved.values - t.values)) < 1e-9
 
+    @pytest.mark.parametrize("n", [7, 600])
+    def test_values_are_the_symmetrized_product(self, rng, n):
+        # (P + P^T) / 2 of P = F_k diag(lambda_k) F_k^T, bit for bit; n = 600
+        # takes tiles of 256, 256 and 88 rows
+        dec = decompose(kernel_from_matrix(random_symmetric(rng, n)))
+        t = gap_midpoints(dec)[n // 3]
+        k = dec.rank_above(t)
+        f = dec.eigenvectors[:, :k]
+        p = (f * dec.eigenvalues[:k]) @ f.T
+        assert np.array_equal(tail_truncate(dec, t).values, (p + p.T) / 2.0)
+
 
 class TestSpectralRadius:
     def test_zero(self):
@@ -264,6 +275,46 @@ class TestValidate:
             _validate(SpectralDecomposition(k, vals, vecs, ((0, 3),)))
         _validate(SpectralDecomposition(k, np.full(3, 1.0 / 3.0), np.eye(3) * np.sqrt(3.0),
                                         ((0, 3),)))
+
+    @staticmethod
+    def _exact(rng, scale, weights=None):
+        a = random_symmetric(rng, 30)
+        dec = decompose(kernel_from_matrix(scale * a / np.abs(a).max(), weights=weights))
+        assert spectral._validation_scale(dec.kernel) == max(1.0, scale)
+        return dec
+
+    @pytest.mark.parametrize("factor, rejected", [(10.0, True), (0.1, False)])
+    def test_reconstruction_error_is_measured_on_the_scaled_kernel(self, rng, factor, rejected):
+        # max|K| = 1e3, so s = 1e3: moving lambda_0 by d moves the weighted L2
+        # reconstruction error of K / s by d / s (f_0 has weighted norm 1)
+        dec = self._exact(rng, 1e3)
+        vals = dec.eigenvalues.copy()
+        vals[0] += factor * spectral.RECONSTRUCTION_TOL * 1e3
+        off = SpectralDecomposition(dec.kernel, vals, dec.eigenvectors, dec.clusters)
+        if rejected:
+            with pytest.raises(EigenSolverError, match="reconstruction"):
+                _validate(off)
+        else:  # an absolute tolerance would reject this: the error is 1e-7 before scaling
+            _validate(off)
+
+    @pytest.mark.parametrize("factor, rejected", [(10.0, True), (0.01, False)])
+    def test_weighted_orthonormality_on_nonuniform_weights(self, rng, factor, rejected):
+        w = rng.uniform(0.2, 1.8, 30)
+        dec = self._exact(rng, 1.0, weights=w / w.sum())
+        vecs = dec.eigenvectors.copy()
+        vecs[:, 3] *= 1.0 + factor * spectral.ORTHONORMALITY_TOL  # (f_3, f_3) = 1 + 2 factor tol
+        off = SpectralDecomposition(dec.kernel, dec.eigenvalues, vecs, dec.clusters)
+        if rejected:
+            with pytest.raises(EigenSolverError, match="orthonormality"):
+                _validate(off)
+        else:
+            _validate(off)
+
+    @pytest.mark.parametrize("scale, weighted", [(1e3, False), (1e3, True), (1.0, True)])
+    def test_exact_decompositions_pass(self, rng, scale, weighted):
+        w = rng.uniform(0.2, 1.8, 30) if weighted else None
+        dec = self._exact(rng, scale, weights=None if w is None else w / w.sum())
+        _validate(dec)
 
 
 class TestSpectrumDistribution:
