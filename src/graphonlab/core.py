@@ -151,6 +151,21 @@ def _exactly_symmetric(v: np.ndarray) -> bool:
     return True
 
 
+def _symmetrize_in_place(v: np.ndarray) -> np.ndarray:
+    """v, a writable square float array, overwritten with (v + v^T) / 2 one
+    pair of mirror SYMMETRY_TILE tiles at a time, so the only temporary is
+    one tile. Float addition commutes, so both tiles of a pair take the
+    same values and the result is exactly symmetric."""
+    t = SYMMETRY_TILE
+    for i in range(0, v.shape[0], t):
+        for j in range(i, v.shape[0], t):
+            tile = v[i:i + t, j:j + t] + v[j:j + t, i:i + t].T
+            tile /= 2.0
+            v[i:i + t, j:j + t] = tile
+            v[j:j + t, i:i + t] = tile.T
+    return v
+
+
 def kernel_from_matrix(values, weights=None) -> Kernel:
     """Build a Kernel from a square matrix: skew up to 1e-12 is absorbed
     silently, up to 1e-9 with a warning, anything larger is rejected.
@@ -187,8 +202,10 @@ def _symmetrize_input(v: np.ndarray) -> np.ndarray:
 
 
 def symmetric_kernel(values: np.ndarray, space: DiscreteSpace) -> Kernel:
-    """Internal constructor: symmetrize float noise without the warning ladder."""
-    return Kernel(space, (values + values.T) / 2.0)
+    """Internal constructor: symmetrize float noise without the warning
+    ladder, in place, so values must be a writable float array that the
+    kernel may keep."""
+    return Kernel(space, _symmetrize_in_place(values))
 
 
 @dataclass(frozen=True)

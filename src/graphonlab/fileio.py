@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 import warnings
@@ -41,14 +42,21 @@ def _lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
-def _floats(lines: list[str], shape: tuple[int, int]) -> np.ndarray:
-    """The decimals on one or more lines, parsed in one numpy call, as an
-    array of the given shape. Unreadable or ragged text and any other shape
-    raise FormatError."""
-    try:
-        a = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise FormatError(f"unreadable numbers: {exc}") from exc
+def _floats(source, shape: tuple[int, int], rows: str) -> np.ndarray:
+    """The decimals of source, a list of lines or an iterable of them such
+    as a text stream, parsed in one numpy call as an array of the given
+    shape. Unreadable or ragged text, another row count (named as `rows`)
+    and any other shape raise FormatError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            a = np.loadtxt(source, dtype=float, ndmin=2, comments=None)
+        except UnicodeDecodeError:
+            raise  # _utf8 names the file
+        except ValueError as exc:
+            raise FormatError(f"unreadable numbers: {exc}") from exc
+    if a.shape[0] != shape[0]:
+        raise FormatError(f"expected {shape[0]} {rows}, got {a.shape[0]}")
     if a.shape != shape:
         raise FormatError(f"expected {shape[0]}x{shape[1]} numbers, got {a.shape[0]}x{a.shape[1]}")
     return a
@@ -64,7 +72,8 @@ def _ints(tokens: list[str]) -> list[int]:
 def _read_matrix(fh) -> Kernel:
     """The matrix file on the text stream fh: the size line and the optional
     weights line are read line by line, then one np.loadtxt parses every
-    row straight from the stream, so no copy of the text is held."""
+    row straight from the stream, so no copy of the text is held. fh is
+    only read forward, so a pipe or a FIFO serves as well as a file."""
     head = _next_line(fh)
     if head is None:
         raise FormatError("empty matrix file")
@@ -75,7 +84,6 @@ def _read_matrix(fh) -> Kernel:
     if n < 1:
         raise FormatError(f"size must be positive, got {n}")
     weights = None
-    start = fh.tell()
     line = _next_line(fh)
     if line is not None and line.startswith("weights:"):
         try:
@@ -84,21 +92,10 @@ def _read_matrix(fh) -> Kernel:
             raise FormatError(f"unreadable weights: {exc}") from exc
         if weights.size != n:
             raise FormatError(f"expected {n} weights, got {weights.size}")
-    else:
-        fh.seek(start)  # that line was the first row
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        try:
-            a = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
-        except UnicodeDecodeError:
-            raise  # _utf8 names the file
-        except ValueError as exc:
-            raise FormatError(f"unreadable numbers: {exc}") from exc
-    if a.shape[0] != n:
-        raise FormatError(f"expected {n} matrix rows, got {a.shape[0]}")
-    if a.shape[1] != n:
-        raise FormatError(f"expected {n}x{n} numbers, got {a.shape[0]}x{a.shape[1]}")
-    return kernel_from_matrix(a, weights)
+        rows = fh
+    else:  # that line was the first row: put it back, as fh may not seek
+        rows = itertools.chain([] if line is None else [line], fh)
+    return kernel_from_matrix(_floats(rows, (n, n), "matrix rows"), weights)
 
 
 def _next_line(fh) -> str | None:
@@ -138,7 +135,7 @@ def parse_step(text: str) -> StepFunction:
     uniq, labels = np.unique(raw, return_inverse=True)
     if uniq.size != s:
         raise FormatError(f"label line uses {uniq.size} parts, header says {s}")
-    block = _symmetrize_input(_floats(lines[2 : 2 + s], (s, s)))
+    block = _symmetrize_input(_floats(lines[2 : 2 + s], (s, s), "block rows"))
     return step_function(DiscreteSpace.uniform(raw.size), labels, block)
 
 

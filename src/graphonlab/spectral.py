@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SYMMETRY_TILE, DiscreteSpace, Kernel, StepFunction, canonical_parts
+from .core import DiscreteSpace, Kernel, StepFunction, _symmetrize_in_place, canonical_parts
 from .errors import (
     AllZeroSpectrum,
     EigenSolverError,
@@ -505,21 +505,10 @@ def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
 
 def _truncation(dec: SpectralDecomposition, threshold: float) -> np.ndarray:
     """The values of tail_truncate(dec, threshold) in one writable n x n
-    buffer: P = F_k diag(lambda_k) F_k^T, then symmetric_kernel's
-    (P + P^T) / 2 formed in place, one pair of mirror SYMMETRY_TILE tiles
-    at a time. Float addition commutes, so both tiles of a pair take the
-    same values and the result is exactly symmetric."""
+    buffer: P = F_k diag(lambda_k) F_k^T, symmetrized in place."""
     k = _split_check(dec, threshold)
     f = dec.eigenvectors[:, :k]
-    out = (f * dec.eigenvalues[:k]) @ f.T
-    t = SYMMETRY_TILE
-    for i in range(0, dec.n, t):
-        for j in range(i, dec.n, t):
-            tile = out[i:i + t, j:j + t] + out[j:j + t, i:i + t].T
-            tile /= 2.0
-            out[i:i + t, j:j + t] = tile
-            out[j:j + t, i:i + t] = tile.T
-    return out
+    return _symmetrize_in_place((f * dec.eigenvalues[:k]) @ f.T)
 
 
 def truncation_quotient(dec: SpectralDecomposition, threshold: float,

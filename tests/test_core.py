@@ -16,7 +16,7 @@ from graphonlab import (
     step_function,
     weighted_norm,
 )
-from graphonlab.core import SYMMETRY_TILE
+from graphonlab.core import SYMMETRY_TILE, symmetric_kernel
 from graphonlab.errors import (
     AsymmetricMatrixError,
     EmptyPartError,
@@ -81,6 +81,14 @@ class TestKernelConstruction:
             bad[i, j] = np.nextafter(bad[i, j], 2.0)
             with pytest.raises(AsymmetricMatrixError):
                 Kernel(DiscreteSpace.uniform(n), bad)
+
+    @pytest.mark.parametrize("n", [1, SYMMETRY_TILE - 1, 2 * SYMMETRY_TILE + 37])
+    def test_symmetric_kernel_is_the_whole_matrix_average(self, rng, n):
+        # the tiled in-place (v + v^T) / 2 gives the bits of the whole-matrix
+        # one, ragged last tiles included
+        v = rng.uniform(-1.0, 1.0, (n, n))
+        expected = (v + v.T) / 2.0
+        assert np.array_equal(symmetric_kernel(v, DiscreteSpace.uniform(n)).values, expected)
 
     def test_large_skew_rejected(self):
         with pytest.raises(AsymmetricMatrixError):

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,24 @@ def test_a_form_feed_inside_a_row_separates_numbers(sep, tmp_path):
     # so it does not split one line into two rows
     with pytest.raises(FormatError, match="expected 2 matrix rows, got 1"):
         parse_matrix(f"2\n0 1{sep}1 0\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("name", ["blank-lines", "weights-line", "crlf"])
+def test_load_kernel_reads_a_stream_that_cannot_seek(name, tmp_path):
+    # a FIFO stands for a pipe, `--input /dev/stdin` or a process substitution
+    text, (values, weights) = MATRIX_CASES[name]
+    path = tmp_path / "m.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(text.encode("utf-8"),),
+                              daemon=True)
+    writer.start()
+    try:
+        k = load_kernel(str(path))
+    finally:
+        writer.join(timeout=10)
+    assert np.array_equal(k.values, values)
+    assert np.array_equal(k.space.weights, [0.5, 0.5] if weights is None else weights)
 
 
 class TestStepFormat:
