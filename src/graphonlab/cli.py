@@ -24,7 +24,14 @@ import time
 import numpy as np
 
 from . import experiments, fileio, svgplot
-from .core import SimpleGraph, builtin_graph, expand_step, weighted_mean, weighted_norm
+from .core import (
+    SimpleGraph,
+    StepFunction,
+    builtin_graph,
+    expand_step,
+    weighted_mean,
+    weighted_norm,
+)
 from .cutnorm import DEFAULT_EXACT_LIMIT, DEFAULT_RESTARTS, EXACT_CEILING, cutnorm_bracket
 from .distance import DEFAULT_MAX_ATOMS, delta_bracket
 from .ensembles import (
@@ -343,18 +350,18 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_density(args) -> dict:
-    kind = fileio.sniff_kind(args.input)
-    inputs = _inputs(args, "step" if kind == "step" else "matrix", _DENSITY_FLAGS)
+    source = fileio.load_source(args.input)
+    is_step = isinstance(source, StepFunction)
+    inputs = _inputs(args, "step" if is_step else "matrix", _DENSITY_FLAGS)
     graph = parse_graph_arg(args.graph)
     results: dict = {"graph": args.graph, "vertices": graph.k, "edges": graph.edge_count}
-    if kind == "step":
-        est = hom_density_step(graph, fileio.load_step(args.input))
+    if is_step:
+        est = hom_density_step(graph, source)
     else:
-        kernel = fileio.load_kernel(args.input)
-        est = hom_density_mc(graph, kernel, args.samples, args.seed)
+        est = hom_density_mc(graph, source, args.samples, args.seed)
         cyc = re.match(r"^cycle_(\d+)$", args.graph)
         if cyc:
-            spectral = cycle_density_spectral(spectrum(kernel), int(cyc.group(1)))
+            spectral = cycle_density_spectral(spectrum(source), int(cyc.group(1)))
             results["spectral_value"] = spectral.value
     results.update(
         {"value": est.value, "stderr": est.stderr, "samples": est.samples,
@@ -400,10 +407,9 @@ def _cmd_make(args) -> dict:
         kernel = sphere_kernel(args.dim, profile, args.count, args.seed)
         params = {"dim": args.dim, "count": args.count, "f": f}
     else:  # wrandom
-        if fileio.sniff_kind(args.input) == "step":
-            source = expand_step(fileio.load_step(args.input))
-        else:
-            source = fileio.load_kernel(args.input)
+        source = fileio.load_source(args.input)
+        if isinstance(source, StepFunction):
+            source = expand_step(source)
         kernel = w_random_graph(source, args.count, args.seed)
         params = {"count": args.count, "source": args.input}
     fileio.write_text_atomic(args.output, fileio.format_matrix(kernel))

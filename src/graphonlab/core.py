@@ -41,8 +41,9 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} must be finite (no NaN or inf)")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _frozen(a, dtype=float) -> np.ndarray:
+    """a as a read-only array of dtype; an array of that dtype is frozen itself."""
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -151,19 +152,26 @@ def _exactly_symmetric(v: np.ndarray) -> bool:
     return True
 
 
-def _symmetrize_in_place(v: np.ndarray) -> np.ndarray:
-    """v, a writable square float array, overwritten with (v + v^T) / 2 one
-    pair of mirror SYMMETRY_TILE tiles at a time, so the only temporary is
-    one tile. Float addition commutes, so both tiles of a pair take the
-    same values and the result is exactly symmetric."""
+def _symmetrize_in_place(v: np.ndarray) -> float:
+    """Overwrite v, a writable square float array, with (v + v^T) / 2 one
+    pair of mirror SYMMETRY_TILE tiles at a time, and return the skew
+    max |v - v^T| it removed. Float addition commutes, so the result is
+    exactly symmetric. A pair that is equal already is left unwritten, as
+    averaging it could only overflow."""
     t = SYMMETRY_TILE
+    skew = 0.0
     for i in range(0, v.shape[0], t):
         for j in range(i, v.shape[0], t):
-            tile = v[i:i + t, j:j + t] + v[j:j + t, i:i + t].T
+            upper, lower = v[i:i + t, j:j + t], v[j:j + t, i:i + t].T
+            if np.array_equal(upper, lower):
+                continue
+            tile = upper - lower
+            skew = max(skew, float(np.max(np.abs(tile, out=tile))))
+            tile = upper + lower
             tile /= 2.0
-            v[i:i + t, j:j + t] = tile
-            v[j:j + t, i:i + t] = tile.T
-    return v
+            upper[...] = tile
+            lower[...] = tile
+    return skew
 
 
 def kernel_from_matrix(values, weights=None) -> Kernel:
@@ -174,11 +182,7 @@ def kernel_from_matrix(values, weights=None) -> Kernel:
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {v.shape}")
     v = _symmetrize_input(v)
-    space = (
-        DiscreteSpace.uniform(v.shape[0])
-        if weights is None
-        else DiscreteSpace(np.asarray(weights, dtype=float))
-    )
+    space = DiscreteSpace.uniform(v.shape[0]) if weights is None else DiscreteSpace(weights)
     return Kernel(space, v)
 
 
@@ -187,7 +191,8 @@ def _symmetrize_input(v: np.ndarray) -> np.ndarray:
     SILENT_SKEW is averaged away silently, up to HARD_SKEW with a
     SymmetrizedWarning, anything larger raises AsymmetricMatrixError."""
     _require_finite(v, "matrix entries")  # before the skew test, which NaN passes
-    skew = float(np.max(np.abs(v - v.T))) if v.size else 0.0
+    v = v.copy()  # keeps the caller's array writable and the result its own
+    skew = _symmetrize_in_place(v)
     if skew > HARD_SKEW:
         raise AsymmetricMatrixError(
             f"matrix skew {skew:.3e} exceeds hard tolerance {HARD_SKEW}"
@@ -196,16 +201,15 @@ def _symmetrize_input(v: np.ndarray) -> np.ndarray:
         warnings.warn(
             f"symmetrizing input with skew {skew:.3e}", SymmetrizedWarning
         )
-    # at zero skew v is exactly symmetric, and averaging could overflow; the
-    # copy keeps the caller's array writable and the result its own
-    return (v + v.T) / 2.0 if skew > 0 else v.copy()
+    return v
 
 
 def symmetric_kernel(values: np.ndarray, space: DiscreteSpace) -> Kernel:
     """Internal constructor: symmetrize float noise without the warning
     ladder, in place, so values must be a writable float array that the
     kernel may keep."""
-    return Kernel(space, _symmetrize_in_place(values))
+    _symmetrize_in_place(values)
+    return Kernel(space, values)
 
 
 @dataclass(frozen=True)
@@ -234,26 +238,20 @@ class StepFunction:
         _require_finite(block, "block values")
         if labels.min() < 0 or labels.max() >= s:
             raise EmptyPartError("part labels must lie in [0, s)")
-        if not np.array_equal(block, block.T):
+        if not _exactly_symmetric(block):
             raise AsymmetricMatrixError("block matrix must be exactly symmetric")
         counted = np.bincount(labels, weights=self.space.weights, minlength=s)
         if np.any(counted == 0.0):
             raise EmptyPartError("every part must contain at least one atom")
         if np.max(np.abs(counted - pw)) > WEIGHT_SUM_TOL:
             raise InvalidSpaceError("part_weights must equal summed atom weights")
-        object.__setattr__(self, "part_of", _frozen_int(labels))
+        object.__setattr__(self, "part_of", _frozen(labels, dtype=int))
         object.__setattr__(self, "block", _frozen(block))
         object.__setattr__(self, "part_weights", _frozen(pw))
 
     @property
     def parts(self) -> int:
         return self.block.shape[0]
-
-
-def _frozen_int(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=int)
-    a.setflags(write=False)
-    return a
 
 
 def step_function(space: DiscreteSpace, part_of, block) -> StepFunction:
@@ -309,12 +307,7 @@ def quotient_average(kernel: Kernel, part_of) -> StepFunction:
 
 def apply_permutation(kernel: Kernel, perm) -> Kernel:
     """Relabel atoms: result[x,y] = K[g(x), g(y)] for a weight-preserving g."""
-    g = np.asarray(perm, dtype=int)
-    if g.shape != (kernel.n,) or not np.array_equal(np.sort(g), np.arange(kernel.n)):
-        raise WeightMismatchError("perm must be a permutation of 0..n-1")
-    w = kernel.space.weights
-    if np.max(np.abs(w[g] - w)) > WEIGHT_SUM_TOL:
-        raise WeightMismatchError("permutation does not preserve atom weights")
+    g = _check_permutation(kernel.space, perm)
     return Kernel(kernel.space, kernel.values[np.ix_(g, g)])
 
 
@@ -412,14 +405,24 @@ class PermutationAction:
     generators: tuple
 
     def __post_init__(self):
-        gens = []
-        w = self.space.weights
-        ident = np.arange(self.space.n)
-        for g in self.generators:
-            g = np.asarray(g, dtype=int)
-            if g.shape != (self.space.n,) or not np.array_equal(np.sort(g), ident):
-                raise WeightMismatchError("generator is not a bijection on the atoms")
-            if np.max(np.abs(w[g] - w)) > WEIGHT_SUM_TOL:
-                raise WeightMismatchError("generator does not preserve the weights")
-            gens.append(_frozen_int(g))
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", tuple(
+            _frozen(_check_permutation(self.space, g), dtype=int) for g in self.generators))
+
+
+def _check_permutation(space: DiscreteSpace, perm) -> np.ndarray:
+    """perm as an int array, once it is checked to be a weight-preserving
+    permutation of the atoms of space; WeightMismatchError otherwise."""
+    g = np.asarray(perm, dtype=int)
+    if g.shape != (space.n,) or not np.array_equal(np.sort(g), np.arange(space.n)):
+        raise WeightMismatchError("permutation is not a bijection on the atoms")
+    w = space.weights
+    if np.max(np.abs(w[g] - w)) > WEIGHT_SUM_TOL:
+        raise WeightMismatchError("permutation does not preserve the atom weights")
+    return g
+
+
+def _largest_move(action: PermutationAction, values: np.ndarray) -> float:
+    """max over the generators g of max |values[g(x), g(y)] - values[x, y]|,
+    for values on the atoms the action permutes; 0.0 without generators."""
+    return max((float(np.max(np.abs(values[np.ix_(g, g)] - values)))
+                for g in action.generators), default=0.0)

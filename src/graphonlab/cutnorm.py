@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kernel, weighted_norm
+from .core import Kernel, _frozen, weighted_norm
 from .errors import DimensionMismatchError, ParameterError, TooLargeError
 from .spectral import operator_norm_upper
 
@@ -38,9 +38,7 @@ class CutNormEstimate:
 
     def __post_init__(self):
         for name in ("witness_f", "witness_g"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def check_exact_limit(exact_limit: int) -> None:

@@ -18,6 +18,7 @@ from .core import (
     Kernel,
     SimpleGraph,
     StepFunction,
+    _frozen,
     builtin_graph,
     weighted_norm,
 )
@@ -46,9 +47,7 @@ class DistanceBracket:
     lower_certificate: str  # none | counting-lemma
 
     def __post_init__(self):
-        a = np.asarray(self.alignment, dtype=int)
-        a.setflags(write=False)
-        object.__setattr__(self, "alignment", a)
+        object.__setattr__(self, "alignment", _frozen(self.alignment, dtype=int))
 
 
 def _grid_size(parts_weights: list[np.ndarray], max_atoms: int) -> int:

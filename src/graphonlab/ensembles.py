@@ -15,7 +15,9 @@ from .core import (
     Kernel,
     PermutationAction,
     _draw_atoms,
-    apply_permutation,
+    _frozen,
+    _largest_move,
+    _symmetrize_in_place,
     symmetric_kernel,
     weighted_mean,
     weighted_norm,
@@ -26,6 +28,7 @@ from .errors import (
     AsymmetricMatrixError,
     NotCoprimeError,
     ParameterError,
+    WeightMismatchError,
 )
 from .spectral import spectral_radius, spectrum
 
@@ -57,8 +60,7 @@ class ProfileFunction:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ParameterError("table needs at least two grid values")
-        v.setflags(write=False)
-        return ProfileFunction(kind="table", table=v)
+        return ProfileFunction(kind="table", table=_frozen(v))
 
     @staticmethod
     def threshold(cut: float) -> "ProfileFunction":
@@ -151,7 +153,7 @@ def sphere_kernel(dim: int, f: ProfileFunction, N: int, seed: int = 0) -> Kernel
         norms = np.linalg.norm(x, axis=1)
     x /= norms[:, None]
     gram = x @ x.T
-    gram = (gram + gram.T) / 2.0
+    _symmetrize_in_place(gram)  # numpy forms x x^T exactly symmetric; nothing is written then
     np.fill_diagonal(gram, 1.0)
     return Kernel(DiscreteSpace.uniform(N), f(np.clip(gram, -1.0, 1.0)))
 
@@ -232,12 +234,11 @@ def invariant_dimension_report(
     radius (and hence the cut norm) is at most ||K||_2 / sqrt(d). The same
     report on the centered kernel K - p bounds ||K - p||_cut.
     """
-    for g in action.generators:
-        dev = float(np.max(np.abs(apply_permutation(kernel, g).values - kernel.values)))
-        if dev > STABILIZE_TOL:
-            raise ActionDoesNotStabilizeError(
-                f"generator moves the kernel by {dev:.3e} in sup norm"
-            )
+    if not np.array_equal(action.space.weights, kernel.space.weights):
+        raise WeightMismatchError("the action permutes the atoms of another space")
+    dev = _largest_move(action, kernel.values)
+    if dev > STABILIZE_TOL:
+        raise ActionDoesNotStabilizeError(f"a generator moves the kernel by {dev:.3e} in sup norm")
     base = _cluster_report(kernel)
     p = weighted_mean(kernel)
     centered = Kernel(kernel.space, kernel.values - p)

@@ -69,12 +69,11 @@ def _ints(tokens: list[str]) -> list[int]:
         raise FormatError(f"unreadable integer: {exc}") from exc
 
 
-def _read_matrix(fh) -> Kernel:
-    """The matrix file on the text stream fh: the size line and the optional
-    weights line are read line by line, then one np.loadtxt parses every
-    row straight from the stream, so no copy of the text is held. fh is
-    only read forward, so a pipe or a FIFO serves as well as a file."""
-    head = _next_line(fh)
+def _read_matrix(fh, head: str | None) -> Kernel:
+    """The matrix file on the text stream fh after head, its first line that
+    is not blank (None if none is): one np.loadtxt parses the rows after the
+    optional weights line straight from the stream, holding no copy of the
+    text. fh is only read forward, so a pipe or a FIFO serves as a file."""
     if head is None:
         raise FormatError("empty matrix file")
     try:
@@ -107,7 +106,8 @@ def _next_line(fh) -> str | None:
 
 
 def parse_matrix(text: str) -> Kernel:
-    return _read_matrix(io.StringIO(text, newline=None))
+    fh = io.StringIO(text, newline=None)
+    return _read_matrix(fh, _next_line(fh))
 
 
 def format_matrix(kernel: Kernel) -> str:
@@ -189,7 +189,7 @@ def _utf8(path: str):
 
 def load_kernel(path: str) -> Kernel:
     with _utf8(path) as fh:
-        return _read_matrix(fh)
+        return _read_matrix(fh, _next_line(fh))
 
 
 def load_step(path: str) -> StepFunction:
@@ -202,11 +202,14 @@ def load_graph(path: str) -> SimpleGraph:
         return parse_graph(fh.read())
 
 
-def sniff_kind(path: str) -> str:
-    """'step' if the file opens with a parts header, else 'matrix'."""
+def load_source(path: str) -> Kernel | StepFunction:
+    """The step function in the file if its first line that is not blank
+    starts with 'parts:', else the matrix kernel, from one forward read."""
     with _utf8(path) as fh:
-        first = fh.readline().strip()
-    return "step" if first.startswith("parts:") else "matrix"
+        head = _next_line(fh)
+        if head is not None and head.startswith("parts:"):
+            return parse_step(head + "\n" + fh.read())
+        return _read_matrix(fh, head)
 
 
 def write_text_atomic(path: str, text: str) -> None:

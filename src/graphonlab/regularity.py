@@ -22,7 +22,7 @@ from .core import (
     Kernel,
     PermutationAction,
     StepFunction,
-    apply_permutation,
+    _largest_move,
     expand_step,
     weighted_norm,
 )
@@ -413,10 +413,9 @@ def group_order(action: PermutationAction) -> int:
     """Order of the generated group, assuming the generators form a strong
     set for the natural base 0..n-1 (as produced by automorphisms)."""
     n = action.space.n
-    gens = [np.asarray(g) for g in action.generators]
     order = 1
     for i in range(n):
-        level = [g for g in gens if np.array_equal(g[:i], np.arange(i))]
+        level = [g for g in action.generators if np.array_equal(g[:i], np.arange(i))]
         order *= len(_orbit(i, level, n))
     return order
 
@@ -451,16 +450,9 @@ def symmetry_decompose(
     clustering = cluster_eigenvectors(reg.spectral, reg.lam, eps, max_parts=max_parts)
     action = automorphisms(kernel)
     t_kernel = expand_step(clustering.step)
-    s_worst = 0.0
-    t_worst = 0.0
-    for g in action.generators:
-        s_dev = float(np.max(np.abs(apply_permutation(reg.S, g).values - reg.S.values)))
-        t_dev = float(np.max(np.abs(apply_permutation(t_kernel, g).values - t_kernel.values)))
-        s_worst = max(s_worst, s_dev)
-        t_worst = max(t_worst, t_dev)
     report = InvarianceReport(
         generators=len(action.generators),
-        S_deviation=s_worst,
-        T_deviation=t_worst,
+        S_deviation=_largest_move(action, reg.S.values),
+        T_deviation=_largest_move(action, t_kernel.values),
     )
     return reg, clustering, report

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteSpace, Kernel, StepFunction, _symmetrize_in_place, canonical_parts
+from .core import Kernel, StepFunction, _frozen, _symmetrize_in_place, canonical_parts
 from .errors import (
     AllZeroSpectrum,
     EigenSolverError,
@@ -173,7 +173,7 @@ def decompose(kernel: Kernel) -> SpectralDecomposition:
     vals = vals[order]
     vecs = np.take(vecs, order, axis=1)  # C-ordered, unlike vecs[:, order]
     vecs /= rootw[:, None]  # back-transform to weight-orthonormal eigenvectors
-    dec = SpectralDecomposition(kernel, _readonly(vals), _readonly(vecs), _cluster_ranges(vals))
+    dec = SpectralDecomposition(kernel, _frozen(vals), _frozen(vecs), _cluster_ranges(vals))
     _validate(dec)
     return dec
 
@@ -185,7 +185,7 @@ def spectrum(kernel: Kernel) -> SpectralDecomposition:
     gives zero, and below it raises EigenvectorsNotKept."""
     vals = _eigenvalues(_symmetrized(kernel)[0])
     vals = vals[_spectral_order(vals)]
-    return SpectralDecomposition(kernel, _readonly(vals), _readonly(np.empty((kernel.n, 0))),
+    return SpectralDecomposition(kernel, _frozen(vals), _frozen(np.empty((kernel.n, 0))),
                                  _cluster_ranges(vals))
 
 
@@ -265,7 +265,8 @@ def decompose_leading(kernel: Kernel, rank: int, above: float) -> SpectralDecomp
                                           np.append(theta, tau), rank, float(radius.max()))
     if not truncation / _validation_scale(kernel) <= RECONSTRUCTION_TOL:
         return None
-    return SpectralDecomposition(kernel, _readonly(theta), _readonly(x / rootw[:, None]),
+    vecs = np.divide(x, rootw[:, None], order="C")  # x is a transpose; C order as in decompose
+    return SpectralDecomposition(kernel, _frozen(theta), _frozen(vecs),
                                  _cluster_ranges(theta), projector, tau)
 
 
@@ -420,12 +421,6 @@ def _blocks_needed(value: float, target: float, rate: float) -> float:
     return math.log(target / value) / math.log(rate)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 def _validation_scale(kernel: Kernel) -> float:
     """s = max(1, max|K|): errors are measured on K / s, so a kernel of any
     scale meets the tolerance of |K| <= 1."""
@@ -508,7 +503,9 @@ def _truncation(dec: SpectralDecomposition, threshold: float) -> np.ndarray:
     buffer: P = F_k diag(lambda_k) F_k^T, symmetrized in place."""
     k = _split_check(dec, threshold)
     f = dec.eigenvectors[:, :k]
-    return _symmetrize_in_place((f * dec.eigenvalues[:k]) @ f.T)
+    p = (f * dec.eigenvalues[:k]) @ f.T
+    _symmetrize_in_place(p)
+    return p
 
 
 def truncation_quotient(dec: SpectralDecomposition, threshold: float,
@@ -530,7 +527,8 @@ def truncation_quotient(dec: SpectralDecomposition, threshold: float,
     np.add.at(sums, labels, dec.eigenvectors[:, :k] * dec.kernel.space.weights[:, None])
     block = (sums * dec.eigenvalues[:k]) @ sums.T
     # the two roundings of each off-diagonal pair meet halfway: exactly symmetric
-    block = (block + block.T) / 2.0 / np.outer(pw, pw)
+    _symmetrize_in_place(block)
+    block /= np.outer(pw, pw)
     return StepFunction(dec.kernel.space, labels, block, pw)
 
 
@@ -664,4 +662,4 @@ def spectrum_distribution(dec: SpectralDecomposition) -> SpectrumDistribution:
     total = float(fourth.sum())
     if lam.size == 0 or total == 0.0:
         raise AllZeroSpectrum("kernel has no usable nonzero eigenvalue")
-    return SpectrumDistribution(_readonly(lam), _readonly(fourth / total))
+    return SpectrumDistribution(_frozen(lam), _frozen(fourth / total))

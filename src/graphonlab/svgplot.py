@@ -79,10 +79,10 @@ def _y_scale(lo: float, hi: float, height: float):
     return to_y
 
 
-def spectrum_plot(eigenvalues, clusters, path: str,
-                  width: int = 720, height: int = 480) -> None:
+def spectrum_plot(eigenvalues, clusters, path: str) -> None:
     """Stem plot of the eigenvalues with alternating cluster shading."""
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(720, 480)
+    width, height = canvas.width, canvas.height
     n = len(eigenvalues)
     lo = min(0.0, min(eigenvalues))
     hi = max(0.0, max(eigenvalues))
@@ -111,14 +111,13 @@ def _gray(v: float, lo: float, hi: float) -> str:
     return f"#{level:02x}{level:02x}{level:02x}"
 
 
-def partition_plot(block, part_weights, path: str, width: int = 560,
-                   height: int = 560) -> None:
+def partition_plot(block, part_weights, path: str) -> None:
     """Block heat map of a step function; cell sizes follow part weights."""
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(560, 560)
     s = len(block)
     flat = [v for row in block for v in row]
     lo, hi = min(flat), max(flat)
-    side = min(width, height) - 2 * _MARGIN
+    side = canvas.width - 2 * _MARGIN
     edges = [0.0]
     for wgt in part_weights:
         edges.append(edges[-1] + wgt)
@@ -134,11 +133,11 @@ def partition_plot(block, part_weights, path: str, width: int = 560,
     canvas.save(path)
 
 
-def trajectory_plot(sample_sizes, trajectories, path: str, reference=None,
-                    width: int = 720, height: int = 480) -> None:
+def trajectory_plot(sample_sizes, trajectories, path: str, reference=None) -> None:
     """One polyline per tracked eigenvalue across sample sizes; optional
     dashed reference lines for the target values."""
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(720, 480)
+    width, height = canvas.width, canvas.height
     reference = list(reference) if reference is not None else []
     all_vals = [v for tr in trajectories for v in tr] + reference
     lo = min(0.0, min(all_vals))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,8 @@ from graphonlab import (
     step_function,
     weighted_norm,
 )
-from graphonlab.core import SYMMETRY_TILE, symmetric_kernel
+from graphonlab import core
+from graphonlab.core import SYMMETRY_TILE, _symmetrize_in_place, symmetric_kernel
 from graphonlab.errors import (
     AsymmetricMatrixError,
     EmptyPartError,
@@ -88,7 +91,25 @@ class TestKernelConstruction:
         # one, ragged last tiles included
         v = rng.uniform(-1.0, 1.0, (n, n))
         expected = (v + v.T) / 2.0
+        skew = np.max(np.abs(v - v.T))
+        w = v.copy()
+        assert _symmetrize_in_place(w) == skew
+        assert np.array_equal(w, expected)
         assert np.array_equal(symmetric_kernel(v, DiscreteSpace.uniform(n)).values, expected)
+        # a second pass finds nothing to remove
+        assert _symmetrize_in_place(w) == 0.0
+        assert np.array_equal(w, expected)
+
+    def test_symmetrizing_leaves_equal_tile_pairs_unwritten(self):
+        # entries past half the float range overflow when averaged with
+        # themselves; their tile pair is equal, so it keeps them
+        t = SYMMETRY_TILE
+        v = np.full((t + 3, t + 3), 0.5)
+        v[:t, :t] = 1e308
+        v[-1, -2] = 0.25
+        assert _symmetrize_in_place(v) == 0.25
+        assert np.all(v[:t, :t] == 1e308)
+        assert v[-1, -2] == v[-2, -1] == 0.375
 
     def test_large_skew_rejected(self):
         with pytest.raises(AsymmetricMatrixError):
@@ -221,6 +242,19 @@ class TestPermutations:
         with pytest.raises(WeightMismatchError):
             PermutationAction(sp, (np.array([0, 0, 1]),))
 
+    @pytest.mark.parametrize("perm,what", [
+        ([0, 0, 1], "not a bijection"),
+        ([0, 1], "not a bijection"),
+        ([1, 0, 2], "does not preserve the atom weights"),
+    ])
+    def test_action_and_apply_check_alike(self, perm, what):
+        # one check: the same permutation fails both the same way
+        k = kernel_from_matrix(np.eye(3), weights=[0.25, 0.5, 0.25])
+        with pytest.raises(WeightMismatchError, match=what):
+            apply_permutation(k, perm)
+        with pytest.raises(WeightMismatchError, match=what):
+            PermutationAction(k.space, ([0, 1, 2], perm))
+
 
 class TestWeightedNorms:
     def test_constant_kernel(self):
@@ -265,3 +299,14 @@ class TestTemplateGraphs:
     def test_unknown_or_invalid_name(self, name):
         with pytest.raises(ValueError):
             builtin_graph(name)
+
+
+@pytest.mark.parametrize("path", sorted(Path(core.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_freezing_and_symmetrizing_live_in_core_only(path):
+    # core._frozen is the one setflags call and core._symmetrize_in_place
+    # the one average of a matrix with its transpose
+    if path.name != "core.py":
+        text = path.read_text(encoding="utf-8")
+        assert "setflags(" not in text
+        assert ".T) / 2" not in text

@@ -250,6 +250,19 @@ class TestInvariantDimensionReport:
         with pytest.raises(ActionDoesNotStabilizeError):
             invariant_dimension_report(k, action)
 
+    def test_rejects_an_action_whose_second_generator_moves_the_kernel(self):
+        # the reflection x -> -x mod 6 fixes this kernel; the shift does not
+        vals = np.array([[0.9, 0.3, 0.1, 0.0, 0.1, 0.3]] * 6)
+        vals[1:, 0] = vals[0, 1:]
+        vals[1:, 1:] = 0.2
+        k = kernel_from_matrix(vals)
+        reflect = (-np.arange(6)) % 6
+        assert np.array_equal(apply_permutation(k, reflect).values, k.values)
+        with pytest.raises(ActionDoesNotStabilizeError):
+            invariant_dimension_report(k, PermutationAction(k.space, (reflect, shift_perm(6))))
+        rep = invariant_dimension_report(k, PermutationAction(k.space, (reflect,)))
+        assert rep.kernel_report.d is not None
+
     def test_sphere_quasirandom_bound(self):
         # threshold sphere kernel: centered cut norm under 1/sqrt(dim+1)
         dim = 3

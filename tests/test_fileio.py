@@ -1,20 +1,22 @@
+import json
 import os
 import threading
 
 import numpy as np
 import pytest
 
-from graphonlab import DiscreteSpace, kernel_from_matrix, step_function
+from graphonlab import DiscreteSpace, Kernel, StepFunction, kernel_from_matrix, step_function
+from graphonlab.cli import main
 from graphonlab.fileio import (
     FormatError,
     format_graph,
     format_matrix,
     format_step,
     load_kernel,
+    load_source,
     parse_graph,
     parse_matrix,
     parse_step,
-    sniff_kind,
     write_text_atomic,
 )
 
@@ -163,6 +165,58 @@ def test_load_kernel_reads_a_stream_that_cannot_seek(name, tmp_path):
     assert np.array_equal(k.space.weights, [0.5, 0.5] if weights is None else weights)
 
 
+STEP_TEXT = "parts: 2\n1 1 2 2\n0.9 0.1\n0.1 0.4\n"
+MATRIX_TEXT = "4\n0.9 0.1 0.5 0.2\n0.1 0.4 0.3 0.6\n0.5 0.3 0.7 0.0\n0.2 0.6 0.0 1\n"
+SOURCE_RUNS = [
+    ("density-matrix", MATRIX_TEXT,
+     ["density", "--input", "{}", "--graph", "edge", "--samples", "10", "--seed", "0"]),
+    ("density-step", STEP_TEXT, ["density", "--input", "{}", "--graph", "edge"]),
+    ("density-step-after-a-blank-line", "\n" + STEP_TEXT,
+     ["density", "--input", "{}", "--graph", "edge"]),
+    ("wrandom-matrix", MATRIX_TEXT,
+     ["make", "--ensemble", "wrandom", "--input", "{}", "--N", "6", "--seed", "0"]),
+    ("wrandom-step", STEP_TEXT,
+     ["make", "--ensemble", "wrandom", "--input", "{}", "--N", "6", "--seed", "0"]),
+    ("wrandom-step-after-a-blank-line", " \n\n" + STEP_TEXT,
+     ["make", "--ensemble", "wrandom", "--input", "{}", "--N", "6", "--seed", "0"]),
+]
+
+
+def _run_on(source, argv, out, capsys):
+    """cli.main on argv with source for its {} and, for make, out as the
+    kernel it writes: the report's results and the written kernel text."""
+    argv = [a.format(source) for a in argv]
+    if argv[0] == "make":
+        argv += ["--output", str(out)]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    for echo in ("written", "params"):  # these echo the paths
+        results.pop(echo, None)
+    return results, out.read_text() if argv[0] == "make" else None
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name", [run[0] for run in SOURCE_RUNS])
+def test_density_and_wrandom_read_a_pipe_once(name, tmp_path, capsys):
+    # `cat file | graphonlab ... --input /dev/stdin`: the pipe's text can be
+    # read once only, so telling matrix from step must not take a read of
+    # its own; a leading blank line does not make a step file a matrix
+    _, text, argv = next(run for run in SOURCE_RUNS if run[0] == name)
+    path = tmp_path / "source.txt"
+    path.write_text(text)
+    expected = _run_on(str(path), argv, tmp_path / "from-file.txt", capsys)
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode("utf-8"))
+        os.close(w)
+        got = _run_on(f"/dev/fd/{r}", argv, tmp_path / "from-pipe.txt", capsys)
+    finally:
+        os.close(r)
+    assert got == expected
+    if name.startswith("density-step"):
+        assert got[0]["method"] == "exact_step"
+
+
 class TestStepFormat:
     def test_round_trip(self):
         sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1],
@@ -264,8 +318,8 @@ class TestHelpers:
         m.write_text("2\n0 1\n1 0\n")
         s = tmp_path / "s.txt"
         s.write_text("parts: 1\n1 1\n0.5\n")
-        assert sniff_kind(str(m)) == "matrix"
-        assert sniff_kind(str(s)) == "step"
+        assert isinstance(load_source(str(m)), Kernel)
+        assert isinstance(load_source(str(s)), StepFunction)
 
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.txt"
