@@ -9,6 +9,7 @@ import numpy as np
 
 from graphonlab import (
     DiscreteSpace,
+    StepFunction,
     cycle_density_spectral,
     cycle_graph,
     decompose,
@@ -17,12 +18,11 @@ from graphonlab import (
     hom_density_step,
     moment_identity_check,
     spectrum_distribution,
-    step_function,
     triangle_graph,
 )
 
 # A two-part step function: dense inside the parts, sparse across.
-sf = step_function(
+sf = StepFunction(
     DiscreteSpace.uniform(6),
     [0, 0, 0, 1, 1, 1],
     [[0.8, 0.15], [0.15, 0.6]],
@@ -57,6 +57,6 @@ print("max discrepancy:", f"{report['max_discrepancy']:.2e}")
 
 # Bipartite-like structure kills odd cycles: a pure two-part checkerboard
 # has t(C_3) = 0 exactly.
-checker = step_function(DiscreteSpace.uniform(2), [0, 1], [[0.0, 1.0], [1.0, 0.0]])
+checker = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[0.0, 1.0], [1.0, 0.0]])
 print("\ncheckerboard t(triangle):",
       hom_density_step(triangle_graph(), checker).value)

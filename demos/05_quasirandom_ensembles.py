@@ -12,6 +12,7 @@ from graphonlab import (
     Kernel,
     PermutationAction,
     ProfileFunction,
+    StepFunction,
     cayley_kernel,
     cutnorm_heuristic,
     decompose,
@@ -19,7 +20,6 @@ from graphonlab import (
     invariant_dimension_report,
     kernel_from_matrix,
     sphere_kernel,
-    step_function,
     w_random_graph,
     weighted_mean,
     weighted_norm,
@@ -57,7 +57,7 @@ for dim in (2, 3, 4):
 
 # --- W-random graphs converge to their source kernel: the planted spectrum
 # emerges from the sampling noise as N grows.
-sf = step_function(DiscreteSpace.uniform(4), [0, 1, 2, 2],
+sf = StepFunction(DiscreteSpace.uniform(4), [0, 1, 2, 2],
                    [[0.9, 0.4, 0.1], [0.4, 0.7, 0.3], [0.1, 0.3, 0.8]])
 source = expand_step(sf)
 top3 = decompose(source).eigenvalues[:3]

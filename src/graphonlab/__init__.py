@@ -30,7 +30,6 @@ from .core import (
     kernel_from_matrix,
     path_graph,
     quotient_average,
-    step_function,
     triangle_graph,
     weighted_mean,
     weighted_norm,

@@ -14,7 +14,7 @@ as errors.ParameterError, and exits 2 like a flag that does not parse.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import json
 import math
 import re
@@ -88,10 +88,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # canonical JSON
 
@@ -157,7 +153,7 @@ def parse_F(spec: str):
     for raw in spec.split("*"):
         term = raw.strip()
         if not term:
-            raise UsageError(f"empty factor in F spec {spec!r}")
+            raise ParameterError(f"empty factor in F spec {spec!r}")
         m = _F_TERM.match(term)
         if m:
             expo = float(m.group(2)) if m.group(2) else 1.0
@@ -169,14 +165,14 @@ def parse_F(spec: str):
         try:
             value = float(term)
         except ValueError as exc:
-            raise UsageError(f"unreadable factor {term!r} in F spec") from exc
+            raise ParameterError(f"unreadable factor {term!r} in F spec") from exc
         if saw_const:
             c *= value
         else:
             c = value
             saw_const = True
     if not c > 0.0:  # also rejects NaN
-        raise UsageError(f"the constant of F spec {spec!r} must be positive, got {c}")
+        raise ParameterError(f"the constant of F spec {spec!r} must be positive, got {c}")
 
     def F(lam: float, eps: float) -> float:
         return c * lam**p * eps**q
@@ -190,9 +186,9 @@ def _number_list(spec: str, kind=int) -> list:
     try:
         values = [kind(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
-        raise UsageError(f"unreadable number list {spec!r}") from exc
+        raise ParameterError(f"unreadable number list {spec!r}") from exc
     if not values:
-        raise UsageError(f"empty number list {spec!r}")
+        raise ParameterError(f"empty number list {spec!r}")
     return values
 
 
@@ -209,17 +205,21 @@ def parse_profile(spec: str) -> ProfileFunction:
             return ProfileFunction.cosine_series(values)
         if kind == "table":
             return ProfileFunction.from_table(values)
-    raise UsageError(f"unreadable profile spec {spec!r}")
+    raise ParameterError(f"unreadable profile spec {spec!r}")
 
 
 def parse_graph_arg(spec: str) -> SimpleGraph:
     """A builtin template graph by name, else a graph file."""
-    with contextlib.suppress(ValueError):
+    try:
         return builtin_graph(spec)
+    except ValueError as exc:
+        reason = exc
     try:
         return fileio.load_graph(spec)
     except OSError as exc:
-        raise UsageError(f"graph {spec!r} is neither a builtin nor a readable file") from exc
+        raise ParameterError(
+            f"graph {spec!r} is neither a builtin ({reason}) nor a readable file"
+        ) from exc
 
 
 # The flags, by dest, that a case reads beyond those every case of its
@@ -252,10 +252,10 @@ def _inputs(args, case: str | None = None, table: dict | None = None) -> dict:
         reads = table[case]
         stray = sorted(set().union(*table.values()).intersection(given) - set(reads))
         if stray:
-            raise UsageError(f"{args.command} {case} does not read {', '.join(stray)}")
+            raise ParameterError(f"{args.command} {case} does not read {', '.join(stray)}")
         missing = [dest for dest, needed in reads.items() if needed and dest not in given]
         if missing:
-            raise UsageError(f"{args.command} {case} needs {', '.join(missing)}")
+            raise ParameterError(f"{args.command} {case} needs {', '.join(missing)}")
     return given
 
 
@@ -363,10 +363,7 @@ def _cmd_density(args) -> dict:
         if cyc:
             spectral = cycle_density_spectral(spectrum(source), int(cyc.group(1)))
             results["spectral_value"] = spectral.value
-    results.update(
-        {"value": est.value, "stderr": est.stderr, "samples": est.samples,
-         "method": est.method}
-    )
+    results.update(dataclasses.asdict(est))
     return _report("density", inputs, results, [])
 
 
@@ -376,16 +373,7 @@ def _cmd_distance(args) -> dict:
     norm = {"l1": "L1", "l2": "L2", "cut": "cut"}[args.norm]
     bracket = delta_bracket(sf1, sf2, norm, max_atoms=args.max_atoms,
                             exact_limit=args.exact_limit, seed=args.seed)
-    results = {
-        "lower": bracket.lower,
-        "upper": bracket.upper,
-        "norm": bracket.norm,
-        "alignment": bracket.alignment,
-        "refinement_size": bracket.refinement_size,
-        "regime": bracket.regime,
-        "lower_certificate": bracket.lower_certificate,
-    }
-    return _report("distance", _inputs(args), results, [])
+    return _report("distance", _inputs(args), dataclasses.asdict(bracket), [])
 
 
 def _cmd_make(args) -> dict:
@@ -396,7 +384,7 @@ def _cmd_make(args) -> dict:
         try:  # an --f that is not even raises AsymmetricMatrixError
             kernel = cayley_kernel(args.n, vals)
         except GraphonError as exc:
-            raise UsageError(str(exc)) from exc
+            raise ParameterError(str(exc)) from exc
         params = {"n": args.n, "f": vals}
     elif ens == "circle":
         kernel = circle_halfplane_kernel(args.n)
@@ -458,22 +446,22 @@ def _cmd_plot(args) -> dict:
         raise fileio.FormatError(f"{path}: not a graphonlab report")
     if args.kind == "spectrum":
         if "eigenvalues" not in results or "clusters" not in results:
-            raise UsageError("report has no spectrum series")
+            raise ParameterError("report has no spectrum series")
         svgplot.spectrum_plot(results["eigenvalues"], results["clusters"], args.output)
     elif args.kind == "partition":
         part = results.get("partition")
         if not part:
-            raise UsageError("report has no partition series")
+            raise ParameterError("report has no partition series")
         svgplot.partition_plot(part["block"], part["part_weights"], args.output)
     elif args.kind == "trajectory":
         if "trajectories" not in results:
-            raise UsageError("report has no trajectory series")
+            raise ParameterError("report has no trajectory series")
         svgplot.trajectory_plot(
             results["sample_sizes"], results["trajectories"], args.output,
             reference=results.get("reference"),
         )
     else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown plot kind {args.kind!r}")
+        raise ParameterError(f"unknown plot kind {args.kind!r}")
     return _report("plot", _inputs(args), {"written": args.output, "kind": args.kind}, [])
 
 
@@ -583,9 +571,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         if not args.threads >= 1:  # every subcommand takes --threads
-            raise UsageError(f"--threads must be at least 1, got {args.threads}")
+            raise ParameterError(f"--threads must be at least 1, got {args.threads}")
         report = _HANDLERS[args.command](args)
-    except (UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, fileio.FormatError) as exc:

@@ -217,34 +217,31 @@ class StepFunction:
     """A kernel constant on the blocks of a finite partition of the atoms.
 
     part_of[a] is the 0-based part index of atom a; block is the s-by-s
-    symmetric matrix of block values; part_weights[p] is the total weight
-    of part p.
+    symmetric matrix of block values; part_weights[p], the total weight of
+    part p, is derived from the atom weights.
     """
 
     space: DiscreteSpace
     part_of: np.ndarray
     block: np.ndarray
-    part_weights: np.ndarray
+    part_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         labels = np.asarray(self.part_of, dtype=int)
         block = np.asarray(self.block, dtype=float)
-        pw = np.asarray(self.part_weights, dtype=float)
         s = block.shape[0]
         if labels.shape != (self.space.n,):
             raise DimensionMismatchError("part_of must assign a label to every atom")
-        if block.shape != (s, s) or pw.shape != (s,):
-            raise DimensionMismatchError("block must be s x s and part_weights length s")
+        if block.shape != (s, s):
+            raise DimensionMismatchError("block must be s x s")
         _require_finite(block, "block values")
         if labels.min() < 0 or labels.max() >= s:
             raise EmptyPartError("part labels must lie in [0, s)")
         if not _exactly_symmetric(block):
             raise AsymmetricMatrixError("block matrix must be exactly symmetric")
-        counted = np.bincount(labels, weights=self.space.weights, minlength=s)
-        if np.any(counted == 0.0):
+        pw = np.bincount(labels, weights=self.space.weights, minlength=s)
+        if np.any(pw == 0.0):
             raise EmptyPartError("every part must contain at least one atom")
-        if np.max(np.abs(counted - pw)) > WEIGHT_SUM_TOL:
-            raise InvalidSpaceError("part_weights must equal summed atom weights")
         object.__setattr__(self, "part_of", _frozen(labels, dtype=int))
         object.__setattr__(self, "block", _frozen(block))
         object.__setattr__(self, "part_weights", _frozen(pw))
@@ -252,14 +249,6 @@ class StepFunction:
     @property
     def parts(self) -> int:
         return self.block.shape[0]
-
-
-def step_function(space: DiscreteSpace, part_of, block) -> StepFunction:
-    """StepFunction with part_weights derived from the atom weights."""
-    labels = np.asarray(part_of, dtype=int)
-    block = np.asarray(block, dtype=float)
-    pw = np.bincount(labels, weights=space.weights, minlength=block.shape[0])
-    return StepFunction(space, labels, block, pw)
 
 
 def expand_step(sf: StepFunction) -> Kernel:
@@ -274,10 +263,7 @@ def canonical_parts(space: DiscreteSpace, part_of) -> tuple[np.ndarray, np.ndarr
     if labels_raw.shape != (space.n,):
         raise DimensionMismatchError("part_of must label every atom")
     uniq, labels = np.unique(labels_raw, return_inverse=True)
-    pw = np.bincount(labels, weights=space.weights, minlength=uniq.size)
-    if np.any(pw == 0.0):
-        raise EmptyPartError("every part must contain at least one atom")
-    return labels, pw
+    return labels, np.bincount(labels, weights=space.weights, minlength=uniq.size)
 
 
 def quotient_average(kernel: Kernel, part_of) -> StepFunction:
@@ -302,7 +288,7 @@ def quotient_average(kernel: Kernel, part_of) -> StepFunction:
             else:
                 num = w[groups[p]] @ sub @ w[groups[q]]
                 block[p, q] = block[q, p] = num / (pw[p] * pw[q])
-    return StepFunction(kernel.space, labels, block, pw)
+    return StepFunction(kernel.space, labels, block)
 
 
 def apply_permutation(kernel: Kernel, perm) -> Kernel:

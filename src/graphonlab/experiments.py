@@ -19,7 +19,6 @@ from .core import (
     apply_permutation,
     expand_step,
     quotient_average,
-    step_function,
     weighted_mean,
 )
 from .cutnorm import cutnorm_exact, cutnorm_heuristic
@@ -180,7 +179,7 @@ def builtin_rank3_step() -> StepFunction:
         [0.40, 0.70, 0.30],
         [0.10, 0.30, 0.80],
     ])
-    return step_function(space, labels, block)
+    return StepFunction(space, labels, block)
 
 
 def _wrandom_unit(source: Kernel, labels_of_atom: np.ndarray, ref_block: np.ndarray,

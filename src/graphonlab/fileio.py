@@ -27,8 +27,8 @@ from .core import (
     SimpleGraph,
     StepFunction,
     _symmetrize_input,
+    canonical_parts,
     kernel_from_matrix,
-    step_function,
 )
 
 _FLOAT_FMT = "%.17g"  # round-trips doubles exactly
@@ -131,12 +131,13 @@ def parse_step(text: str) -> StepFunction:
     if len(lines) != 2 + s:
         raise FormatError(f"expected a label line and {s} block rows, "
                           f"got {len(lines) - 1} lines after the header")
-    raw = np.array(_ints(lines[1].split()))
-    uniq, labels = np.unique(raw, return_inverse=True)
-    if uniq.size != s:
-        raise FormatError(f"label line uses {uniq.size} parts, header says {s}")
+    raw = _ints(lines[1].split())
+    space = DiscreteSpace.uniform(len(raw))
+    labels, pw = canonical_parts(space, raw)
+    if pw.size != s:
+        raise FormatError(f"label line uses {pw.size} parts, header says {s}")
     block = _symmetrize_input(_floats(lines[2 : 2 + s], (s, s), "block rows"))
-    return step_function(DiscreteSpace.uniform(raw.size), labels, block)
+    return StepFunction(space, labels, block)
 
 
 def format_step(sf: StepFunction) -> str:

@@ -17,7 +17,10 @@ from .errors import AllZeroSpectrum, ParameterError, TooManyVerticesError
 from .spectral import SpectralDecomposition, spectrum_distribution
 
 MAX_EXACT_VERTICES = 10
-_MC_CHUNK = 65536  # fixed chunk size keeps the sample stream layout stable
+# Samples drawn at once: bounds the uniforms and atom indices held in memory.
+# The stream does not depend on it, since consecutive rng.random calls draw
+# the same numbers as one call of their total size.
+_MC_CHUNK = 65536
 
 
 @dataclass(frozen=True)

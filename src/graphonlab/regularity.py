@@ -267,12 +267,7 @@ def cluster_eigenvectors(
     n = dec.n
     if k == 0:
         # zero retained part: one part, value zero
-        sf = StepFunction(
-            dec.kernel.space,
-            np.zeros(n, dtype=int),
-            np.zeros((1, 1)),
-            np.array([1.0]),
-        )
+        sf = StepFunction(dec.kernel.space, np.zeros(n, dtype=int), np.zeros((1, 1)))
         return ClusteringResult(step=sf, step_count_bound=1.0, rank=0)
     vecs = dec.eigenvectors[:, :k]
     lams = dec.eigenvalues[:k]

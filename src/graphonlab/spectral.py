@@ -529,7 +529,7 @@ def truncation_quotient(dec: SpectralDecomposition, threshold: float,
     # the two roundings of each off-diagonal pair meet halfway: exactly symmetric
     _symmetrize_in_place(block)
     block /= np.outer(pw, pw)
-    return StepFunction(dec.kernel.space, labels, block, pw)
+    return StepFunction(dec.kernel.space, labels, block)
 
 
 def spectral_radius(dec: SpectralDecomposition) -> float:

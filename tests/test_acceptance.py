@@ -14,6 +14,7 @@ from graphonlab import (
     DiscreteSpace,
     Kernel,
     PermutationAction,
+    StepFunction,
     cayley_kernel,
     circle_halfplane_kernel,
     cutnorm_bracket,
@@ -27,7 +28,6 @@ from graphonlab import (
     regularity_decompose,
     spectral_radius,
     spectrum_distribution,
-    step_function,
     symmetry_decompose,
     tail_truncate,
     weighted_norm,
@@ -152,7 +152,7 @@ def test_criterion_05_moment_identity_on_steps():
             reps = int(rng.integers(1, 4))
             labels = np.arange(parts * reps) % parts
             block = random_symmetric(rng, parts, 0.0, 1.0)
-            sf = step_function(DiscreteSpace.uniform(parts * reps), labels, block)
+            sf = StepFunction(DiscreteSpace.uniform(parts * reps), labels, block)
             dec = decompose(expand_step(sf))
             dist = spectrum_distribution(dec)
             c4 = hom_density_step(cycle_graph(4), sf).value

@@ -11,7 +11,7 @@ import pytest
 
 import graphonlab.cli
 import graphonlab.regularity
-from graphonlab import experiments, kernel_from_matrix, step_function, DiscreteSpace
+from graphonlab import DiscreteSpace, StepFunction, experiments, kernel_from_matrix
 from graphonlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERIC,
@@ -21,7 +21,7 @@ from graphonlab.cli import (
     parse_F,
     parse_profile,
 )
-from graphonlab.errors import InvalidSpaceError
+from graphonlab.errors import EpsilonViolatedWarning, InvalidSpaceError, ParameterError
 from graphonlab.fileio import format_matrix, format_step
 
 from conftest import cycle_adjacency, random_symmetric
@@ -43,7 +43,7 @@ def matrix_file(tmp_path, rng):
 
 @pytest.fixture
 def step_file(tmp_path):
-    sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1],
+    sf = StepFunction(DiscreteSpace.uniform(4), [0, 0, 1, 1],
                        [[0.9, 0.1], [0.1, 0.4]])
     path = tmp_path / "step.txt"
     path.write_text(format_step(sf))
@@ -67,7 +67,7 @@ class TestParsers:
     @pytest.mark.parametrize("spec", ["0*lambda", "-0.25*lambda*eps", "0.25*lambda*eps*0",
                                       "nan*lambda"])
     def test_parse_F_rejects_a_constant_that_is_not_positive(self, spec):
-        with pytest.raises(graphonlab.cli.UsageError):
+        with pytest.raises(ParameterError):
             parse_F(spec)
 
     def test_parse_F_keeps_negative_powers(self):
@@ -153,6 +153,38 @@ class TestSubcommands:
         assert len(calls) == 1
         assert len(json.loads(out)["results"]["eigenvalues"]) == 8
 
+    def test_decompose_reports_a_violated_eps(self, tmp_path, capsys):
+        # a noisy 3-block kernel whose clamped E lands just above eps
+        rng = np.random.default_rng(1667)
+        n = rng.integers(3, 30)
+        lab = rng.integers(0, 3, n)
+        b = rng.uniform(-1, 1, (3, 3))
+        a = b[np.ix_(lab, lab)] + 0.5 * rng.uniform(-1, 1, (n, n))
+        a = np.clip(np.triu(a) + np.triu(a, 1).T, -1, 1)
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(kernel_from_matrix(a)))
+        with pytest.warns(EpsilonViolatedWarning):
+            code, out = run_cli(["decompose", "--input", str(path), "--epsilon", "0.1",
+                                 "--F", "4*lambda*eps"], capsys)
+        assert code == EXIT_CHECK_FAILED
+        rep = json.loads(out)
+        certs = rep["results"]["certificates"]
+        assert certs["clamped"] and certs["epsilon_violated"]
+        assert certs["E_l2"] == pytest.approx(0.100283294045, rel=1e-9)
+        assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["E_l2_within_eps"]
+
+    def test_decompose_zero_kernel_is_one_zero_part(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("3\n0 0 0\n0 0 0\n0 0 0\n")
+        code, out = run_cli(["decompose", "--input", str(path), "--epsilon", "0.3"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        part = rep["results"]["partition"]
+        assert part["labels"] == [0, 0, 0]
+        assert part["block"] == [[0.0]]
+        assert part["part_weights"] == [1.0]
+        assert len(rep["checks"]) == 5 and all(c["pass"] for c in rep["checks"])
+
     def test_density_step_exact(self, step_file, capsys):
         code, out = run_cli(
             ["density", "--input", step_file, "--graph", "triangle"], capsys
@@ -175,7 +207,7 @@ class TestSubcommands:
 
     def test_distance(self, step_file, tmp_path, capsys):
         other = tmp_path / "step2.txt"
-        sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1],
+        sf = StepFunction(DiscreteSpace.uniform(4), [0, 0, 1, 1],
                            [[0.4, 0.1], [0.1, 0.9]])
         other.write_text(format_step(sf))
         code, out = run_cli(
@@ -195,6 +227,15 @@ class TestSubcommands:
         assert code == EXIT_OK
         code, out = run_cli(["spectrum", "--input", str(out_file)], capsys)
         assert code == EXIT_OK
+
+    def test_make_sphere_default_profile(self, tmp_path, capsys):
+        code, out = run_cli(
+            ["make", "--ensemble", "sphere", "--dim", "2", "--N", "30", "--seed", "0",
+             "--output", str(tmp_path / "s.txt")],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["params"]["f"] == "threshold:0"
 
     def test_make_needs_seed_for_sphere(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -444,6 +485,17 @@ class TestExitCodes:
         argv = [files.get(a, a) for a in argv]
         assert run_cli(argv, capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("graph, reason", [
+        ("cycle_2", "cycles need at least 3 vertices"),
+        ("path_0", "vertex count must be positive"),
+        ("square", "unknown template graph 'square'"),
+    ])
+    def test_graph_name_error_gives_the_builtin_reason(self, graph, reason, step_file,
+                                                       capsys):
+        code = main(["density", "--input", step_file, "--graph", graph])
+        assert code == EXIT_USAGE
+        assert reason in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["experiment", "--name", "circle", "--n", "30", "--seed", "0"],
         ["experiment", "--name", "circle", "--n", "0", "--seed", "0"],
@@ -671,7 +723,7 @@ class TestInputs:
         paths = []
         for tag in "ab":
             block = rng.uniform(0.0, 1.0, (12, 12))
-            sf = step_function(DiscreteSpace.uniform(12), np.arange(12), (block + block.T) / 2)
+            sf = StepFunction(DiscreteSpace.uniform(12), np.arange(12), (block + block.T) / 2)
             paths.append(tmp_path / f"{tag}.step")
             paths[-1].write_text(format_step(sf))
         inputs = []

@@ -9,19 +9,20 @@ from graphonlab import (
     DiscreteSpace,
     Kernel,
     PermutationAction,
+    StepFunction,
     apply_permutation,
     builtin_graph,
     cycle_graph,
     expand_step,
     kernel_from_matrix,
     quotient_average,
-    step_function,
     weighted_norm,
 )
 from graphonlab import core
 from graphonlab.core import SYMMETRY_TILE, _symmetrize_in_place, symmetric_kernel
 from graphonlab.errors import (
     AsymmetricMatrixError,
+    DimensionMismatchError,
     EmptyPartError,
     InvalidSpaceError,
     NonFiniteError,
@@ -154,16 +155,16 @@ class TestKernelConstruction:
 
 class TestStepFunctions:
     def test_expand_constant(self):
-        sf = step_function(DiscreteSpace.uniform(3), [0, 0, 0], [[0.4]])
+        sf = StepFunction(DiscreteSpace.uniform(3), [0, 0, 0], [[0.4]])
         k = expand_step(sf)
         assert np.all(k.values == 0.4)
 
     def test_non_finite_block_rejected(self):
         with pytest.raises(NonFiniteError):
-            step_function(DiscreteSpace.uniform(2), [0, 1], [[np.inf, 0.0], [0.0, 1.0]])
+            StepFunction(DiscreteSpace.uniform(2), [0, 1], [[np.inf, 0.0], [0.0, 1.0]])
 
     def test_expand_block_identity(self):
-        sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1], [[1.0, 0.0], [0.0, 1.0]])
+        sf = StepFunction(DiscreteSpace.uniform(4), [0, 0, 1, 1], [[1.0, 0.0], [0.0, 1.0]])
         k = expand_step(sf)
         expected = np.zeros((4, 4))
         expected[:2, :2] = 1.0
@@ -174,7 +175,7 @@ class TestStepFunctions:
         rng = np.random.default_rng(7)
         labels = np.array([0, 1, 2, 0, 1, 2, 2])
         block = random_symmetric(rng, 3)
-        sf = step_function(
+        sf = StepFunction(
             DiscreteSpace(np.array([0.1, 0.1, 0.2, 0.2, 0.15, 0.15, 0.1])), labels, block
         )
         back = quotient_average(expand_step(sf), labels)
@@ -211,7 +212,24 @@ class TestStepFunctions:
     def test_empty_part_rejected(self):
         k = kernel_from_matrix(np.eye(3))
         with pytest.raises(EmptyPartError):
-            step_function(k.space, [0, 0, 0], [[1.0, 0.0], [0.0, 1.0]])
+            StepFunction(k.space, [0, 0, 0], [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("labels, block, error", [
+        ([0, 1], np.eye(2), DimensionMismatchError),  # one label short
+        ([0, 1, 1], np.zeros((2, 3)), DimensionMismatchError),  # block not square
+        ([0, 1, 2], np.eye(2), EmptyPartError),  # label outside [0, s)
+        ([0, 1, -1], np.eye(2), EmptyPartError),
+        ([0, 1, 1], [[0.0, 0.5], [0.25, 0.0]], AsymmetricMatrixError),
+    ])
+    def test_malformed_step_function_rejected(self, labels, block, error):
+        with pytest.raises(error):
+            StepFunction(DiscreteSpace.uniform(3), labels, block)
+
+    def test_part_weights_are_the_summed_atom_weights(self):
+        space = DiscreteSpace(np.array([0.1, 0.2, 0.3, 0.4]))
+        sf = StepFunction(space, [1, 0, 1, 0], np.eye(2))
+        assert list(sf.part_weights) == pytest.approx([0.6, 0.4], abs=1e-15)
+        assert not sf.part_weights.flags.writeable
 
 
 class TestPermutations:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graphonlab import (
     Kernel,
+    StepFunction,
     apply_permutation,
     bilinear_form,
     cutnorm_bracket,
@@ -14,7 +15,6 @@ from graphonlab import (
     kernel_from_matrix,
     operator_norm_upper,
     spectral_radius,
-    step_function,
     tail_truncate,
     expand_step,
     DiscreteSpace,
@@ -321,7 +321,7 @@ class TestHeuristic:
                     for x in range(2) for y in range(2)
                 ))
                 oracle = max(oracle, val)
-        sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1], quotient)
+        sf = StepFunction(DiscreteSpace.uniform(4), [0, 0, 1, 1], quotient)
         k = expand_step(sf)
         est = cutnorm_heuristic(k, restarts=8, seed=1)
         assert est.lower == pytest.approx(oracle, abs=1e-12)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphonlab import DiscreteSpace, distance, step_function
+from graphonlab import DiscreteSpace, StepFunction, distance
 from graphonlab.distance import (
     _density_gap_lower,
     common_refinement,
@@ -18,7 +18,7 @@ def two_part(weights, block):
     n = len(weights)
     space = DiscreteSpace(np.asarray(weights))
     labels = [0] * (n // 2) + [1] * (n - n // 2)
-    return step_function(space, labels, np.asarray(block, dtype=float))
+    return StepFunction(space, labels, np.asarray(block, dtype=float))
 
 
 def brute_force_min_norm(v1, v2, norm):
@@ -41,35 +41,35 @@ def brute_force_min_norm(v1, v2, norm):
 
 class TestCommonRefinement:
     def test_aligned_uniform_parts(self):
-        sf1 = step_function(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 0.5]])
-        sf2 = step_function(DiscreteSpace.uniform(2), [0, 1], [[0.2, 0.1], [0.1, 0.9]])
+        sf1 = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 0.5]])
+        sf2 = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[0.2, 0.1], [0.1, 0.9]])
         space, k1, k2 = common_refinement(sf1, sf2)
         assert space.n == 2
 
     def test_thirds_vs_halves(self):
-        sf1 = step_function(DiscreteSpace(np.array([1 / 3, 2 / 3])), [0, 1],
+        sf1 = StepFunction(DiscreteSpace(np.array([1 / 3, 2 / 3])), [0, 1],
                             [[1.0, 0.0], [0.0, 1.0]])
-        sf2 = step_function(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        sf2 = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
         space, _, _ = common_refinement(sf1, sf2)
         assert space.n == 6
 
     def test_identical_step_functions_expand_equal(self):
-        sf = step_function(DiscreteSpace(np.array([0.25, 0.75])), [0, 1],
+        sf = StepFunction(DiscreteSpace(np.array([0.25, 0.75])), [0, 1],
                            [[0.3, 0.6], [0.6, 0.1]])
         _, k1, k2 = common_refinement(sf, sf)
         assert np.array_equal(k1.values, k2.values)
 
     def test_irrational_weights_rejected(self):
         w = np.array([1 / np.sqrt(2), 1 - 1 / np.sqrt(2)])
-        sf1 = step_function(DiscreteSpace(w), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
-        sf2 = step_function(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        sf1 = StepFunction(DiscreteSpace(w), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        sf2 = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(IrrationalWeightsError):
             common_refinement(sf1, sf2, max_atoms=50)
 
 
 class TestDeltaBracket:
     def test_self_distance_zero(self):
-        sf = step_function(DiscreteSpace.uniform(2), [0, 1], [[0.9, 0.2], [0.2, 0.4]])
+        sf = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[0.9, 0.2], [0.2, 0.4]])
         for norm in ("L1", "L2", "cut"):
             b = delta_bracket(sf, sf, norm)
             assert b.upper == pytest.approx(0.0, abs=1e-14)
@@ -77,15 +77,15 @@ class TestDeltaBracket:
 
     def test_relabeled_found_by_search(self):
         space = DiscreteSpace.uniform(4)
-        sf1 = step_function(space, [0, 0, 1, 1], [[0.9, 0.1], [0.1, 0.3]])
-        sf2 = step_function(space, [0, 0, 1, 1], [[0.3, 0.1], [0.1, 0.9]])
+        sf1 = StepFunction(space, [0, 0, 1, 1], [[0.9, 0.1], [0.1, 0.3]])
+        sf2 = StepFunction(space, [0, 0, 1, 1], [[0.3, 0.1], [0.1, 0.9]])
         b = delta_bracket(sf1, sf2, "L2")
         assert b.regime == "exact"
         assert b.upper == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_vs_constant(self):
-        cp = step_function(DiscreteSpace.uniform(1), [0], [[0.3]])
-        cq = step_function(DiscreteSpace.uniform(1), [0], [[0.8]])
+        cp = StepFunction(DiscreteSpace.uniform(1), [0], [[0.3]])
+        cq = StepFunction(DiscreteSpace.uniform(1), [0], [[0.8]])
         for norm in ("L1", "L2", "cut"):
             b = delta_bracket(cp, cq, norm)
             assert b.upper == pytest.approx(0.5, abs=1e-14)
@@ -93,8 +93,8 @@ class TestDeltaBracket:
 
     def test_exact_regime_matches_enumeration_oracle(self, rng):
         space = DiscreteSpace.uniform(3)
-        sf1 = step_function(space, [0, 1, 2], random_symmetric(rng, 3, 0.0, 1.0))
-        sf2 = step_function(space, [0, 1, 2], random_symmetric(rng, 3, 0.0, 1.0))
+        sf1 = StepFunction(space, [0, 1, 2], random_symmetric(rng, 3, 0.0, 1.0))
+        sf2 = StepFunction(space, [0, 1, 2], random_symmetric(rng, 3, 0.0, 1.0))
         for norm in ("L1", "L2", "cut"):
             b = delta_bracket(sf1, sf2, norm)
             assert b.regime == "exact"
@@ -105,8 +105,8 @@ class TestDeltaBracket:
 
     def test_pseudometric_symmetry(self, rng):
         space = DiscreteSpace.uniform(4)
-        sf1 = step_function(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
-        sf2 = step_function(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
+        sf1 = StepFunction(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
+        sf2 = StepFunction(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
         ab = delta_bracket(sf1, sf2, "L1")
         ba = delta_bracket(sf2, sf1, "L1")
         assert ab.regime == "exact"
@@ -114,8 +114,8 @@ class TestDeltaBracket:
 
     def test_cut_upper_at_most_l1_upper(self, rng):
         space = DiscreteSpace.uniform(4)
-        sf1 = step_function(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
-        sf2 = step_function(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
+        sf1 = StepFunction(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
+        sf2 = StepFunction(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
         cut = delta_bracket(sf1, sf2, "cut")
         l1 = delta_bracket(sf1, sf2, "L1")
         assert cut.upper <= l1.upper + 1e-10
@@ -123,9 +123,9 @@ class TestDeltaBracket:
     def test_relabel_invariance(self, rng):
         space = DiscreteSpace.uniform(4)
         block = random_symmetric(rng, 2, 0.0, 1.0)
-        sf1 = step_function(space, [0, 0, 1, 1], block)
-        flipped = step_function(space, [1, 1, 0, 0], block[::-1, ::-1].copy())
-        target = step_function(space, [0, 1, 0, 1], random_symmetric(rng, 2, 0.0, 1.0))
+        sf1 = StepFunction(space, [0, 0, 1, 1], block)
+        flipped = StepFunction(space, [1, 1, 0, 0], block[::-1, ::-1].copy())
+        target = StepFunction(space, [0, 1, 0, 1], random_symmetric(rng, 2, 0.0, 1.0))
         a = delta_bracket(sf1, target, "L2")
         b = delta_bracket(flipped, target, "L2")
         assert a.upper == pytest.approx(b.upper, abs=1e-12)
@@ -139,10 +139,10 @@ class TestDeltaBracket:
             [0.1, 0.4, 0.2],
             [0.5, 0.2, 0.7],
         ])
-        sf1 = step_function(space, [0, 1, 2], block)
+        sf1 = StepFunction(space, [0, 1, 2], block)
         order = np.array([2, 0, 1])
         space2 = DiscreteSpace(np.array([0.4, 0.3, 0.3]))
-        sf2 = step_function(space2, [0, 1, 2], block[np.ix_(order, order)])
+        sf2 = StepFunction(space2, [0, 1, 2], block[np.ix_(order, order)])
         b = delta_bracket(sf1, sf2, "L2", max_atoms=16)
         assert b.regime == "heuristic"
         assert b.refinement_size == 10
@@ -152,14 +152,14 @@ class TestDeltaBracket:
     def test_exact_limit_outside_the_ceiling_rejected_in_every_regime(self, limit):
         # 2 atoms take the exact permutation regime, which never reads the
         # limit; it is refused all the same
-        sf = step_function(DiscreteSpace.uniform(2), [0, 1], [[0.3, 0.6], [0.6, 0.1]])
+        sf = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[0.3, 0.6], [0.6, 0.1]])
         with pytest.raises(ValueError):
             delta_bracket(sf, sf, "cut", exact_limit=limit)
 
     def test_bracket_sandwich_and_certificate_label(self, rng):
         space = DiscreteSpace.uniform(4)
-        sf1 = step_function(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
-        sf2 = step_function(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
+        sf1 = StepFunction(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
+        sf2 = StepFunction(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))
         b = delta_bracket(sf1, sf2, "cut")
         assert 0.0 <= b.lower <= b.upper + 1e-12
         assert b.lower_certificate == "counting-lemma"
@@ -177,8 +177,8 @@ def test_counting_lemma_lower_is_below_the_exact_distance(lo, hi):
                              ([0, 1, 1, 2, 3, 3], [0, 0, 1, 1, 2, 2])]:
         for _ in range(4):
             space = DiscreteSpace.uniform(len(labels1))
-            sf1 = step_function(space, labels1, random_symmetric(rng, max(labels1) + 1, lo, hi))
-            sf2 = step_function(space, labels2, random_symmetric(rng, max(labels2) + 1, lo, hi))
+            sf1 = StepFunction(space, labels1, random_symmetric(rng, max(labels1) + 1, lo, hi))
+            sf2 = StepFunction(space, labels2, random_symmetric(rng, max(labels2) + 1, lo, hi))
             b = delta_bracket(sf1, sf2, "cut")
             assert b.regime == "exact"
             raw = _density_gap_lower(sf1, sf2)
@@ -190,8 +190,8 @@ def test_counting_lemma_constant_shift_is_tight():
     # the cut distance
     space = DiscreteSpace.uniform(2)
     block = np.array([[0.3, 0.6], [0.6, 0.1]])
-    b = delta_bracket(step_function(space, [0, 1], block),
-                      step_function(space, [0, 1], block + 0.25), "cut")
+    b = delta_bracket(StepFunction(space, [0, 1], block),
+                      StepFunction(space, [0, 1], block + 0.25), "cut")
     assert b.lower == pytest.approx(0.25, rel=1e-12)
     assert b.upper == pytest.approx(0.25, rel=1e-12)
 
@@ -296,9 +296,9 @@ def test_descent_is_scale_equivariant():
     # improvement step, so without rescaling no swap would be taken
     v1, v2 = perfbench_like_pair(1, m=30, parts=10)
     space = DiscreteSpace.uniform(30)
-    sf1, sf2 = step_function(space, range(30), v1), step_function(space, range(30), v2)
-    tiny1 = step_function(space, range(30), v1 * 2.0**-50)
-    tiny2 = step_function(space, range(30), v2 * 2.0**-50)
+    sf1, sf2 = StepFunction(space, range(30), v1), StepFunction(space, range(30), v2)
+    tiny1 = StepFunction(space, range(30), v1 * 2.0**-50)
+    tiny2 = StepFunction(space, range(30), v2 * 2.0**-50)
     for norm in ("L2", "cut"):
         b = delta_bracket(sf1, sf2, norm, max_atoms=30)
         tiny = delta_bracket(tiny1, tiny2, norm, max_atoms=30)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphonlab import (
+    DiscreteSpace,
     Kernel,
     PermutationAction,
     apply_permutation,
@@ -26,6 +27,7 @@ from graphonlab.errors import (
     ActionDoesNotStabilizeError,
     AsymmetricMatrixError,
     NotCoprimeError,
+    WeightMismatchError,
 )
 from graphonlab.homdensity import hom_density_step
 from graphonlab import cycle_graph, quotient_average
@@ -187,9 +189,9 @@ class TestWRandom:
             w_random_graph(kernel_from_matrix(np.full((2, 2), 1.5)), 5, seed=0)
 
     def test_c4_density_converges(self):
-        from graphonlab import step_function, DiscreteSpace, expand_step
+        from graphonlab import DiscreteSpace, StepFunction, expand_step
 
-        sf = step_function(DiscreteSpace.uniform(2), [0, 1], [[0.8, 0.3], [0.3, 0.6]])
+        sf = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[0.8, 0.3], [0.3, 0.6]])
         src = expand_step(sf)
         target = cycle_density_spectral(decompose(src), 4).value
         errs = {}
@@ -248,6 +250,13 @@ class TestInvariantDimensionReport:
         k = kernel_from_matrix(vals)
         action = PermutationAction(k.space, (shift_perm(3),))
         with pytest.raises(ActionDoesNotStabilizeError):
+            invariant_dimension_report(k, action)
+
+    def test_rejects_an_action_on_a_space_of_other_weights(self):
+        k = kernel_from_matrix(np.full((3, 3), 0.4))
+        other = DiscreteSpace(np.array([0.25, 0.25, 0.5]))
+        action = PermutationAction(other, ((1, 0, 2),))
+        with pytest.raises(WeightMismatchError, match="another space"):
             invariant_dimension_report(k, action)
 
     def test_rejects_an_action_whose_second_generator_moves_the_kernel(self):

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from graphonlab import DiscreteSpace, ProfileFunction, experiments, step_function
+from graphonlab import DiscreteSpace, ProfileFunction, StepFunction, experiments
 from graphonlab.cli import canonical_json, main
 from graphonlab.errors import AllZeroSpectrum, EmptyPartError
 
@@ -105,7 +105,7 @@ def test_wrandom_zero_source_raises_before_sampling(monkeypatch):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(experiments, "w_random_sample", no_sample)
-    zero = step_function(DiscreteSpace.uniform(3), [0, 1, 1], [[0.0, 0.0], [0.0, 0.0]])
+    zero = StepFunction(DiscreteSpace.uniform(3), [0, 1, 1], [[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(AllZeroSpectrum, match="no nonzero eigenvalue"):
         experiments.wrandom_convergence(zero, [20], [0])
 

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from graphonlab import DiscreteSpace, Kernel, StepFunction, kernel_from_matrix, step_function
+from graphonlab import DiscreteSpace, Kernel, StepFunction, kernel_from_matrix
 from graphonlab.cli import main
 from graphonlab.fileio import (
     FormatError,
@@ -219,7 +219,7 @@ def test_density_and_wrandom_read_a_pipe_once(name, tmp_path, capsys):
 
 class TestStepFormat:
     def test_round_trip(self):
-        sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1],
+        sf = StepFunction(DiscreteSpace.uniform(4), [0, 0, 1, 1],
                            [[0.9, 0.1], [0.1, 0.4]])
         back = parse_step(format_step(sf))
         assert np.array_equal(back.part_of, sf.part_of)
@@ -234,6 +234,15 @@ class TestStepFormat:
     def test_label_count_mismatch(self):
         with pytest.raises(FormatError):
             parse_step("parts: 3\n1 1 2 2\n0.9 0.1\n0.1 0.4\n")
+
+    def test_labels_using_fewer_parts_than_the_header(self):
+        with pytest.raises(FormatError, match="label line uses 2 parts, header says 3"):
+            parse_step("parts: 3\n1 1 2 2\n0.9 0.1 0\n0.1 0.4 0\n0 0 0.5\n")
+
+    def test_labels_are_relabelled_in_sorted_order(self):
+        sf = parse_step("parts: 2\n7 -3 7\n0.9 0.1\n0.1 0.4\n")
+        assert np.array_equal(sf.part_of, [1, 0, 1])
+        assert np.array_equal(sf.part_weights, [1 / 3, 2 / 3])
 
     def test_header_required(self):
         with pytest.raises(FormatError):
@@ -269,6 +278,8 @@ class TestStepFormat:
         "parts: 2\n1 1 x 2\n0.9 0.1\n0.1 0.4\n",
         "parts: 2\n1 1.5 2 2\n0.9 0.1\n0.1 0.4\n",  # labels are integers
         "parts: 2\n1 1 2.0 2\n0.9 0.1\n0.1 0.4\n",
+        "parts: two\n1 1\n0.5\n",  # the part count
+        "parts: 1.0\n1 1\n0.5\n",
     ])
     def test_unreadable_numbers(self, text):
         with pytest.raises(FormatError):
@@ -299,6 +310,7 @@ class TestGraphFormat:
     @pytest.mark.parametrize("text", [
         "3\n", "a 1\n1 2\n", "3 1\n1 x\n", "3 1\n1 2 3\n",
         "3 1.0\n1 2\n", "3 1\n1.5 2\n", "3 1\n1.9 2\n",  # no truncation
+        "", "\n  \n",  # empty file
     ])
     def test_unreadable_numbers(self, text):
         with pytest.raises(FormatError):

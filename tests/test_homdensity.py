@@ -4,6 +4,7 @@ import pytest
 from graphonlab import (
     DiscreteSpace,
     SimpleGraph,
+    StepFunction,
     apply_permutation,
     complete_graph,
     cycle_density_spectral,
@@ -18,7 +19,6 @@ from graphonlab import (
     moment_identity_check,
     path_graph,
     quotient_average,
-    step_function,
     triangle_graph,
 )
 from graphonlab.core import _draw_atoms
@@ -31,7 +31,7 @@ def random_step(rng, parts=3, lo=0.0, hi=1.0):
     atoms = parts * int(rng.integers(1, 3))
     labels = np.arange(atoms) % parts
     block = random_symmetric(rng, parts, lo, hi)
-    return step_function(DiscreteSpace.uniform(atoms), labels, block)
+    return StepFunction(DiscreteSpace.uniform(atoms), labels, block)
 
 
 def brute_force_step_density(graph, sf):
@@ -51,7 +51,7 @@ def brute_force_step_density(graph, sf):
 
 class TestStepDensity:
     def test_constant_graphon_powers(self):
-        sf = step_function(DiscreteSpace.uniform(2), [0, 0], [[0.5]])
+        sf = StepFunction(DiscreteSpace.uniform(2), [0, 0], [[0.5]])
         for g in (edge_graph(), triangle_graph(), complete_graph(4)):
             est = hom_density_step(g, sf)
             assert est.value == pytest.approx(0.5 ** g.edge_count, abs=1e-14)
@@ -59,13 +59,13 @@ class TestStepDensity:
             assert est.method == "exact_step"
 
     def test_edgeless_graph_is_one(self):
-        sf = step_function(DiscreteSpace.uniform(3), [0, 1, 2], np.eye(3))
+        sf = StepFunction(DiscreteSpace.uniform(3), [0, 1, 2], np.eye(3))
         assert hom_density_step(SimpleGraph(4), sf).value == pytest.approx(1.0, abs=1e-14)
 
     def test_c4_on_block_identity(self):
         # hand enumeration: only the two constant assignments survive,
         # each contributing (1/2)^4, so t(C_4) = 1/8
-        sf = step_function(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        sf = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
         assert hom_density_step(cycle_graph(4), sf).value == pytest.approx(1 / 8, abs=1e-14)
 
     def test_matches_assignment_loop_oracle(self, rng):
@@ -76,7 +76,7 @@ class TestStepDensity:
             )
 
     def test_vertex_cap(self):
-        sf = step_function(DiscreteSpace.uniform(2), [0, 1], np.eye(2))
+        sf = StepFunction(DiscreteSpace.uniform(2), [0, 1], np.eye(2))
         with pytest.raises(TooManyVerticesError):
             hom_density_step(cycle_graph(11), sf)
 
@@ -118,7 +118,7 @@ class TestMonteCarlo:
         assert abs(est.value - exact) <= 4.0 * max(est.stderr, 1e-12)
 
     def test_bipartite_kills_triangles(self):
-        sf = step_function(DiscreteSpace.uniform(2), [0, 1], [[0.0, 1.0], [1.0, 0.0]])
+        sf = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[0.0, 1.0], [1.0, 0.0]])
         assert hom_density_step(triangle_graph(), sf).value == pytest.approx(0.0, abs=1e-14)
         est = hom_density_mc(triangle_graph(), expand_step(sf), samples=500, seed=3)
         assert est.value == pytest.approx(0.0, abs=1e-12)

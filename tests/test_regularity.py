@@ -7,6 +7,7 @@ import pytest
 from graphonlab import (
     DiscreteSpace,
     Kernel,
+    StepFunction,
     apply_permutation,
     automorphisms,
     choose_threshold,
@@ -16,7 +17,6 @@ from graphonlab import (
     group_order,
     kernel_from_matrix,
     regularity_decompose,
-    step_function,
     symmetry_decompose,
     tail_truncate,
     weighted_norm,
@@ -137,7 +137,7 @@ class TestRegularityDecompose:
         assert not reg.certificates.epsilon_violated
 
     def test_step_kernel_rank_two_exact_capture(self):
-        sf = step_function(DiscreteSpace.uniform(6), [0, 0, 0, 1, 1, 1],
+        sf = StepFunction(DiscreteSpace.uniform(6), [0, 0, 0, 1, 1, 1],
                            [[0.9, 0.2], [0.2, 0.5]])
         k = expand_step(sf)
         reg = regularity_decompose(k, F_quarter, 0.2)
@@ -205,7 +205,7 @@ class TestClusterEigenvectors:
         assert np.max(np.abs(t.values - g.values)) < 1e-12
 
     def test_two_valued_eigenvector(self):
-        sf = step_function(DiscreteSpace.uniform(4), [0, 0, 1, 1],
+        sf = StepFunction(DiscreteSpace.uniform(4), [0, 0, 1, 1],
                            [[0.9, 0.1], [0.1, 0.9]])
         k = expand_step(sf)
         dec = decompose(k)
@@ -368,7 +368,7 @@ class TestAutomorphisms:
         assert group_order(automorphisms(kernel_from_matrix(petersen_adjacency()))) == 120
 
     def test_matches_brute_force_on_random_block_kernel(self, rng):
-        sf = step_function(DiscreteSpace.uniform(6), [0, 0, 0, 1, 1, 1],
+        sf = StepFunction(DiscreteSpace.uniform(6), [0, 0, 0, 1, 1, 1],
                            [[0.7, 0.2], [0.2, 0.7]])
         k = expand_step(sf)
         assert group_order(automorphisms(k)) == brute_force_automorphism_count(k.values)

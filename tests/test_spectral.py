@@ -594,6 +594,12 @@ class TestDecomposeLeading:
     """decompose_leading proves, without eigvalsh, that its rank Ritz
     values are the eigenvalues above the threshold and bounds the rest."""
 
+    def test_rank_zero_and_zero_kernel_refused(self):
+        kernel = kernel_from_matrix(random_symmetric(np.random.default_rng(3), 40))
+        assert spectral.decompose_leading(kernel, 0, 0.5) is None
+        zero = kernel_from_matrix(np.zeros((40, 40)))
+        assert spectral.decompose_leading(zero, 2, 0.5) is None
+
     @pytest.mark.parametrize("n", [200, 800, 1600])
     @pytest.mark.parametrize("seed", range(5))
     def test_sound_against_eigvalsh(self, monkeypatch, n, seed):
