@@ -18,7 +18,6 @@ from graphonlab import (
     hom_density_step,
     moment_identity_check,
     spectrum_distribution,
-    triangle_graph,
 )
 
 # A two-part step function: dense inside the parts, sparse across.
@@ -29,10 +28,10 @@ sf = StepFunction(
 )
 kernel = expand_step(sf)
 
-tri = hom_density_step(triangle_graph(), sf)
+tri = hom_density_step(cycle_graph(3), sf)
 print("t(triangle, W) exact:", round(tri.value, 8))
 
-mc = hom_density_mc(triangle_graph(), kernel, samples=50000, seed=1)
+mc = hom_density_mc(cycle_graph(3), kernel, samples=50000, seed=1)
 print(f"t(triangle, W) Monte Carlo: {mc.value:.6f} +- {mc.stderr:.6f}")
 
 # Cycles come straight from the spectrum: t(C_k, W) = sum_i lambda_i^k.
@@ -59,4 +58,4 @@ print("max discrepancy:", f"{report['max_discrepancy']:.2e}")
 # has t(C_3) = 0 exactly.
 checker = StepFunction(DiscreteSpace.uniform(2), [0, 1], [[0.0, 1.0], [1.0, 0.0]])
 print("\ncheckerboard t(triangle):",
-      hom_density_step(triangle_graph(), checker).value)
+      hom_density_step(cycle_graph(3), checker).value)

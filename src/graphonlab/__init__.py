@@ -25,12 +25,10 @@ from .core import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    edge_graph,
     expand_step,
     kernel_from_matrix,
     path_graph,
     quotient_average,
-    triangle_graph,
     weighted_mean,
     weighted_norm,
 )

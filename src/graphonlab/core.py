@@ -229,11 +229,11 @@ class StepFunction:
     def __post_init__(self):
         labels = np.asarray(self.part_of, dtype=int)
         block = np.asarray(self.block, dtype=float)
-        s = block.shape[0]
         if labels.shape != (self.space.n,):
             raise DimensionMismatchError("part_of must assign a label to every atom")
-        if block.shape != (s, s):
+        if block.ndim != 2 or block.shape[0] != block.shape[1]:
             raise DimensionMismatchError("block must be s x s")
+        s = block.shape[0]
         _require_finite(block, "block values")
         if labels.min() < 0 or labels.max() >= s:
             raise EmptyPartError("part labels must lie in [0, s)")
@@ -357,25 +357,18 @@ def complete_graph(k: int) -> SimpleGraph:
     )
 
 
-def edge_graph() -> SimpleGraph:
-    return SimpleGraph(2, frozenset({(1, 2)}))
-
-
-def triangle_graph() -> SimpleGraph:
-    return cycle_graph(3)
-
-
 def builtin_graph(name: str) -> SimpleGraph:
-    """Template graph by name: 'edge', 'triangle', 'K4', 'path_k' or
-    'cycle_k'. An unknown or invalid name raises ValueError."""
-    fixed = {"edge": edge_graph, "triangle": triangle_graph, "K4": lambda: complete_graph(4)}
+    """Template graph by name: 'edge' (path_graph(2)), 'triangle'
+    (cycle_graph(3)), 'K4' (complete_graph(4)), 'path_k' or 'cycle_k'. An
+    unknown or invalid name raises ValueError."""
+    fixed = {"edge": (path_graph, 2), "triangle": (cycle_graph, 3), "K4": (complete_graph, 4)}
     if name in fixed:
-        return fixed[name]()
+        build, k = fixed[name]
+        return build(k)
     m = re.fullmatch(r"(path|cycle)_(\d+)", name)
     if m is None:
         raise ValueError(f"unknown template graph {name!r}")
-    k = int(m.group(2))
-    return path_graph(k) if m.group(1) == "path" else cycle_graph(k)
+    return (path_graph if m.group(1) == "path" else cycle_graph)(int(m.group(2)))
 
 
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:

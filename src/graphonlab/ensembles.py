@@ -25,7 +25,6 @@ from .core import (
 from .cutnorm import cutnorm_bracket
 from .errors import (
     ActionDoesNotStabilizeError,
-    AsymmetricMatrixError,
     NotCoprimeError,
     ParameterError,
     WeightMismatchError,
@@ -102,14 +101,15 @@ class ProfileFunction:
 def cayley_kernel(n: int, f) -> Kernel:
     """Circulant kernel K[x, y] = f((y - x) mod n) on Z_n, uniform weights.
 
-    f must be even (f(n - x) = f(x)); otherwise the kernel would not be
-    self-adjoint.
+    f must be finite and even (f(n - x) = f(x)); otherwise the kernel would
+    not be a self-adjoint kernel, and ParameterError is raised.
     """
     vals = np.asarray(f, dtype=float)
     if vals.shape != (n,):
         raise ParameterError(f"f must list one value per group element, expected {n}")
-    if np.max(np.abs(vals - vals[(-np.arange(n)) % n])) > 1e-12:
-        raise AsymmetricMatrixError("f must be even: f(n - x) = f(x)")
+    mirror = vals[(-np.arange(n)) % n]  # f(-x); finite first, as inf - inf warns
+    if not (np.all(np.isfinite(vals)) and np.max(np.abs(vals - mirror)) <= 1e-12):
+        raise ParameterError("f must be finite and even: f(n - x) = f(x)")
     x = np.arange(n)
     return symmetric_kernel(vals[(x[None, :] - x[:, None]) % n], DiscreteSpace.uniform(n))
 

@@ -45,10 +45,10 @@ class ThresholdSplitsCluster(GraphonError):
 
 
 class EigenvectorsNotKept(GraphonError):
-    """A truncation threshold keeps eigenpairs the decomposition does not
-    hold: below the spectral radius of a spectrum, which holds no
-    eigenvectors, or below the bulk_bound of a leading decomposition, which
-    lists no eigenvalue there."""
+    """A threshold reads eigenpairs the decomposition does not hold: a
+    truncation below the spectral radius of a spectrum, which holds no
+    eigenvectors, or any reader below the bulk_bound of a leading
+    decomposition, which lists no eigenvalue there."""
 
 
 class AllZeroSpectrum(GraphonError):

@@ -199,10 +199,11 @@ def regularity_decompose(
     sched = _threshold_schedule(dec, F, eps)
     # S + E = clip([M]_lam') in the one buffer that later becomes E
     se = _truncation(dec, sched.lam_next)
-    clamped = bool(np.max(np.abs(se)) > 1.0)
+    top = float(np.max(np.abs(se)))
+    clamped = top > 1.0
     if clamped:
         np.clip(se, -1.0, 1.0, out=se)
-    se_linf = float(np.max(np.abs(se)))
+    se_linf = min(top, 1.0)  # the clamp's max |S + E|
     r_kernel = Kernel(kernel.space, kernel.values - se)
     # before S and E exist: R's radius proof is the run's largest working set
     r_cut = cutnorm_bracket(r_kernel)
@@ -264,11 +265,8 @@ def cluster_eigenvectors(
         raise ParameterError(f"lam must be positive, got {lam}")
     check_max_parts(max_parts)
     k = _split_check(dec, lam)
-    n = dec.n
-    if k == 0:
-        # zero retained part: one part, value zero
-        sf = StepFunction(dec.kernel.space, np.zeros(n, dtype=int), np.zeros((1, 1)))
-        return ClusteringResult(step=sf, step_count_bound=1.0, rank=0)
+    if k == 0:  # zero retained part: one part, value zero
+        return ClusteringResult(truncation_quotient(dec, lam, np.zeros(dec.n, dtype=int)), 1.0, 0)
     vecs = dec.eigenvectors[:, :k]
     lams = dec.eigenvalues[:k]
     m = max(float(np.max(np.abs(vecs))), float(np.max(np.abs(lams))))
@@ -283,8 +281,7 @@ def cluster_eigenvectors(
         )
     cells = max(1, math.floor(20.0 * k * m**3 / eps))
     width = 2.0 * m / cells
-    idx = np.minimum(np.floor((vecs + m) / width).astype(int), cells - 1)
-    idx = np.maximum(idx, 0)
+    idx = np.minimum(np.floor((vecs + m) / width).astype(int), cells - 1)  # vecs + m >= 0
     _, labels = np.unique(idx, axis=0, return_inverse=True)
     labels = labels.ravel().astype(int)
 

@@ -88,9 +88,10 @@ class SpectralDecomposition:
     A spectrum (from spectrum) holds every eigenvalue and no eigenvector.
     A leading decomposition (from decompose_leading) holds only the
     eigenpairs with |lambda| > t; bulk_bound is a proven bound below t on
-    the modulus of every other eigenvalue, and projector_error the
-    certified bound on the Hilbert-Schmidt distance between the projector
-    onto the span of the Ritz vectors and the exact spectral projector.
+    the modulus of every other eigenvalue (a threshold below it raises
+    EigenvectorsNotKept in every reader), and projector_error the certified
+    bound on the Hilbert-Schmidt distance between the projector onto the
+    span of the Ritz vectors and the exact spectral projector.
     Both are None on the other routes. decompose's eigenpairs come from
     eigh and pass its reconstruction check.
     """
@@ -115,11 +116,23 @@ class SpectralDecomposition:
 
     def energy_above(self, threshold: float) -> float:
         """sum of lambda_i^2 over |lambda_i| > threshold."""
+        self._check_listed(threshold)
         lam = self.eigenvalues
         return float(np.sum(lam[np.abs(lam) > threshold] ** 2))
 
     def rank_above(self, threshold: float) -> int:
+        self._check_listed(threshold)
         return int(np.sum(np.abs(self.eigenvalues) > threshold))
+
+    def _check_listed(self, threshold: float) -> None:
+        """Raise EigenvectorsNotKept for a threshold below a leading
+        decomposition's bulk_bound, where some unlisted eigenvalue may lie
+        above it: every reader of the eigenvalues above a threshold calls it."""
+        if self.bulk_bound is not None and threshold < self.bulk_bound:
+            raise EigenvectorsNotKept(
+                f"threshold {threshold!r} is below bulk_bound={self.bulk_bound!r}: this "
+                "leading decomposition lists no eigenvalue there; use decompose"
+            )
 
     @property
     def nonzero_rank(self) -> int:
@@ -459,11 +472,7 @@ def _split_check(dec: SpectralDecomposition, threshold: float) -> int:
     some unlisted eigenvalue may lie above it."""
     if not threshold >= 0:  # NaN too
         raise ValueError("threshold must be nonnegative")
-    if dec.bulk_bound is not None and threshold < dec.bulk_bound:
-        raise EigenvectorsNotKept(
-            f"threshold {threshold!r} is below bulk_bound={dec.bulk_bound!r}: this "
-            "leading decomposition lists no eigenvalue there; use decompose"
-        )
+    dec._check_listed(threshold)
     abs_lam = np.abs(dec.eigenvalues)
     kept = 0
     for start, stop in dec.clusters:

@@ -205,6 +205,21 @@ class TestSubcommands:
         assert rep["results"]["method"] == "monte_carlo"
         assert "spectral_value" in rep["results"]
 
+    def test_density_spectral_value_for_every_cycle(self, matrix_file, tmp_path, capsys):
+        # read off the parsed graph, not its name: 'triangle' and a cycle
+        # read from a file got no spectral value
+        def spectral_value(graph):
+            code, out = run_cli(["density", "--input", matrix_file, "--graph", graph,
+                                 "--samples", "50", "--seed", "3"], capsys)
+            assert code == EXIT_OK
+            return json.loads(out)["results"].get("spectral_value")
+
+        square = tmp_path / "square.graph"
+        square.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
+        assert spectral_value("triangle") == spectral_value("cycle_3") is not None
+        assert spectral_value(str(square)) == spectral_value("cycle_4") is not None
+        assert spectral_value("path_4") is None and spectral_value("K4") is None
+
     def test_distance(self, step_file, tmp_path, capsys):
         other = tmp_path / "step2.txt"
         sf = StepFunction(DiscreteSpace.uniform(4), [0, 0, 1, 1],
@@ -523,6 +538,8 @@ class TestExitCodes:
         ["make", "--ensemble", "circle", "--n", "6", "--output", "{out}"],
         ["make", "--ensemble", "cayley", "--n", "3", "--f", "0,1", "--output", "{out}"],
         ["make", "--ensemble", "cayley", "--n", "3", "--f", "0,1,2", "--output", "{out}"],
+        ["make", "--ensemble", "cayley", "--n", "3", "--f", "nan,0,nan", "--output", "{out}"],
+        ["make", "--ensemble", "cayley", "--n", "3", "--f", "0,inf,inf", "--output", "{out}"],
         ["make", "--ensemble", "wrandom", "--N", "0", "--input", "{step}", "--seed", "0",
          "--output", "{out}"],
         ["experiment", "--name", "sphere", "--dims", "2", "--count", "50", "--seeds", "1",

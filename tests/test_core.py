@@ -217,6 +217,8 @@ class TestStepFunctions:
     @pytest.mark.parametrize("labels, block, error", [
         ([0, 1], np.eye(2), DimensionMismatchError),  # one label short
         ([0, 1, 1], np.zeros((2, 3)), DimensionMismatchError),  # block not square
+        ([0, 0, 0], 0.5, DimensionMismatchError),  # a 0-d block raised IndexError
+        ([0, 0, 0], [0.5], DimensionMismatchError),
         ([0, 1, 2], np.eye(2), EmptyPartError),  # label outside [0, s)
         ([0, 1, -1], np.eye(2), EmptyPartError),
         ([0, 1, 1], [[0.0, 0.5], [0.25, 0.0]], AsymmetricMatrixError),

@@ -25,8 +25,8 @@ from graphonlab import (
 from graphonlab.ensembles import w_random_sample
 from graphonlab.errors import (
     ActionDoesNotStabilizeError,
-    AsymmetricMatrixError,
     NotCoprimeError,
+    ParameterError,
     WeightMismatchError,
 )
 from graphonlab.homdensity import hom_density_step
@@ -66,8 +66,16 @@ class TestCayley:
         assert np.array_equal(moved.values, k.values)
 
     def test_odd_profile_rejected(self):
-        with pytest.raises(AsymmetricMatrixError):
+        with pytest.raises(ParameterError, match="even"):
             cayley_kernel(4, np.array([0.0, 1.0, 0.0, 0.5]))
+
+    @pytest.mark.parametrize("f", [[math.nan, 0.0, math.nan], [0.0, math.inf, math.inf],
+                                   [math.inf, 0.0, 0.0]])
+    def test_nonfinite_profile_rejected(self, f):
+        # NaN - NaN passes a "skew > 1e-12" test; the kernel's own finiteness
+        # check then raised NonFiniteError
+        with pytest.raises(ParameterError, match="finite"):
+            cayley_kernel(3, f)
 
 
 class TestCircle:

@@ -10,7 +10,7 @@ import pytest
 
 from graphonlab import DiscreteSpace, ProfileFunction, StepFunction, experiments
 from graphonlab.cli import canonical_json, main
-from graphonlab.errors import AllZeroSpectrum, EmptyPartError
+from graphonlab.errors import AllZeroSpectrum, EmptyPartError, WorkerError
 
 CASES = {
     "circle": (
@@ -78,6 +78,19 @@ def test_no_fork_while_another_thread_runs(pool):
         other.join(30)
     assert not other.is_alive()
     assert pids == [os.getpid()] * 2
+
+
+def _exit_outside(parent: int) -> int:
+    """A unit that ends its process without returning, except in parent, so
+    that a serial run can never end the test process."""
+    if os.getpid() != parent:
+        os._exit(1)
+    return parent
+
+
+def test_a_worker_that_dies_is_a_worker_error(pool):
+    with pytest.raises(WorkerError, match="ended without returning"):
+        experiments._map_units(_exit_outside, [(os.getpid(),)] * 2, [1, 1], 2)
 
 
 @pytest.mark.parametrize("run", [

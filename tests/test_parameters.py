@@ -13,9 +13,9 @@ from graphonlab import (
     ProfileFunction,
     cutnorm_bracket,
     delta_bracket,
-    edge_graph,
     experiments,
     kernel_from_matrix,
+    path_graph,
     regularity_decompose,
     symmetry_decompose,
 )
@@ -75,7 +75,7 @@ RANGES = {
     "wrandom-N-0": lambda: w_random_graph(_kernel(4), 0),
     "wrandom-source-outside-0-1": lambda: w_random_graph(
         kernel_from_matrix(-np.ones((3, 3))), 10),
-    "samples-0": lambda: hom_density_mc(edge_graph(), _kernel(4), 0),
+    "samples-0": lambda: hom_density_mc(path_graph(2), _kernel(4), 0),
     "norm-unknown": lambda: delta_bracket(SOURCE, SOURCE, "L3"),
     "eps-0": lambda: regularity_decompose(_kernel(10), _f, 0.0),
     "eps-nan": lambda: regularity_decompose(_kernel(10), _f, math.nan),

@@ -10,6 +10,7 @@ from graphonlab import (
     PermutationAction,
     apply_permutation,
     cutnorm_heuristic,
+    cycle_density_spectral,
     decompose,
     kernel_from_matrix,
     operator_norm_upper,
@@ -532,6 +533,25 @@ class TestPartialDecompose:
             assert full.rank_above(lam) == 3
             diff = tail_truncate(dec, lam).values - tail_truncate(full, lam).values
             assert np.max(np.abs(diff)) < 1e-9
+
+    def test_threshold_readers_below_bulk_bound_raise(self):
+        # rank_above(0.0) read 3 where the sample has 800 nonzero eigenvalues,
+        # and t(C_4) came out 0.049998 for 0.050071: the unlisted bulk is not
+        # zero, so every reader of the eigenvalues above a threshold refuses
+        # one below tau, and those from tau up agree with decompose
+        sample, lam_mid = _wrandom_sample(800, 1)
+        dec = spectral.decompose_leading(sample, 3, lam_mid)
+        tau = dec.bulk_bound
+        reads = [lambda: dec.rank_above(0.0), lambda: dec.energy_above(tau / 2),
+                 lambda: dec.nonzero_rank, lambda: gap_midpoints(dec),
+                 lambda: spectrum_distribution(dec), lambda: cycle_density_spectral(dec, 4)]
+        for read in reads:
+            with pytest.raises(EigenvectorsNotKept, match="bulk_bound"):
+                read()
+        full = decompose(sample)
+        for lam in (tau, lam_mid):
+            assert dec.rank_above(lam) == full.rank_above(lam) == 3
+            assert dec.energy_above(lam) == pytest.approx(full.energy_above(lam), rel=1e-12)
 
     def test_wrandom_convergence_equals_the_full_path(self, monkeypatch):
         # n = 800 takes the proven route, n = 60 falls back. Ranks, checks
