@@ -24,6 +24,9 @@ EXACT_CEILING = 26
 DEFAULT_RESTARTS = 32
 _LOW_BITS = 16  # a g is tabulated over the patterns of this many free coordinates
 _CHUNK_BYTES = 1 << 20  # work buffer of the exact enumeration, well inside L2
+# sign rows per block of the table fill: a block's +-1 matrix and the
+# integer codes it is built from stay at 512 KiB each
+_SIGN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,12 +86,21 @@ def _best_signs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     a g splits into the part of the low _LOW_BITS free coordinates, formed
     once as one table over all their patterns, and the part of g_0 and the
-    high bits, one column per high pattern added to that table.
+    high bits, one column per high pattern added to that table. Besides the
+    (b, n, 2^low) table, the call holds one block of at most _SIGN_ROWS
+    sign rows while the table is filled, and one walk chunk of _CHUNK_BYTES
+    while it is searched.
     """
     b, n, _ = a.shape
     low = min(n - 1, _LOW_BITS)
     high_bits = n - 1 - low
-    table = a[:, :, 1 : low + 1] @ _signs(np.arange(1 << low), low).T  # (b, n, 2^low)
+    table = np.empty((b, n, 1 << low))
+    # filled in place block by block: each entry is the same sum of +-1
+    # terms in coordinate order as one product with every sign row at once
+    for start in range(0, 1 << low, _SIGN_ROWS):
+        rows = np.arange(start, min(start + _SIGN_ROWS, 1 << low))
+        np.matmul(a[:, :, 1 : low + 1], _signs(rows, low).T,
+                  out=table[:, :, start : start + rows.size])
     # the table is walked in chunks of low patterns whose work buffer fits
     # in cache, in increasing code order, so ties still go to the first code
     chunk = 1 << max(0, min(low, (_CHUNK_BYTES // (8 * b * n)).bit_length() - 1))
@@ -162,6 +174,16 @@ def _ascend(a: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return fs, gs, values
 
 
+def _proven_upper(kernel: Kernel) -> tuple[float, str]:
+    """min(operator_norm_upper, weighted L1 norm), both proven bounds on the
+    cut norm, and the heuristic method name that says which one it is."""
+    rad = operator_norm_upper(kernel)
+    l1 = weighted_norm(kernel, "L1")
+    if rad <= l1:
+        return rad, "heuristic+spectral"
+    return l1, "heuristic+L1"
+
+
 def cutnorm_heuristic(
     kernel: Kernel, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> CutNormEstimate:
@@ -183,10 +205,8 @@ def cutnorm_heuristic(
     best = int(np.argmax(values))
     best_f, best_g = fs[:, best], gs[:, best]
     lower = bilinear_form(best_f, kernel, best_g)
-    rad = operator_norm_upper(kernel)
-    l1 = weighted_norm(kernel, "L1")
-    method = "heuristic+spectral" if rad <= l1 else "heuristic+L1"
-    upper = max(min(rad, l1), lower)  # float noise must not invert the bracket
+    bound, method = _proven_upper(kernel)
+    upper = max(bound, lower)  # float noise must not invert the bracket
     return CutNormEstimate(
         lower=lower, upper=upper, witness_f=best_f, witness_g=best_g, method=method
     )

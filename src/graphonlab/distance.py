@@ -22,7 +22,13 @@ from .core import (
     builtin_graph,
     weighted_norm,
 )
-from .cutnorm import DEFAULT_EXACT_LIMIT, _best_signs, check_exact_limit, cutnorm_bracket
+from .cutnorm import (
+    DEFAULT_EXACT_LIMIT,
+    _best_signs,
+    _proven_upper,
+    check_exact_limit,
+    cutnorm_exact,
+)
 from .errors import IrrationalWeightsError, ParameterError
 from .homdensity import hom_density_step
 
@@ -99,12 +105,15 @@ def _batched_norms(diffs: np.ndarray, m: int, norm: str) -> np.ndarray:
     return _best_signs(diffs / (m * m))[0]
 
 
-def _single_norm(diff: np.ndarray, space: DiscreteSpace, norm: str,
-                 exact_limit: int, seed: int) -> float:
+def _single_norm(diff: np.ndarray, space: DiscreteSpace, norm: str, exact_limit: int) -> float:
+    """The norm of one difference; for the cut norm, the exact value up to
+    exact_limit atoms and the proven spectral/L1 upper bound above it."""
     kern = Kernel(space, diff)
-    if norm == "cut":
-        return float(cutnorm_bracket(kern, exact_limit=exact_limit, seed=seed).upper)
-    return weighted_norm(kern, norm)
+    if norm != "cut":
+        return weighted_norm(kern, norm)
+    if kern.n <= exact_limit:
+        return cutnorm_exact(kern).upper
+    return _proven_upper(kern)[0]
 
 
 def _apply(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -234,9 +243,9 @@ def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
     The upper bound is the best alignment found on the common refinement
     (the exact permutation minimum when the refinement has at most 8
     atoms); the lower bound is 0 for L1/L2 and the counting-lemma bound
-    for the cut norm. Past 8 atoms, seed draws the descent starts, and the
-    cut norm of each aligned difference is bracketed by cutnorm_bracket
-    with exact_limit and seed.
+    for the cut norm. Past 8 atoms, seed draws only the descent starts, and
+    the cut norm of each aligned difference is exact up to exact_limit atoms
+    and above it the spectral/L1 upper bound of cutnorm_heuristic.
     """
     if norm not in ("L1", "L2", "cut"):
         raise ParameterError(f"norm must be 'L1', 'L2' or 'cut', got {norm!r}")
@@ -272,7 +281,7 @@ def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
         best_perm = starts[0]
         for start in starts:
             perm = _swap_descent(s1, s2, norm, np.asarray(start, dtype=int), rng)
-            val = _single_norm(_apply(v1, perm) - v2, space, norm, exact_limit, seed)
+            val = _single_norm(_apply(v1, perm) - v2, space, norm, exact_limit)
             if val < best:
                 best = val
                 best_perm = perm

@@ -104,6 +104,8 @@ def cayley_kernel(n: int, f) -> Kernel:
     f must be finite and even (f(n - x) = f(x)); otherwise the kernel would
     not be a self-adjoint kernel, and ParameterError is raised.
     """
+    if n < 1:
+        raise ParameterError(f"n must be at least 1, got {n}")
     vals = np.asarray(f, dtype=float)
     if vals.shape != (n,):
         raise ParameterError(f"f must list one value per group element, expected {n}")

@@ -17,10 +17,12 @@ from .errors import ParameterError, TooManyVerticesError
 from .spectral import SpectralDecomposition, spectrum_distribution
 
 MAX_EXACT_VERTICES = 10
-# Samples drawn at once: bounds the uniforms and atom indices held in memory.
-# The stream does not depend on it, since consecutive rng.random calls draw
-# the same numbers as one call of their total size.
-_MC_CHUNK = 65536
+# Samples drawn at once: 8192 keeps one chunk's uniforms, atom indices and
+# products near 1 MiB for the graphs of the template registry, small beside
+# the samples' own values. The stream does not depend on it, since
+# consecutive rng.random calls draw the same numbers as one call of their
+# total size.
+_MC_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ def hom_density_mc(graph: SimpleGraph, kernel: Kernel, samples: int,
 
     The tuples are the stream rng.choice(n, size=(count, k), p=weights)
     draws, chunk by chunk, through core._draw_atoms; every vertex takes a
-    draw, isolated ones too."""
+    draw, isolated ones too. The call holds the samples' values and one
+    chunk of _MC_CHUNK draws."""
     if not samples >= 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
@@ -74,9 +77,16 @@ def hom_density_mc(graph: SimpleGraph, kernel: Kernel, samples: int,
             prod *= kernel.values[x[:, u - 1], x[:, v - 1]]
         vals[done : done + count] = prod
         done += count
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return DensityEstimate(value=mean, stderr=stderr, samples=samples, method="monte_carlo")
+    # vals.mean() and vals.std(ddof=1) by numpy's own steps, with the
+    # deviations formed in vals' buffer instead of a copy of it
+    mean = vals.mean(keepdims=True)
+    stderr = 0.0
+    if samples > 1:
+        vals -= mean
+        vals *= vals
+        stderr = float(np.sqrt(vals.sum() / (samples - 1)) / np.sqrt(samples))
+    return DensityEstimate(value=float(mean[0]), stderr=stderr, samples=samples,
+                           method="monte_carlo")
 
 
 def cycle_density_spectral(dec: SpectralDecomposition, k: int) -> DensityEstimate:

@@ -250,6 +250,10 @@ class TestSignEngine:
         ("random", 5, None), ("random", 12, None), ("random", 18, None),
         ("random", 22, None), ("constant", 5, None), ("constant", 19, None),
         ("integer", 5, None), ("integer", 12, None), ("integer", 20, None),
+        # the table filled in two blocks of sign rows, and in sixteen with
+        # high bits walked; a distance stack of 512 tables of one block each
+        ("random", 14, None), ("random", 24, None), ("integer", 24, None),
+        ("stack", 8, None),
         # small chunks: many of them even at small n
         ("random", 5, 256), ("random", 12, 4096), ("random", 18, 1 << 16),
         ("constant", 12, 4096), ("integer", 12, 4096), ("integer", 18, 1 << 16),
@@ -261,6 +265,8 @@ class TestSignEngine:
             monkeypatch.setattr(cutnorm, "_CHUNK_BYTES", chunk_bytes)
         if kind == "random":
             stack = np.stack([random_symmetric(rng, n) for _ in range(3)])
+        elif kind == "stack":
+            stack = np.stack([random_symmetric(rng, n) for _ in range(512)])
         elif kind == "constant":
             stack = np.stack([np.full((n, n), c) for c in (0.0, 0.25, -1.0)])
         else:

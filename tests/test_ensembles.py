@@ -77,6 +77,13 @@ class TestCayley:
         with pytest.raises(ParameterError, match="finite"):
             cayley_kernel(3, f)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_group_rejected(self, n):
+        # n = 0 passed the shape check with f = [] and numpy's max of the
+        # empty evenness gap raised a bare ValueError
+        with pytest.raises(ParameterError, match="at least 1"):
+            cayley_kernel(n, [])
+
 
 class TestCircle:
     def test_n4_is_identity(self):

@@ -1,8 +1,12 @@
-"""The memory budget of one decompose run: M = S + E + R is formed in one
-work buffer beside its five results (M, the eigenvectors F, S, E and R), so
-the traced peak stays near six n x n float64 arrays. Reading the matrix file
-takes the parsed array and the kernel's own copy of it, symmetrized in
-place."""
+"""Memory budgets, as traced peaks above what was allocated before a warm call.
+
+One decompose run forms M = S + E + R in one work buffer beside its five
+results (M, the eigenvectors F, S, E and R), so the traced peak stays near
+six n x n float64 arrays. Reading the matrix file takes the parsed array and
+the kernel's own copy of it, symmetrized in place. The exact sign-vector
+engine holds its table of low-bit patterns beside one block of sign rows and
+one walk chunk; the Monte Carlo estimator holds the samples' values beside
+one chunk of draws."""
 
 import contextlib
 import io
@@ -10,13 +14,20 @@ import tracemalloc
 
 import numpy as np
 
-from graphonlab import kernel_from_matrix
+from graphonlab import cycle_graph, kernel_from_matrix
 from graphonlab.cli import EXIT_OK, main
+from graphonlab.cutnorm import _best_signs
 from graphonlab.fileio import format_matrix, load_kernel
+from graphonlab.homdensity import hom_density_mc
+
+from conftest import random_symmetric
 
 N = 400
 BUDGET = 7  # n x n float64 arrays
 LOAD_BUDGET = 2.5
+TABLE_BUDGET = 1.3  # the (b, n, 2^16) table of one exact cut norm
+STACK_BUDGET = 1.2  # the (b, n, 2^(n-1)) tables of a distance stack
+MC_BUDGET = 1.5  # the Monte Carlo samples' values
 
 
 def _planted(n, seed=1):
@@ -59,9 +70,9 @@ def test_one_decompose_run_peaks_below_seven_matrices(tmp_path):
     assert peak <= BUDGET * 8 * N * N, f"peak {peak / (8 * N * N):.2f} n x n arrays"
 
 
-def _traced_peak(run):
-    """run()'s traced peak above what was allocated before it, in n x n
-    float64 arrays, after a warm call."""
+def _traced_peak(run, unit=8 * N * N):
+    """run()'s traced peak above what was allocated before it, in units of
+    unit bytes (default an n x n float64 array), after a warm call."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -70,7 +81,7 @@ def _traced_peak(run):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         run()
-        return (tracemalloc.get_traced_memory()[1] - base) / (8 * N * N)
+        return (tracemalloc.get_traced_memory()[1] - base) / unit
     finally:
         if started:
             tracemalloc.stop()
@@ -81,3 +92,29 @@ def test_loading_a_matrix_file_peaks_below_two_and_a_half_matrices(tmp_path):
     path.write_text(format_matrix(kernel_from_matrix(_planted(N))))
     peak = _traced_peak(lambda: load_kernel(str(path)))
     assert peak <= LOAD_BUDGET, f"peak {peak:.2f} n x n arrays"
+
+
+def test_one_exact_cut_norm_peaks_below_its_table_and_a_third():
+    # the full 2^16 x 16 sign matrix alone would be 0.73 tables
+    n = 22
+    a = random_symmetric(np.random.default_rng(1), n)[None]
+    peak = _traced_peak(lambda: _best_signs(a), unit=8 * n * (1 << 16))
+    assert peak <= TABLE_BUDGET, f"peak {peak:.2f} tables"
+
+
+def test_a_distance_stack_peaks_below_its_tables_and_a_fifth():
+    # each table is one block of sign rows, written with no temporary
+    b, n = 4096, 8
+    rng = np.random.default_rng(2)
+    stack = np.stack([random_symmetric(rng, n) for _ in range(b)])
+    peak = _traced_peak(lambda: _best_signs(stack), unit=8 * b * n * (1 << (n - 1)))
+    assert peak <= STACK_BUDGET, f"peak {peak:.2f} tables"
+
+
+def test_monte_carlo_peaks_below_its_values_and_a_half():
+    # the deviations from the mean are formed in the values' own buffer
+    samples = 10**6
+    kernel = kernel_from_matrix(random_symmetric(np.random.default_rng(3), 200, 0.0, 1.0))
+    peak = _traced_peak(lambda: hom_density_mc(cycle_graph(4), kernel, samples),
+                        unit=8 * samples)
+    assert peak <= MC_BUDGET, f"peak {peak:.2f} value arrays"
