@@ -42,16 +42,10 @@ from .ensembles import (
     sphere_kernel,
     w_random_graph,
 )
-from .errors import GraphonError, GridOverflowError, ParameterError
+from .errors import GraphonError, ParameterError
 from .experiments import builtin_rank3_step
 from .homdensity import cycle_density_spectral, hom_density_mc, hom_density_step
-from .regularity import (
-    ADDITIVITY_TOL,
-    DEFAULT_GRID_CAP,
-    check_max_parts,
-    cluster_eigenvectors,
-    regularity_decompose,
-)
+from .regularity import DEFAULT_GRID_CAP, decomposition_report
 from .spectral import decompose, spectral_radius, spectrum
 
 SCHEMA_VERSION = "graphonlab.report/1"
@@ -124,13 +118,14 @@ def _check(name: str, value: float, bound: float, op: str) -> dict:
     return {"name": name, "value": value, "bound": bound, "op": op, "pass": bool(ok)}
 
 
-def _report(command: str, inputs: dict, results: dict, checks: list) -> dict:
+def _report(command: str, inputs: dict, results: dict, checks=()) -> dict:
+    """The report envelope; each check is a (name, value, bound, op) tuple."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
         "results": results,
-        "checks": checks,
+        "checks": [_check(name, value, bound, op) for name, value, bound, op in checks],
     }
 
 
@@ -145,7 +140,8 @@ def parse_F(spec: str):
 
     Any subset of the factors may appear; bare 'lambda' or 'eps' means
     exponent 1. Examples: '0.25*lambda*eps', '0.1*lambda^2', '0.05'. The
-    constant must be positive: with c <= 0 no threshold schedule can start.
+    constant must be positive and finite: with c <= 0 no threshold schedule
+    can start, and an infinite F bounds nothing.
     """
     c = 1.0
     p = 0.0
@@ -172,8 +168,8 @@ def parse_F(spec: str):
         else:
             c = value
             saw_const = True
-    if not c > 0.0:  # also rejects NaN
-        raise ParameterError(f"the constant of F spec {spec!r} must be positive, got {c}")
+    if not 0.0 < c < math.inf:  # also rejects NaN
+        raise ParameterError(f"F spec {spec!r}: its constant must be positive and finite, got {c}")
 
     def F(lam: float, eps: float) -> float:
         return c * lam**p * eps**q
@@ -277,7 +273,7 @@ def _cmd_spectrum(args) -> dict:
         "spectral_radius": spectral_radius(dec),
         "l2_norm": weighted_norm(kernel, "L2"),
     }
-    return _report("spectrum", _inputs(args), results, [])
+    return _report("spectrum", _inputs(args), results)
 
 
 def _cmd_cutnorm(args) -> dict:
@@ -291,62 +287,14 @@ def _cmd_cutnorm(args) -> dict:
         "witness_f": [int(x) for x in est.witness_f],
         "witness_g": [int(x) for x in est.witness_g],
     }
-    return _report("cutnorm", _inputs(args), results, [])
+    return _report("cutnorm", _inputs(args), results)
 
 
 def _cmd_decompose(args) -> dict:
-    eps = args.epsilon
     F, f_desc = parse_F(args.F)
-    check_max_parts(args.max_parts)  # before the decomposition, not after it
     kernel = fileio.load_kernel(args.input)
-    reg = regularity_decompose(kernel, F, eps)
-    dec = reg.spectral
-    try:
-        clustering = cluster_eigenvectors(dec, reg.lam, eps, max_parts=args.max_parts)
-        sf = clustering.step
-    except GridOverflowError:
-        clustering = None  # high-rank S: partition available via --max-parts
-        sf = None
-    certs = reg.certificates
-    f_at_run = F(reg.lam, eps)
-    additivity = reg.S.values + reg.E.values  # S + E + R - M in one buffer
-    additivity += reg.R.values
-    additivity -= kernel.values
-    checks = [
-        _check("additivity_sup_error", float(np.max(np.abs(additivity, out=additivity))),
-               ADDITIVITY_TOL, "le"),
-        _check("E_l2_within_eps", certs.E_l2, eps, "le"),
-        _check("R_cut_upper_within_F", certs.R_cut.upper, f_at_run, "le"),
-        _check("SE_sup_norm", certs.SE_linf, 1.0 + 1e-9, "le"),
-    ]
-    # an infinite bound (past the float range, under --max-parts inf) is vacuous
-    if clustering is not None and math.isfinite(clustering.step_count_bound):
-        checks.append(_check("step_count_within_bound", float(sf.parts),
-                             clustering.step_count_bound, "le"))
-    results = {
-        "lambda": reg.lam,
-        "lambda_next": reg.lam_next,
-        "delta_floor": reg.delta_floor,
-        "epsilon": eps,
-        "F": f_desc,
-        "F_at_run": f_at_run,
-        "certificates": {
-            "E_l2": certs.E_l2,
-            "R_cut_lower": certs.R_cut.lower,
-            "R_cut_upper": certs.R_cut.upper,
-            "R_cut_method": certs.R_cut.method,
-            "SE_linf": certs.SE_linf,
-            "clamped": certs.clamped,
-            "epsilon_violated": certs.epsilon_violated,
-        },
-        "eigenvalues": dec.eigenvalues,
-        "clusters": [list(c) for c in dec.clusters],
-        "partition": None if sf is None else {
-            "labels": sf.part_of,
-            "block": sf.block,
-            "part_weights": sf.part_weights,
-        },
-    }
+    results, checks = decomposition_report(kernel, F, args.epsilon, args.max_parts)
+    results["F"] = f_desc
     return _report("decompose", _inputs(args), results, checks)
 
 
@@ -363,7 +311,7 @@ def _cmd_density(args) -> dict:
         if graph.k >= 3 and graph == cycle_graph(graph.k):
             results["spectral_value"] = cycle_density_spectral(spectrum(source), graph.k).value
     results.update(dataclasses.asdict(est))
-    return _report("density", inputs, results, [])
+    return _report("density", inputs, results)
 
 
 def _cmd_distance(args) -> dict:
@@ -372,7 +320,7 @@ def _cmd_distance(args) -> dict:
     norm = {"l1": "L1", "l2": "L2", "cut": "cut"}[args.norm]
     bracket = delta_bracket(sf1, sf2, norm, max_atoms=args.max_atoms,
                             exact_limit=args.exact_limit, seed=args.seed)
-    return _report("distance", _inputs(args), dataclasses.asdict(bracket), [])
+    return _report("distance", _inputs(args), dataclasses.asdict(bracket))
 
 
 def _cmd_make(args) -> dict:
@@ -404,7 +352,7 @@ def _cmd_make(args) -> dict:
         "edge_density": weighted_mean(kernel),
         "written": args.output,
     }
-    return _report("make", inputs, results, [])
+    return _report("make", inputs, results)
 
 
 def _cmd_experiment(args) -> dict:
@@ -427,7 +375,12 @@ def _cmd_experiment(args) -> dict:
         runs = 5 if args.runs is None else args.runs
         results, checks = experiments.wrandom_convergence(
             source, counts, [seed + i for i in range(runs)], workers=args.threads)
-    return _report("experiment", inputs, results, [_check(*c) for c in checks])
+    return _report("experiment", inputs, results, checks)
+
+
+# The result each plot kind is drawn from; a report without it is a usage error.
+_PLOT_SERIES = {"spectrum": "eigenvalues", "partition": "partition",
+                "trajectory": "trajectories"}
 
 
 def _cmd_plot(args) -> dict:
@@ -440,23 +393,21 @@ def _cmd_plot(args) -> dict:
     results = report.get("results", {}) if isinstance(report, dict) else None
     if not isinstance(results, dict):
         raise fileio.FormatError(f"{path}: not a graphonlab report")
-    if args.kind == "spectrum":
-        if "eigenvalues" not in results or "clusters" not in results:
-            raise ParameterError("report has no spectrum series")
-        svgplot.spectrum_plot(results["eigenvalues"], results["clusters"], args.output)
-    elif args.kind == "partition":
-        part = results.get("partition")
-        if not part:
-            raise ParameterError("report has no partition series")
-        svgplot.partition_plot(part["block"], part["part_weights"], args.output)
-    else:  # trajectory
-        if "trajectories" not in results:
-            raise ParameterError("report has no trajectory series")
-        svgplot.trajectory_plot(
-            results["sample_sizes"], results["trajectories"], args.output,
-            reference=results.get("reference"),
-        )
-    return _report("plot", _inputs(args), {"written": args.output, "kind": args.kind}, [])
+    kind = args.kind
+    if results.get(_PLOT_SERIES[kind]) is None:
+        raise ParameterError(f"report has no {kind} series")
+    try:
+        if kind == "spectrum":
+            svgplot.spectrum_plot(results["eigenvalues"], results["clusters"], args.output)
+        elif kind == "partition":
+            part = results["partition"]
+            svgplot.partition_plot(part["block"], part["part_weights"], args.output)
+        else:
+            svgplot.trajectory_plot(results["counts"], results["trajectories"], args.output,
+                                    results["source_top_eigenvalues"])
+    except (LookupError, TypeError, ValueError) as exc:  # a series of the wrong shape
+        raise fileio.FormatError(f"{path}: malformed {kind} series: {exc!r}") from exc
+    return _report("plot", _inputs(args), {"written": args.output, "kind": args.kind})
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--input", help="wrandom: source step file")
 
     p_plot = sub.add_parser("plot", parents=[run, source], help="render a report series")
-    p_plot.add_argument("--kind", required=True,
-                        choices=["spectrum", "partition", "trajectory"])
+    p_plot.add_argument("--kind", required=True, choices=list(_PLOT_SERIES))
     p_plot.add_argument("--output", required=True, help="SVG file to write")
     return parser
 

@@ -239,14 +239,12 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
     checks = []
     for count in counts:
         ranks, dists, eig_rows, bulk = map(list, zip(*(next(found) for _ in seeds)))
-        med = float(np.median(np.array(eig_rows), axis=0)[0])
         per_count[count] = {
             "ranks": ranks,
             "median_rank": float(np.median(ranks)),
             "aligned_l2": dists,
             "median_aligned_l2": float(np.median(dists)),
             "median_top_eigenvalues": np.median(np.array(eig_rows), axis=0),
-            "median_top_eigenvalue": med,
             "bulk_bounds": bulk,
         }
     last = counts[-1]
@@ -269,8 +267,6 @@ def wrandom_convergence(source_step: StepFunction, counts: list[int],
         "lambda_mid": lam_mid,
         "source_top_eigenvalues": ref_eigs,
         "per_count": {str(c): per_count[c] for c in counts},
-        "sample_sizes": counts,
         "trajectories": trajectories,
-        "reference": ref_eigs,
     }
     return results, checks

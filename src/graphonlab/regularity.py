@@ -1,6 +1,7 @@
 """Constructive finite analogue of the spectral regularity decomposition
 M = S + E + R, eigenvector level-set clustering into step functions, and
-the symmetry-preserving variant with automorphism search.
+the symmetry-preserving variant with automorphism search;
+decomposition_report checks the certificates, as (results, checks).
 
 The decomposition realizes the energy-increment construction: probe a
 decreasing threshold sequence t_{j+1} = min(F(t_j, eps), t_j/2), snapped to
@@ -233,6 +234,59 @@ def regularity_decompose(
         certificates=certs,
         spectral=dec,
     )
+
+
+def decomposition_report(kernel: Kernel, F, eps: float,
+                         max_parts: float = DEFAULT_GRID_CAP) -> tuple[dict, list]:
+    """regularity_decompose and its checks, each a (name, value, bound, op)
+    tuple with op 'le'. The partition is None when its step bound exceeds
+    max_parts, and its part-count check is left out then or when the bound
+    is infinite."""
+    check_max_parts(max_parts)  # before the decomposition, not after it
+    reg = regularity_decompose(kernel, F, eps)
+    dec = reg.spectral
+    try:
+        clustering = cluster_eigenvectors(dec, reg.lam, eps, max_parts=max_parts)
+    except GridOverflowError:
+        clustering = None  # high-rank S: partition available under a larger cap
+    sf = None if clustering is None else clustering.step
+    certs = reg.certificates
+    f_at_run = F(reg.lam, eps)
+    additivity = reg.S.values + reg.E.values  # S + E + R - M in one buffer
+    additivity += reg.R.values
+    additivity -= kernel.values
+    checks = [
+        ("additivity_sup_error", float(np.max(np.abs(additivity, out=additivity))),
+         ADDITIVITY_TOL, "le"),
+        ("E_l2_within_eps", certs.E_l2, eps, "le"),
+        ("R_cut_upper_within_F", certs.R_cut.upper, f_at_run, "le"),
+        ("SE_sup_norm", certs.SE_linf, 1.0 + 1e-9, "le"),
+    ]
+    # an infinite bound (past the float range, under max_parts inf) is vacuous
+    if clustering is not None and math.isfinite(clustering.step_count_bound):
+        checks.append(("step_count_within_bound", float(sf.parts),
+                       clustering.step_count_bound, "le"))
+    results = {
+        "lambda": reg.lam,
+        "lambda_next": reg.lam_next,
+        "delta_floor": reg.delta_floor,
+        "epsilon": eps,
+        "F_at_run": f_at_run,
+        "certificates": {
+            "E_l2": certs.E_l2,
+            "R_cut_lower": certs.R_cut.lower,
+            "R_cut_upper": certs.R_cut.upper,
+            "R_cut_method": certs.R_cut.method,
+            "SE_linf": certs.SE_linf,
+            "clamped": certs.clamped,
+            "epsilon_violated": certs.epsilon_violated,
+        },
+        "eigenvalues": dec.eigenvalues,
+        "clusters": [list(c) for c in dec.clusters],
+        "partition": None if sf is None else {
+            "labels": sf.part_of, "block": sf.block, "part_weights": sf.part_weights},
+    }
+    return results, checks
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,12 @@ def partition_plot(block, part_weights, path: str) -> None:
     canvas.save(path)
 
 
-def trajectory_plot(sample_sizes, trajectories, path: str, reference=None) -> None:
-    """One polyline per tracked eigenvalue across sample sizes; optional
-    dashed reference lines for the target values."""
+def trajectory_plot(sample_sizes, trajectories, path: str, reference) -> None:
+    """One polyline per tracked eigenvalue across sample sizes, and a dashed
+    reference line for each target value."""
     canvas = SvgCanvas(720, 480)
     width, height = canvas.width, canvas.height
-    reference = list(reference) if reference is not None else []
-    all_vals = [v for tr in trajectories for v in tr] + reference
+    all_vals = [v for tr in trajectories for v in tr] + list(reference)
     lo = min(0.0, min(all_vals))
     hi = max(all_vals)
     to_y = _y_scale(lo, hi, height)

@@ -70,6 +70,15 @@ class TestParsers:
         with pytest.raises(ParameterError):
             parse_F(spec)
 
+    @pytest.mark.parametrize("spec", ["inf", "inf*eps", "1e400", "1e400*lambda",
+                                      "1e300*1e300"])
+    def test_decompose_with_an_infinite_F_is_usage_error(self, spec, matrix_file, capsys):
+        # each was accepted, and its check against F_at_run = inf raised a
+        # TypeError out of main (exit 1 with a traceback)
+        argv = ["decompose", "--input", matrix_file, "--epsilon", "0.3", "--F", spec]
+        assert main(argv) == EXIT_USAGE
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_parse_F_keeps_negative_powers(self):
         F, _ = parse_F("0.25*lambda^-1")
         assert F(0.5, 0.3) == pytest.approx(0.5)
@@ -308,7 +317,7 @@ class TestSubcommands:
         assert code == EXIT_OK
         rep = json.loads(out)
         assert rep["results"]["source_rank"] == 1
-        top_at_200 = rep["results"]["per_count"]["200"]["median_top_eigenvalue"]
+        top_at_200 = rep["results"]["per_count"]["200"]["median_top_eigenvalues"][0]
         assert abs(top_at_200 - 0.5) <= 0.1
 
     def test_experiment_wrandom_zero_source(self, tmp_path, capsys):
@@ -378,6 +387,25 @@ class TestSubcommands:
         )
         assert code == EXIT_OK
         ET.parse(str(svg2))
+
+    @pytest.mark.parametrize("kind, results", [
+        ("partition", {"partition": {"part_weights": [1.0]}}),
+        ("trajectory", {"trajectories": [[0.5]], "source_top_eigenvalues": [0.5]}),
+        ("spectrum", {"eigenvalues": ["x"], "clusters": [[0]]}),
+        ("partition", {"partition": [1, 2]}),
+        ("spectrum", {"eigenvalues": [], "clusters": []}),
+    ])
+    def test_plot_of_a_malformed_series_is_input_error(self, kind, results, tmp_path,
+                                                       capsys):
+        # each raised KeyError or TypeError out of main (exit 1 with a
+        # traceback), and the empty spectrum exited 3 as a numeric failure
+        rep = tmp_path / "r.json"
+        rep.write_text(json.dumps({"results": results}))
+        argv = ["plot", "--input", str(rep), "--kind", kind,
+                "--output", str(tmp_path / "x.svg")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(rep) in err and f"malformed {kind} series" in err
 
     def test_plot_missing_series_is_usage_error(self, matrix_file, tmp_path, capsys):
         rep = tmp_path / "r.json"
@@ -829,7 +857,8 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
     def test_console_script_subprocess(self, matrix_file, tmp_path):
-        # end-to-end check through the installed entry point
+        # end-to-end check through the module's __main__ guard (CI runs the
+        # installed console script)
         cmds = [
             [sys.executable, "-m", "graphonlab.cli", "spectrum",
              "--input", matrix_file, "--threads", t]

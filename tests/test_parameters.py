@@ -122,7 +122,7 @@ def test_decompose_cli_checks_max_parts_before_the_decomposition(max_parts, tmp_
                                                                  monkeypatch, capsys):
     path = tmp_path / "k.txt"
     path.write_text(format_matrix(_kernel(10)))
-    monkeypatch.setattr(graphonlab.cli, "regularity_decompose", _no_decomposition)
+    monkeypatch.setattr(graphonlab.regularity, "regularity_decompose", _no_decomposition)
     argv = ["decompose", "--input", str(path), "--epsilon", "0.3", "--max-parts", max_parts]
     assert graphonlab.cli.main(argv) == EXIT_USAGE
     assert "max_parts" in capsys.readouterr().err

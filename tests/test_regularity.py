@@ -24,7 +24,7 @@ from graphonlab import (
 from graphonlab.ensembles import cayley_kernel
 from graphonlab.errors import GridOverflowError, NonDecreasingF, TooLargeError
 import graphonlab.regularity as regularity_module
-from graphonlab.regularity import _threshold_schedule
+from graphonlab.regularity import _threshold_schedule, decomposition_report
 from graphonlab.spectral import gap_midpoints
 
 from conftest import cycle_adjacency, petersen_adjacency, random_symmetric
@@ -192,6 +192,28 @@ class TestRegularityDecompose:
         assert events == ["bracket R", "form S"]
         sum_ = reg.S.values + reg.E.values + reg.R.values
         assert np.max(np.abs(sum_ - reg.spectral.kernel.values)) <= 1e-12
+
+
+class TestDecompositionReport:
+    CERTIFICATES = ["additivity_sup_error", "E_l2_within_eps", "R_cut_upper_within_F",
+                    "SE_sup_norm"]
+
+    def test_five_checks_on_a_low_rank_kernel(self):
+        labels = np.arange(60) % 3
+        block = np.array([[0.9, 0.2, 0.4], [0.2, 0.6, 0.1], [0.4, 0.1, 0.8]])
+        k = kernel_from_matrix(block[np.ix_(labels, labels)])
+        results, checks = decomposition_report(k, F_quarter, 0.3)
+        assert [c[0] for c in checks] == self.CERTIFICATES + ["step_count_within_bound"]
+        assert checks[-1][1] == len(results["partition"]["part_weights"])
+
+    @pytest.mark.parametrize("max_parts", [1e6, np.inf])
+    def test_no_step_count_check_without_a_finite_bound(self, rng, max_parts):
+        # the noise kernel's step bound is past the float range: the default
+        # cap leaves no partition, and an infinite cap leaves an infinite bound
+        k = kernel_from_matrix(random_symmetric(rng, 150))
+        results, checks = decomposition_report(k, F_quarter, 0.3, max_parts=max_parts)
+        assert [c[0] for c in checks] == self.CERTIFICATES
+        assert (results["partition"] is None) == (max_parts == 1e6)
 
 
 class TestClusterEigenvectors:
