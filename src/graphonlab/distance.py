@@ -20,15 +20,8 @@ from .core import (
     StepFunction,
     _frozen,
     builtin_graph,
-    weighted_norm,
 )
-from .cutnorm import (
-    DEFAULT_EXACT_LIMIT,
-    _best_signs,
-    _proven_upper,
-    check_exact_limit,
-    cutnorm_exact,
-)
+from .cutnorm import DEFAULT_EXACT_LIMIT, _best_signs, _proven_upper, check_exact_limit
 from .errors import IrrationalWeightsError, ParameterError
 from .homdensity import hom_density_step
 
@@ -95,25 +88,19 @@ def common_refinement(
 # norm evaluation helpers (uniform weights on the refined grid)
 
 
-def _batched_norms(diffs: np.ndarray, m: int, norm: str) -> np.ndarray:
-    """Norm of every difference matrix in a (batch, m, m) stack."""
+def _norms(diffs: np.ndarray, space: DiscreteSpace, norm: str, exact_limit: int) -> np.ndarray:
+    """Norm of every difference matrix in a (batch, m, m) stack; for the cut
+    norm, the exact value up to max(exact_limit, 8) atoms and the proven
+    spectral/L1 upper bound of each matrix above it."""
+    m = space.n
     if norm == "L1":
         return np.abs(diffs).sum(axis=(1, 2)) / (m * m)
     if norm == "L2":
         return np.sqrt((diffs * diffs).sum(axis=(1, 2)) / (m * m))
-    # exact cut norm: max_g sum_x |(D diff D g)_x| over half the sign vectors
-    return _best_signs(diffs / (m * m))[0]
-
-
-def _single_norm(diff: np.ndarray, space: DiscreteSpace, norm: str, exact_limit: int) -> float:
-    """The norm of one difference; for the cut norm, the exact value up to
-    exact_limit atoms and the proven spectral/L1 upper bound above it."""
-    kern = Kernel(space, diff)
-    if norm != "cut":
-        return weighted_norm(kern, norm)
-    if kern.n <= exact_limit:
-        return cutnorm_exact(kern).upper
-    return _proven_upper(kern)[0]
+    if m <= max(exact_limit, EXACT_PERMUTATION_LIMIT):
+        # max_g sum_x |(D diff D g)_x| over half the sign vectors
+        return _best_signs(diffs / (m * m))[0]
+    return np.array([_proven_upper(Kernel(space, diff))[0] for diff in diffs])
 
 
 def _apply(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -240,12 +227,13 @@ def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
                   seed: int = 0) -> DistanceBracket:
     """Bracket the rearrangement distance inf_psi ||W1^psi - W2||_norm.
 
-    The upper bound is the best alignment found on the common refinement
-    (the exact permutation minimum when the refinement has at most 8
-    atoms); the lower bound is 0 for L1/L2 and the counting-lemma bound
-    for the cut norm. Past 8 atoms, seed draws only the descent starts, and
-    the cut norm of each aligned difference is exact up to exact_limit atoms
-    and above it the spectral/L1 upper bound of cutnorm_heuristic.
+    The candidate alignments of the common refinement are every
+    permutation up to 8 atoms and, past 8, the swap descents of 16 starts
+    (seed draws only the starts); one loop scores them all and keeps the
+    first least norm as the upper bound. The cut norm of an aligned
+    difference is exact up to max(exact_limit, 8) atoms and above it the
+    spectral/L1 upper bound of cutnorm_heuristic. The lower bound is 0 for
+    L1/L2 and the counting-lemma bound for the cut norm.
     """
     if norm not in ("L1", "L2", "cut"):
         raise ParameterError(f"norm must be 'L1', 'L2' or 'cut', got {norm!r}")
@@ -256,17 +244,7 @@ def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
 
     if m <= EXACT_PERMUTATION_LIMIT:
         perms = np.array(list(itertools.permutations(range(m))), dtype=int)
-        best = math.inf
-        best_perm = perms[0]
-        chunk = 4096
-        for off in range(0, perms.shape[0], chunk):
-            batch = perms[off : off + chunk]
-            diffs = v1[batch[:, :, None], batch[:, None, :]] - v2[None, :, :]
-            vals = _batched_norms(diffs, m, norm)
-            i = int(np.argmin(vals))
-            if vals[i] < best:
-                best = float(vals[i])
-                best_perm = batch[i].copy()
+        batches = (perms[off : off + 4096] for off in range(0, perms.shape[0], 4096))
         regime = "exact"
     else:
         rng = np.random.default_rng(seed)
@@ -277,15 +255,17 @@ def delta_bracket(sf1: StepFunction, sf2: StepFunction, norm: str = "cut", *,
         # means the same for every overall scale of the pair
         _, exponent = np.frexp(max(np.abs(v1).max(), np.abs(v2).max()))
         s1, s2 = np.ldexp(v1, -exponent), np.ldexp(v2, -exponent)
-        best = math.inf
-        best_perm = starts[0]
-        for start in starts:
-            perm = _swap_descent(s1, s2, norm, np.asarray(start, dtype=int), rng)
-            val = _single_norm(_apply(v1, perm) - v2, space, norm, exact_limit)
-            if val < best:
-                best = val
-                best_perm = perm
+        # one alignment at a time, so a cut norm holds one sign table
+        batches = (_swap_descent(s1, s2, norm, np.asarray(start, dtype=int), rng)[None]
+                   for start in starts)
         regime = "heuristic"
+
+    best, best_perm = math.inf, None
+    for batch in batches:
+        vals = _norms(v1[batch[:, :, None], batch[:, None, :]] - v2, space, norm, exact_limit)
+        i = int(np.argmin(vals))
+        if best_perm is None or vals[i] < best:  # the first least value
+            best, best_perm = float(vals[i]), batch[i].copy()
 
     if norm == "cut":
         lower = _density_gap_lower(sf1, sf2)

@@ -251,7 +251,7 @@ def invariant_dimension_report(
         cut_holds = None
     else:
         cut = cutnorm_bracket(centered)
-        cut_bound = creport.l2_norm / math.sqrt(creport.d)
+        cut_bound = creport.bound
         cut_holds = bool(cut.upper <= cut_bound + 1e-9)
     return InvariantDimensionReport(
         kernel_report=base,

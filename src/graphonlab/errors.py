@@ -60,8 +60,9 @@ class TooLargeError(GraphonError):
 
 
 class NonDecreasingF(GraphonError):
-    """The regularity target function F violated positivity or
-    monotonicity on the probed thresholds."""
+    """The regularity target function F was not positive and finite (an
+    OverflowError while F is evaluated counts as infinite), or not
+    monotone, on the probed thresholds."""
 
 
 class GridOverflowError(GraphonError):

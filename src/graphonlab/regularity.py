@@ -90,7 +90,13 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
             f"kernel must have weighted L2 norm at most 1 (energy {total_energy:.6f})"
         )
     mids = gap_midpoints(dec)
-    j_max = math.ceil(1.0 / eps**2) + 1
+    # past eps = 2 the cap is 2 and every energy gap (the energy is at most
+    # 1 + 1e-9) is within eps**2 either way; the clamp keeps eps**2 finite
+    eps_sq = min(eps, 2.0) ** 2
+    try:
+        j_max = math.ceil(1.0 / eps_sq) + 1
+    except (OverflowError, ZeroDivisionError):  # eps**2 is subnormal or 0
+        j_max = math.inf  # the flat-energy break below ends the loop
 
     # eigenvalues within the cluster tolerance of zero are solver noise:
     # probing into them would hold R to an F of that noise, so the probes
@@ -104,9 +110,12 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
     f_prev = None
     while len(probes) <= j_max:
         t = probes[-1]
-        f_val = float(F(t, eps))
-        if f_val <= 0.0:
-            raise NonDecreasingF(f"F({t!r}, {eps!r}) = {f_val!r} is not positive")
+        try:
+            f_val = float(F(t, eps))
+        except OverflowError:  # F's value is past the float range
+            f_val = math.inf
+        if not 0.0 < f_val < math.inf:  # NaN too
+            raise NonDecreasingF(f"F({t!r}, {eps!r}) = {f_val!r} is not positive and finite")
         if f_prev is not None and f_val > f_prev + 1e-12:
             raise NonDecreasingF(
                 "F increased along the decreasing threshold sequence: "
@@ -121,7 +130,7 @@ def _threshold_schedule(dec: SpectralDecomposition, F, eps: float) -> ThresholdS
     energies = [dec.energy_above(t) for t in probes]
     pair = None
     for j in range(len(probes) - 1):
-        if energies[j + 1] - energies[j] <= eps**2:
+        if energies[j + 1] - energies[j] <= eps_sq:
             pair = j
             break
     if pair is None:  # cannot happen for energy <= 1; guards rounding at the boundary

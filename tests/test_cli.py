@@ -4,6 +4,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -38,6 +39,14 @@ def matrix_file(tmp_path, rng):
     k = kernel_from_matrix(random_symmetric(rng, 8))
     path = tmp_path / "kernel.txt"
     path.write_text(format_matrix(k))
+    return str(path)
+
+
+@pytest.fixture
+def circle_file(tmp_path, capsys):
+    path = tmp_path / "circle.txt"
+    assert main(["make", "--ensemble", "circle", "--n", "8", "--output", str(path)]) == EXIT_OK
+    capsys.readouterr()
     return str(path)
 
 
@@ -652,6 +661,27 @@ class TestExitCodes:
             ["decompose", "--input", str(path), "--epsilon", "0.3"], capsys
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("spec", ["1e308*eps^-5", "eps^-1000"])
+    def test_F_that_overflows_is_numeric_failure(self, spec, circle_file, capsys):
+        # F = inf reached the report's check (TypeError), and eps^-1000
+        # raised OverflowError while F was evaluated: both exited 1 with a
+        # traceback
+        argv = ["decompose", "--input", circle_file, "--epsilon", "0.3", "--F", spec]
+        assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "NonDecreasingF" in err
+
+    @pytest.mark.parametrize("eps", ["1e-160", "1e-200", "1e200"])
+    def test_eps_whose_square_leaves_the_float_range_exits_without_an_exception(
+            self, eps, circle_file):
+        # the step cap ceil(1 / eps^2) + 1 raised OverflowError at 1e-160
+        # and 1e200, and ZeroDivisionError at 1e-200, where eps^2 underflows
+        # to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EpsilonViolatedWarning)
+            code = main(["decompose", "--input", circle_file, "--epsilon", eps])
+        assert code in (EXIT_CHECK_FAILED, EXIT_NUMERIC)
 
     @pytest.mark.parametrize("failure, message", [
         ("raise", "raised in a worker"),

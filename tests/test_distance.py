@@ -156,6 +156,18 @@ class TestDeltaBracket:
         with pytest.raises(ValueError):
             delta_bracket(sf, sf, "cut", exact_limit=limit)
 
+    def test_exact_regime_never_reads_the_exact_limit(self, rng):
+        # up to 8 atoms every permutation is scored by the exact sign engine,
+        # whatever the limit on the cut norms of larger refinements
+        space = DiscreteSpace.uniform(8)
+        sf1 = StepFunction(space, range(8), random_symmetric(rng, 8, 0.0, 1.0))
+        sf2 = StepFunction(space, range(8), random_symmetric(rng, 8, 0.0, 1.0))
+        default = delta_bracket(sf1, sf2, "cut")
+        zero = delta_bracket(sf1, sf2, "cut", exact_limit=0)
+        assert default.regime == zero.regime == "exact"
+        assert (zero.lower, zero.upper) == (default.lower, default.upper)
+        assert np.array_equal(zero.alignment, default.alignment)
+
     def test_bracket_sandwich_and_certificate_label(self, rng):
         space = DiscreteSpace.uniform(4)
         sf1 = StepFunction(space, [0, 0, 1, 1], random_symmetric(rng, 2, 0.0, 1.0))

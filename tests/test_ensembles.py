@@ -249,6 +249,22 @@ class TestInvariantDimensionReport:
             assert rep.kernel_report.spectral_radius <= 1.0 / math.sqrt(2) + 1e-9
             assert rep.kernel_report.bound_holds
 
+    @pytest.mark.parametrize("centre", [True, False])
+    @pytest.mark.parametrize("p, base", [
+        (7, [0, 1, -1, 0.5, 0.5, -1, 1]),
+        (11, [0, 1, 0, -1, 0.5, 0.25, 0.25, 0.5, -1, 0, 1]),
+        (13, [0, 1, 0.2, -1, 0.5, -0.3, 0.25, 0.25, -0.3, 0.5, -1, 0.2, 1]),
+    ])
+    def test_centered_cut_within_its_bound(self, p, base, centre):
+        # the cut-norm bracket of K - p against ||K - p||_2 / sqrt(d)
+        fvals = np.asarray(base, dtype=float)
+        k = cayley_kernel(p, fvals - fvals.mean() if centre else fvals)
+        k = Kernel(k.space, k.values / weighted_norm(k, "L2"))
+        rep = invariant_dimension_report(k, PermutationAction(k.space, (shift_perm(p),)))
+        assert rep.centered_cut_holds
+        assert rep.centered_cut_bound == rep.centered_report.bound
+        assert rep.centered_cut.upper <= rep.centered_cut_bound + 1e-9
+
     def test_constant_kernel_centered_report_empty(self):
         k = kernel_from_matrix(np.full((5, 5), 0.4))
         action = PermutationAction(k.space, (shift_perm(5),))

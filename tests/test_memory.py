@@ -5,8 +5,9 @@ results (M, the eigenvectors F, S, E and R), so the traced peak stays near
 six n x n float64 arrays. Reading the matrix file takes the parsed array and
 the kernel's own copy of it, symmetrized in place. The exact sign-vector
 engine holds its table of low-bit patterns beside one block of sign rows and
-one walk chunk; the Monte Carlo estimator holds the samples' values beside
-one chunk of draws."""
+one walk chunk, also where a cut distance scores its descended alignments;
+the Monte Carlo estimator holds the samples' values beside one chunk of
+draws."""
 
 import contextlib
 import io
@@ -14,9 +15,10 @@ import tracemalloc
 
 import numpy as np
 
-from graphonlab import cycle_graph, kernel_from_matrix
+from graphonlab import DiscreteSpace, StepFunction, cycle_graph, kernel_from_matrix
 from graphonlab.cli import EXIT_OK, main
 from graphonlab.cutnorm import _best_signs
+from graphonlab.distance import delta_bracket
 from graphonlab.fileio import format_matrix, load_kernel
 from graphonlab.homdensity import hom_density_mc
 
@@ -109,6 +111,19 @@ def test_a_distance_stack_peaks_below_its_tables_and_a_fifth():
     stack = np.stack([random_symmetric(rng, n) for _ in range(b)])
     peak = _traced_peak(lambda: _best_signs(stack), unit=8 * b * n * (1 << (n - 1)))
     assert peak <= STACK_BUDGET, f"peak {peak:.2f} tables"
+
+
+def test_a_heuristic_cut_distance_peaks_below_one_table_and_a_third():
+    # the 16 descended alignments are scored one at a time: at once, their
+    # cut norms would hold 16 tables
+    m = 22
+    rng = np.random.default_rng(4)
+    space = DiscreteSpace.uniform(m)
+    sf1 = StepFunction(space, range(m), random_symmetric(rng, m, 0.0, 1.0))
+    sf2 = StepFunction(space, range(m), random_symmetric(rng, m, 0.0, 1.0))
+    assert delta_bracket(sf1, sf2, "cut").regime == "heuristic"
+    peak = _traced_peak(lambda: delta_bracket(sf1, sf2, "cut"), unit=8 * m * (1 << 16))
+    assert peak <= TABLE_BUDGET, f"peak {peak:.2f} tables"
 
 
 def test_monte_carlo_peaks_below_its_values_and_a_half():

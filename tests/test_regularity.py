@@ -83,6 +83,14 @@ class TestChooseThreshold:
         with pytest.raises(NonDecreasingF):
             choose_threshold(dec, lambda l, e: 0.0, 0.3)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_F_rejected(self, rng, value):
+        # an infinite F let the schedule run on, and the report compared
+        # F_at_run = inf with its rounded string 'inf' (TypeError)
+        dec = decompose(normalized_l2(rng, 6))
+        with pytest.raises(NonDecreasingF, match="positive and finite"):
+            choose_threshold(dec, lambda l, e: value, 0.3)
+
     def test_increasing_F_rejected(self, rng):
         dec = decompose(normalized_l2(rng, 8))
         with pytest.raises(NonDecreasingF):
