@@ -31,8 +31,8 @@ MIN_ATOM_WEIGHT = 1e-14
 # it the input is genuinely asymmetric and rejected.
 SILENT_SKEW = 1e-12
 HARD_SKEW = 1e-9
-# Kernel compares its matrix with its transpose in square tiles of this
-# many rows, so that each transposed read stays in cache.
+# The mirror-tile walk compares a matrix with its transpose in square tiles
+# of this many rows, so that each transposed read stays in cache.
 SYMMETRY_TILE = 256
 
 
@@ -127,29 +127,32 @@ class Kernel:
             raise DimensionMismatchError(
                 f"values shape {v.shape} does not match space size {self.space.n}"
             )
-        _require_finite(v, "kernel values")
-        if not _exactly_symmetric(v):
-            raise AsymmetricMatrixError(
-                "Kernel requires an exactly symmetric matrix; "
-                "use kernel_from_matrix to symmetrize noisy input"
-            )
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _checked_symmetric(
+            v, "kernel values", "Kernel requires an exactly symmetric matrix; "
+            "use kernel_from_matrix to symmetrize noisy input"))
 
     @property
     def n(self) -> int:
         return self.space.n
 
 
-def _exactly_symmetric(v: np.ndarray) -> bool:
-    """np.array_equal(v, v.T) for a finite square v, one pair of
-    SYMMETRY_TILE tiles at a time: each tile below the diagonal against
-    the transpose of its mirror tile above it."""
+def _mirror_pairs(v: np.ndarray):
+    """Each pair of mirror SYMMETRY_TILE tiles of the square v that differ, as
+    views: a tile on or above the diagonal, the transpose of its mirror below."""
     t = SYMMETRY_TILE
     for i in range(0, v.shape[0], t):
-        for j in range(0, i + 1, t):
-            if not np.array_equal(v[i:i + t, j:j + t], v[j:j + t, i:i + t].T):
-                return False
-    return True
+        for j in range(i, v.shape[0], t):
+            upper, lower = v[i:i + t, j:j + t], v[j:j + t, i:i + t].T
+            if not np.array_equal(upper, lower):
+                yield upper, lower
+
+
+def _checked_symmetric(v: np.ndarray, what: str, asymmetric: str) -> np.ndarray:
+    """v frozen, after the check that it is finite and exactly symmetric."""
+    _require_finite(v, what)
+    if next(_mirror_pairs(v), None) is not None:
+        raise AsymmetricMatrixError(asymmetric)
+    return _frozen(v)
 
 
 def _symmetrize_in_place(v: np.ndarray) -> float:
@@ -158,19 +161,14 @@ def _symmetrize_in_place(v: np.ndarray) -> float:
     max |v - v^T| it removed. Float addition commutes, so the result is
     exactly symmetric. A pair that is equal already is left unwritten, as
     averaging it could only overflow."""
-    t = SYMMETRY_TILE
     skew = 0.0
-    for i in range(0, v.shape[0], t):
-        for j in range(i, v.shape[0], t):
-            upper, lower = v[i:i + t, j:j + t], v[j:j + t, i:i + t].T
-            if np.array_equal(upper, lower):
-                continue
-            tile = upper - lower
-            skew = max(skew, float(np.max(np.abs(tile, out=tile))))
-            tile = upper + lower
-            tile /= 2.0
-            upper[...] = tile
-            lower[...] = tile
+    for upper, lower in _mirror_pairs(v):
+        tile = upper - lower
+        skew = max(skew, float(np.max(np.abs(tile, out=tile))))
+        tile = upper + lower
+        tile /= 2.0
+        upper[...] = tile
+        lower[...] = tile
     return skew
 
 
@@ -178,20 +176,19 @@ def kernel_from_matrix(values, weights=None) -> Kernel:
     """Build a Kernel from a square matrix: skew up to 1e-12 is absorbed
     silently, up to 1e-9 with a warning, anything larger is rejected.
     Weights default to uniform."""
-    v = np.asarray(values, dtype=float)
+    v = np.array(values, dtype=float)  # the kernel's own copy
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {v.shape}")
-    v = _symmetrize_input(v)
+    _symmetrize_input(v)
     space = DiscreteSpace.uniform(v.shape[0]) if weights is None else DiscreteSpace(weights)
     return Kernel(space, v)
 
 
 def _symmetrize_input(v: np.ndarray) -> np.ndarray:
-    """The skew ladder for a square matrix read from outside: skew up to
-    SILENT_SKEW is averaged away silently, up to HARD_SKEW with a
-    SymmetrizedWarning, anything larger raises AsymmetricMatrixError."""
+    """The skew ladder, in place, for a writable square float matrix read
+    from outside: skew up to SILENT_SKEW is averaged away silently, up to
+    HARD_SKEW with a SymmetrizedWarning, anything larger raises AsymmetricMatrixError."""
     _require_finite(v, "matrix entries")  # before the skew test, which NaN passes
-    v = v.copy()  # keeps the caller's array writable and the result its own
     skew = _symmetrize_in_place(v)
     if skew > HARD_SKEW:
         raise AsymmetricMatrixError(
@@ -234,16 +231,15 @@ class StepFunction:
         if block.ndim != 2 or block.shape[0] != block.shape[1]:
             raise DimensionMismatchError("block must be s x s")
         s = block.shape[0]
-        _require_finite(block, "block values")
         if labels.min() < 0 or labels.max() >= s:
             raise EmptyPartError("part labels must lie in [0, s)")
-        if not _exactly_symmetric(block):
-            raise AsymmetricMatrixError("block matrix must be exactly symmetric")
+        block = _checked_symmetric(block, "block values",
+                                   "block matrix must be exactly symmetric")
         pw = np.bincount(labels, weights=self.space.weights, minlength=s)
         if np.any(pw == 0.0):
             raise EmptyPartError("every part must contain at least one atom")
         object.__setattr__(self, "part_of", _frozen(labels, dtype=int))
-        object.__setattr__(self, "block", _frozen(block))
+        object.__setattr__(self, "block", block)
         object.__setattr__(self, "part_weights", _frozen(pw))
 
     @property

@@ -17,7 +17,6 @@ from .core import (
     _draw_atoms,
     _frozen,
     _largest_move,
-    _symmetrize_in_place,
     symmetric_kernel,
     weighted_mean,
     weighted_norm,
@@ -154,10 +153,9 @@ def sphere_kernel(dim: int, f: ProfileFunction, N: int, seed: int = 0) -> Kernel
         x[bad] = rng.standard_normal((int(bad.sum()), dim + 1))
         norms = np.linalg.norm(x, axis=1)
     x /= norms[:, None]
-    gram = x @ x.T
-    _symmetrize_in_place(gram)  # numpy forms x x^T exactly symmetric; nothing is written then
+    gram = x @ x.T  # numpy forms x x^T from one triangle: exactly symmetric
     np.fill_diagonal(gram, 1.0)
-    return Kernel(DiscreteSpace.uniform(N), f(np.clip(gram, -1.0, 1.0)))
+    return Kernel(DiscreteSpace.uniform(N), f(np.clip(gram, -1.0, 1.0, out=gram)))
 
 
 def w_random_graph(kernel: Kernel, N: int, seed: int = 0) -> Kernel:

@@ -24,6 +24,7 @@ from .core import (
     PermutationAction,
     StepFunction,
     _largest_move,
+    _symmetrize_in_place,
     expand_step,
     weighted_norm,
 )
@@ -209,6 +210,7 @@ def regularity_decompose(
     sched = _threshold_schedule(dec, F, eps)
     # S + E = clip([M]_lam') in the one buffer that later becomes E
     se = _truncation(dec, sched.lam_next)
+    _symmetrize_in_place(se)
     top = float(np.max(np.abs(se)))
     clamped = top > 1.0
     if clamped:
@@ -333,8 +335,9 @@ def cluster_eigenvectors(
     vecs = dec.eigenvectors[:, :k]
     lams = dec.eigenvalues[:k]
     m = max(float(np.max(np.abs(vecs))), float(np.max(np.abs(lams))))
+    base = max(1.0, 20.0 * k * m**3 / eps)  # the cells per eigenvector
     try:
-        bound = (20.0 * k * m**3 / eps) ** k
+        bound = base**k
     except OverflowError:  # past the float range, e.g. k in the hundreds
         bound = math.inf
     if bound > max_parts:
@@ -342,7 +345,7 @@ def cluster_eigenvectors(
             f"nominal step bound {bound:.3e} exceeds the cap {max_parts:.3e}; "
             "raise eps or the cap"
         )
-    cells = max(1, math.floor(20.0 * k * m**3 / eps))
+    cells = math.floor(min(base, 2.0**52))  # 2^52 is finer than float64 resolves
     width = 2.0 * m / cells
     idx = np.minimum(np.floor((vecs + m) / width).astype(int), cells - 1)  # vecs + m >= 0
     _, labels = np.unique(idx, axis=0, return_inverse=True)

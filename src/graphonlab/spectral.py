@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kernel, StepFunction, _frozen, _symmetrize_in_place, canonical_parts
+from .core import (Kernel, StepFunction, _frozen, _symmetrize_in_place, canonical_parts,
+                   symmetric_kernel)
 from .errors import (
     AllZeroSpectrum,
     EigenSolverError,
@@ -504,17 +505,15 @@ def tail_truncate(dec: SpectralDecomposition, threshold: float) -> Kernel:
     where the decomposition holds too few eigenpairs: on a spectrum below
     the spectral radius, on a leading decomposition below its bulk_bound.
     """
-    return Kernel(dec.kernel.space, _truncation(dec, threshold))
+    return symmetric_kernel(_truncation(dec, threshold), dec.kernel.space)
 
 
 def _truncation(dec: SpectralDecomposition, threshold: float) -> np.ndarray:
-    """The values of tail_truncate(dec, threshold) in one writable n x n
-    buffer: P = F_k diag(lambda_k) F_k^T, symmetrized in place."""
+    """P = F_k diag(lambda_k) F_k^T for tail_truncate(dec, threshold), in
+    one writable n x n buffer, not yet symmetrized."""
     k = _split_check(dec, threshold)
     f = dec.eigenvectors[:, :k]
-    p = (f * dec.eigenvalues[:k]) @ f.T
-    _symmetrize_in_place(p)
-    return p
+    return (f * dec.eigenvalues[:k]) @ f.T
 
 
 def truncation_quotient(dec: SpectralDecomposition, threshold: float,

@@ -672,7 +672,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "NonDecreasingF" in err
 
-    @pytest.mark.parametrize("eps", ["1e-160", "1e-200", "1e200"])
+    @pytest.mark.parametrize("eps", ["1e-160", "1e-200"])
     def test_eps_whose_square_leaves_the_float_range_exits_without_an_exception(
             self, eps, circle_file):
         # the step cap ceil(1 / eps^2) + 1 raised OverflowError at 1e-160
@@ -682,6 +682,32 @@ class TestExitCodes:
             warnings.simplefilter("ignore", EpsilonViolatedWarning)
             code = main(["decompose", "--input", circle_file, "--epsilon", eps])
         assert code in (EXIT_CHECK_FAILED, EXIT_NUMERIC)
+
+    @pytest.mark.parametrize("eps", ["1e100", "1e200"])
+    def test_eps_above_the_grid_scale_keeps_the_step_bound_at_one(self, eps, circle_file,
+                                                                  capsys):
+        # past eps = 20 k m^3 the step bound fell below 1 while the grid kept
+        # one cell, so step_count_within_bound failed on the one part; at
+        # 1e200 the step cap also overflowed (see above)
+        assert main(["decompose", "--input", circle_file, "--epsilon", eps]) == EXIT_OK
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["step_count_within_bound"]["bound"] == 1.0
+
+    @pytest.mark.parametrize("eps", ["1e-20", "1e-306", "1e-310"])
+    def test_eps_below_the_float_grid_fails_a_check_not_the_run(self, eps, circle_file,
+                                                                capsys):
+        # 20 k m^3 / eps cells overflowed the cell index (OverflowError from
+        # astype(int)) or the float range (math.floor of inf); the grid is
+        # now capped at 2^52 cells, finer than float64 resolves on [-m, m]
+        argv = ["decompose", "--input", circle_file, "--epsilon", eps,
+                "--F", "0.25*lambda", "--max-parts", "inf"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EpsilonViolatedWarning)
+            assert main(argv) == EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["E_l2_within_eps"]
+        assert len(set(report["results"]["partition"]["labels"])) == 8
 
     @pytest.mark.parametrize("failure, message", [
         ("raise", "raised in a worker"),

@@ -85,6 +85,10 @@ class TestKernelConstruction:
             bad[i, j] = np.nextafter(bad[i, j], 2.0)
             with pytest.raises(AsymmetricMatrixError):
                 Kernel(DiscreteSpace.uniform(n), bad)
+            # a step block goes through the same check
+            with pytest.raises(AsymmetricMatrixError):
+                StepFunction(DiscreteSpace.uniform(n), np.arange(n), bad)
+        StepFunction(DiscreteSpace.uniform(n), np.arange(n), v)
 
     @pytest.mark.parametrize("n", [1, SYMMETRY_TILE - 1, 2 * SYMMETRY_TILE + 37])
     def test_symmetric_kernel_is_the_whole_matrix_average(self, rng, n):

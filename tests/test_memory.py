@@ -3,7 +3,8 @@
 One decompose run forms M = S + E + R in one work buffer beside its five
 results (M, the eigenvectors F, S, E and R), so the traced peak stays near
 six n x n float64 arrays. Reading the matrix file takes the parsed array and
-the kernel's own copy of it, symmetrized in place. The exact sign-vector
+the kernel's own copy of it, symmetrized in place; a sphere kernel, its Gram
+matrix clipped in place and the profile's values. The exact sign-vector
 engine holds its table of low-bit patterns beside one block of sign rows and
 one walk chunk, also where a cut distance scores its descended alignments;
 the Monte Carlo estimator holds the samples' values beside one chunk of
@@ -19,6 +20,7 @@ from graphonlab import DiscreteSpace, StepFunction, cycle_graph, kernel_from_mat
 from graphonlab.cli import EXIT_OK, main
 from graphonlab.cutnorm import _best_signs
 from graphonlab.distance import delta_bracket
+from graphonlab.ensembles import ProfileFunction, sphere_kernel
 from graphonlab.fileio import format_matrix, load_kernel
 from graphonlab.homdensity import hom_density_mc
 
@@ -27,6 +29,7 @@ from conftest import random_symmetric
 N = 400
 BUDGET = 7  # n x n float64 arrays
 LOAD_BUDGET = 2.5
+SPHERE_BUDGET = 2.5
 TABLE_BUDGET = 1.3  # the (b, n, 2^16) table of one exact cut norm
 STACK_BUDGET = 1.2  # the (b, n, 2^(n-1)) tables of a distance stack
 MC_BUDGET = 1.5  # the Monte Carlo samples' values
@@ -94,6 +97,13 @@ def test_loading_a_matrix_file_peaks_below_two_and_a_half_matrices(tmp_path):
     path.write_text(format_matrix(kernel_from_matrix(_planted(N))))
     peak = _traced_peak(lambda: load_kernel(str(path)))
     assert peak <= LOAD_BUDGET, f"peak {peak:.2f} n x n arrays"
+
+
+def test_a_sphere_kernel_peaks_below_two_and_a_half_matrices():
+    # the Gram matrix is clipped in its own buffer, with no symmetrizing walk
+    # over it before the kernel's own check
+    peak = _traced_peak(lambda: sphere_kernel(3, ProfileFunction.threshold(0.0), N, 1))
+    assert peak <= SPHERE_BUDGET, f"peak {peak:.2f} n x n arrays"
 
 
 def test_one_exact_cut_norm_peaks_below_its_table_and_a_third():
