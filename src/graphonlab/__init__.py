@@ -63,6 +63,7 @@ from .regularity import (
 from .homdensity import (
     DensityEstimate,
     cycle_density_spectral,
+    hom_density,
     hom_density_mc,
     hom_density_step,
     moment_identity_check,

@@ -28,7 +28,6 @@ from .core import (
     SimpleGraph,
     StepFunction,
     builtin_graph,
-    cycle_graph,
     expand_step,
     weighted_mean,
     weighted_norm,
@@ -44,9 +43,9 @@ from .ensembles import (
 )
 from .errors import GraphonError, ParameterError
 from .experiments import builtin_rank3_step
-from .homdensity import cycle_density_spectral, hom_density_mc, hom_density_step
+from .homdensity import hom_density, hom_density_step
 from .regularity import DEFAULT_GRID_CAP, decomposition_report
-from .spectral import decompose, spectral_radius, spectrum
+from .spectral import decompose, spectral_radius
 
 SCHEMA_VERSION = "graphonlab.report/1"
 
@@ -303,14 +302,10 @@ def _cmd_density(args) -> dict:
     is_step = isinstance(source, StepFunction)
     inputs = _inputs(args, "step" if is_step else "matrix", _DENSITY_FLAGS)
     graph = parse_graph_arg(args.graph)
-    results: dict = {"graph": args.graph, "vertices": graph.k, "edges": graph.edge_count}
-    if is_step:
-        est = hom_density_step(graph, source)
-    else:
-        est = hom_density_mc(graph, source, args.samples, args.seed)
-        if graph.k >= 3 and graph == cycle_graph(graph.k):
-            results["spectral_value"] = cycle_density_spectral(spectrum(source), graph.k).value
-    results.update(dataclasses.asdict(est))
+    est = (hom_density_step(graph, source) if is_step
+           else hom_density(graph, source, args.samples, args.seed))
+    results = {"graph": args.graph, "vertices": graph.k, "edges": graph.edge_count,
+               **dataclasses.asdict(est)}
     return _report("density", inputs, results)
 
 

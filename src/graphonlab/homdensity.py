@@ -1,12 +1,13 @@
 """Homomorphism densities t(G, W).
 
-Exact tensor-contraction values on step functions, seeded Monte Carlo on
-general kernels, and the spectral trace formula for cycles, plus the check
-that the spectrum distribution's moments equal cycle-density ratios.
+Exact tensor contractions on step functions, and on matrix kernels where
+cheaper than sampling; seeded Monte Carlo otherwise; the spectral trace formula
+for cycles, and the check that spectrum moments equal cycle-density ratios.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 
@@ -17,6 +18,9 @@ from .errors import ParameterError, TooManyVerticesError
 from .spectral import SpectralDecomposition, spectrum_distribution
 
 MAX_EXACT_VERTICES = 10
+# hom_density contracts where einsum's path takes at most this many flops per
+# atom draw and edge product of the sampled run (BENCH_exact_density.json).
+FLOPS_PER_SAMPLE_STEP = 7.0
 # Samples drawn at once: 8192 keeps one chunk's uniforms, atom indices and
 # products near 1 MiB for the graphs of the template registry, small beside
 # the samples' own values. The stream does not depend on it, since
@@ -30,27 +34,50 @@ class DensityEstimate:
     value: float
     stderr: float
     samples: int
-    method: str  # exact_step | monte_carlo | spectral_cycle
+    method: str  # exact_step | exact_matrix | monte_carlo | spectral_cycle
+
+
+def _contract(graph: SimpleGraph, block, weights, budget=None) -> float | None:
+    """hom_density_step's sum as one einsum on its greedy path; None where
+    the path costs more than budget = (flops, largest intermediate)."""
+    letters = string.ascii_letters
+    edges = sorted(graph.edges)
+    spec = ",".join([letters[u - 1] + letters[v - 1] for (u, v) in edges]
+                    + list(letters[: graph.k])) + "->"
+    operands = [block] * len(edges) + [weights] * graph.k
+    path = True
+    if budget is not None:
+        path, info = np.einsum_path(spec, *operands, optimize=True)
+        # einsum_path states its costs only in this printed summary
+        cost = [float(re.search(label + r":\s*(\S+)", info)[1])
+                for label in ("Optimized FLOP count", "Largest intermediate")]
+        if not (cost[0] <= budget[0] and cost[1] <= budget[1]):
+            return None
+    return float(np.einsum(spec, *operands, optimize=path))
 
 
 def hom_density_step(graph: SimpleGraph, sf: StepFunction) -> DensityEstimate:
     """Exact density: sum over all part assignments of the product of block
     values on edges, weighted by the product of part weights."""
     if graph.k > MAX_EXACT_VERTICES:
-        raise TooManyVerticesError(
-            f"{graph.k} vertices exceeds the exact cap {MAX_EXACT_VERTICES}"
-        )
-    letters = string.ascii_letters
-    subscripts = []
-    operands = []
-    for (u, v) in sorted(graph.edges):
-        subscripts.append(letters[u - 1] + letters[v - 1])
-        operands.append(sf.block)
-    for v in range(graph.k):
-        subscripts.append(letters[v])
-        operands.append(sf.part_weights)
-    value = float(np.einsum(",".join(subscripts) + "->", *operands, optimize=True))
+        raise TooManyVerticesError(f"{graph.k} vertices exceeds the exact cap {MAX_EXACT_VERTICES}")
+    value = _contract(graph, sf.block, sf.part_weights)
     return DensityEstimate(value=value, stderr=0.0, samples=0, method="exact_step")
+
+
+def hom_density(graph: SimpleGraph, kernel: Kernel, samples: int,
+                seed: int = 0) -> DensityEstimate:
+    """t(G, W) on a matrix kernel: _contract with one part per atom, within the
+    vertex cap and where the path takes at most FLOPS_PER_SAMPLE_STEP flops per
+    draw and edge product of the sampled run and holds no intermediate larger
+    than its samples' values; else hom_density_mc's estimate."""
+    if graph.k <= MAX_EXACT_VERTICES:
+        steps = samples * (graph.k + graph.edge_count)
+        value = _contract(graph, kernel.values, kernel.space.weights,
+                          (FLOPS_PER_SAMPLE_STEP * steps, samples))
+        if value is not None:
+            return DensityEstimate(value=value, stderr=0.0, samples=0, method="exact_matrix")
+    return hom_density_mc(graph, kernel, samples, seed)
 
 
 def hom_density_mc(graph: SimpleGraph, kernel: Kernel, samples: int,

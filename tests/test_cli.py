@@ -12,7 +12,14 @@ import pytest
 
 import graphonlab.cli
 import graphonlab.regularity
-from graphonlab import DiscreteSpace, StepFunction, experiments, kernel_from_matrix
+from graphonlab import (
+    DiscreteSpace,
+    StepFunction,
+    cycle_density_spectral,
+    decompose,
+    experiments,
+    kernel_from_matrix,
+)
 from graphonlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERIC,
@@ -23,7 +30,7 @@ from graphonlab.cli import (
     parse_profile,
 )
 from graphonlab.errors import EpsilonViolatedWarning, InvalidSpaceError, ParameterError
-from graphonlab.fileio import format_matrix, format_step
+from graphonlab.fileio import format_matrix, format_step, load_kernel
 
 from conftest import cycle_adjacency, random_symmetric
 
@@ -213,30 +220,36 @@ class TestSubcommands:
         assert rep["results"]["stderr"] == 0.0
 
     def test_density_matrix_mc(self, matrix_file, capsys):
+        # past the exact vertex cap a matrix kernel is always sampled
         code, out = run_cli(
-            ["density", "--input", matrix_file, "--graph", "cycle_4",
+            ["density", "--input", matrix_file, "--graph", "cycle_11",
              "--samples", "500", "--seed", "3"],
             capsys,
         )
         assert code == EXIT_OK
         rep = json.loads(out)
         assert rep["results"]["method"] == "monte_carlo"
-        assert "spectral_value" in rep["results"]
+        assert rep["results"]["samples"] == 500
+        assert "spectral_value" not in rep["results"]
 
-    def test_density_spectral_value_for_every_cycle(self, matrix_file, tmp_path, capsys):
+    def test_density_of_every_cycle_is_the_trace_formula(self, matrix_file, tmp_path, capsys):
         # read off the parsed graph, not its name: 'triangle' and a cycle
-        # read from a file got no spectral value
-        def spectral_value(graph):
+        # read from a file are cycles too; the exact contraction equals
+        # t(C_k, W) = sum of lambda_i^k up to the report's 12 digits
+        def density(graph):
             code, out = run_cli(["density", "--input", matrix_file, "--graph", graph,
-                                 "--samples", "50", "--seed", "3"], capsys)
+                                 "--samples", "1000", "--seed", "3"], capsys)
             assert code == EXIT_OK
-            return json.loads(out)["results"].get("spectral_value")
+            results = json.loads(out)["results"]
+            assert results["method"] == "exact_matrix" and "spectral_value" not in results
+            return results["value"]
 
+        dec = decompose(load_kernel(matrix_file))
         square = tmp_path / "square.graph"
         square.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
-        assert spectral_value("triangle") == spectral_value("cycle_3") is not None
-        assert spectral_value(str(square)) == spectral_value("cycle_4") is not None
-        assert spectral_value("path_4") is None and spectral_value("K4") is None
+        for graph, k in (("triangle", 3), ("cycle_3", 3), ("cycle_4", 4), (str(square), 4)):
+            assert density(graph) == pytest.approx(cycle_density_spectral(dec, k).value,
+                                                   rel=1e-11, abs=1e-15)
 
     def test_distance(self, step_file, tmp_path, capsys):
         other = tmp_path / "step2.txt"

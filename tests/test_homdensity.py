@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +9,14 @@ from graphonlab import (
     SimpleGraph,
     StepFunction,
     apply_permutation,
+    builtin_graph,
     complete_graph,
     cycle_density_spectral,
     cycle_graph,
     decompose,
     disjoint_union,
     expand_step,
+    hom_density,
     hom_density_mc,
     hom_density_step,
     kernel_from_matrix,
@@ -19,8 +24,10 @@ from graphonlab import (
     path_graph,
     quotient_average,
 )
+from graphonlab import homdensity
 from graphonlab.core import _draw_atoms
 from graphonlab.errors import AllZeroSpectrum, TooManyVerticesError
+from graphonlab.fileio import load_graph
 
 from conftest import random_symmetric
 
@@ -34,8 +41,6 @@ def random_step(rng, parts=3, lo=0.0, hi=1.0):
 
 def brute_force_step_density(graph, sf):
     """Oracle: explicit loop over all part assignments."""
-    import itertools
-
     total = 0.0
     for assign in itertools.product(range(sf.parts), repeat=graph.k):
         prod = 1.0
@@ -127,6 +132,80 @@ class TestMonteCarlo:
         b = hom_density_mc(cycle_graph(4), k, samples=1000, seed=11)
         assert a.value == b.value
         assert a.stderr == b.stderr
+
+
+BUILTINS = ["edge", "path_3", "triangle", "cycle_4", "cycle_5", "K4"]
+
+
+def brute_force_kernel_density(graph, kernel):
+    """Oracle: explicit loop over all atom tuples."""
+    w = kernel.space.weights
+    total = 0.0
+    for x in itertools.product(range(kernel.n), repeat=graph.k):
+        prod = math.prod(w[a] for a in x)
+        for (u, v) in graph.edges:
+            prod *= kernel.values[x[u - 1], x[v - 1]]
+        total += prod
+    return total
+
+
+def weighted_kernel(rng, n):
+    w = rng.random(n) + 0.05
+    return kernel_from_matrix(random_symmetric(rng, n, 0.0, 1.0), w / w.sum())
+
+
+class TestMatrixDensity:
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    @pytest.mark.parametrize("name", BUILTINS + ["isolated.graph"])
+    def test_contraction_matches_the_atom_tuple_loop(self, name, n, tmp_path):
+        if name.endswith(".graph"):
+            # path 1-2-3 beside the isolated vertex 4, read from a file
+            path = tmp_path / name
+            path.write_text("4 2\n1 2\n2 3\n")
+            graph = load_graph(str(path))
+        else:
+            graph = builtin_graph(name)
+        kernel = weighted_kernel(np.random.default_rng(n), n)
+        est = hom_density(graph, kernel, samples=10**4, seed=1)
+        assert est.method == "exact_matrix"
+        assert (est.stderr, est.samples) == (0.0, 0)
+        assert est.value == pytest.approx(brute_force_kernel_density(graph, kernel),
+                                          rel=1e-12, abs=1e-15)
+
+    def test_matches_the_step_path_with_one_part_per_atom(self, rng):
+        kernel = weighted_kernel(rng, 30)
+        sf = StepFunction(kernel.space, np.arange(30), kernel.values)
+        for name in BUILTINS:
+            graph = builtin_graph(name)
+            assert hom_density(graph, kernel, 10**5).value == hom_density_step(graph, sf).value
+
+    def test_path_chosen_at_n_200_with_a_million_samples(self):
+        # the contraction where einsum's path is cheap, sampling for K4, whose
+        # path takes 9.6e9 flops against the budget's 7e7; the sampled run is
+        # hom_density_mc's, field by field
+        kernel = kernel_from_matrix(random_symmetric(np.random.default_rng(3), 200, 0.0, 1.0))
+        methods = {name: hom_density(builtin_graph(name), kernel, 10**6, 5).method
+                   for name in BUILTINS}
+        assert methods == {**dict.fromkeys(BUILTINS[:-1], "exact_matrix"), "K4": "monte_carlo"}
+        assert (hom_density(complete_graph(4), kernel, 10**6, 5)
+                == hom_density_mc(complete_graph(4), kernel, 10**6, 5))
+
+    def test_memory_guard_samples_where_an_intermediate_outgrows_the_values(self, monkeypatch):
+        # C4's path at n = 200 holds one 200 x 200 intermediate: 4e4 values
+        monkeypatch.setattr(homdensity, "FLOPS_PER_SAMPLE_STEP", math.inf)
+        kernel = kernel_from_matrix(random_symmetric(np.random.default_rng(4), 200, 0.0, 1.0))
+        assert hom_density(cycle_graph(4), kernel, 4 * 10**4).method == "exact_matrix"
+        est = hom_density(cycle_graph(4), kernel, 4 * 10**4 - 1, 2)
+        assert est == hom_density_mc(cycle_graph(4), kernel, 4 * 10**4 - 1, 2)
+
+    def test_past_the_vertex_cap_samples(self, monkeypatch):
+        monkeypatch.setattr(homdensity, "FLOPS_PER_SAMPLE_STEP", math.inf)
+        kernel = weighted_kernel(np.random.default_rng(5), 3)
+        for graph in (path_graph(11), cycle_graph(11)):
+            est = hom_density(graph, kernel, 500, 4)
+            assert est == hom_density_mc(graph, kernel, 500, 4)
+            assert est.method == "monte_carlo"
+        assert hom_density(path_graph(10), kernel, 500, 4).method == "exact_matrix"
 
 
 class TestSpectralCycles:

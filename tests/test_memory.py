@@ -8,7 +8,8 @@ matrix clipped in place and the profile's values. The exact sign-vector
 engine holds its table of low-bit patterns beside one block of sign rows and
 one walk chunk, also where a cut distance scores its descended alignments;
 the Monte Carlo estimator holds the samples' values beside one chunk of
-draws."""
+draws, and an exact density on a matrix kernel no intermediate larger than
+the values its sampled run would hold."""
 
 import contextlib
 import io
@@ -22,7 +23,7 @@ from graphonlab.cutnorm import _best_signs
 from graphonlab.distance import delta_bracket
 from graphonlab.ensembles import ProfileFunction, sphere_kernel
 from graphonlab.fileio import format_matrix, load_kernel
-from graphonlab.homdensity import hom_density_mc
+from graphonlab.homdensity import hom_density, hom_density_mc
 
 from conftest import random_symmetric
 
@@ -141,5 +142,16 @@ def test_monte_carlo_peaks_below_its_values_and_a_half():
     samples = 10**6
     kernel = kernel_from_matrix(random_symmetric(np.random.default_rng(3), 200, 0.0, 1.0))
     peak = _traced_peak(lambda: hom_density_mc(cycle_graph(4), kernel, samples),
+                        unit=8 * samples)
+    assert peak <= MC_BUDGET, f"peak {peak:.2f} value arrays"
+
+
+def test_an_exact_matrix_density_peaks_below_the_monte_carlo_budget():
+    # the C4 contraction of the density-mc-c4 input holds n x n intermediates,
+    # against the 10^6 values the sampled run would hold
+    samples = 10**6
+    kernel = kernel_from_matrix(random_symmetric(np.random.default_rng(3), 200, 0.0, 1.0))
+    assert hom_density(cycle_graph(4), kernel, samples).method == "exact_matrix"
+    peak = _traced_peak(lambda: hom_density(cycle_graph(4), kernel, samples),
                         unit=8 * samples)
     assert peak <= MC_BUDGET, f"peak {peak:.2f} value arrays"

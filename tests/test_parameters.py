@@ -29,7 +29,7 @@ from graphonlab.errors import (
     TooManyVerticesError,
 )
 from graphonlab.fileio import format_matrix
-from graphonlab.homdensity import hom_density_mc
+from graphonlab.homdensity import hom_density, hom_density_mc
 from graphonlab.regularity import choose_threshold, cluster_eigenvectors
 from graphonlab.spectral import decompose
 
@@ -76,6 +76,7 @@ RANGES = {
     "wrandom-source-outside-0-1": lambda: w_random_graph(
         kernel_from_matrix(-np.ones((3, 3))), 10),
     "samples-0": lambda: hom_density_mc(path_graph(2), _kernel(4), 0),
+    "density-samples-0": lambda: hom_density(path_graph(2), _kernel(4), 0),
     "norm-unknown": lambda: delta_bracket(SOURCE, SOURCE, "L3"),
     "eps-0": lambda: regularity_decompose(_kernel(10), _f, 0.0),
     "eps-nan": lambda: regularity_decompose(_kernel(10), _f, math.nan),
