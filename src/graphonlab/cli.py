@@ -145,7 +145,6 @@ def parse_F(spec: str):
     c = 1.0
     p = 0.0
     q = 0.0
-    saw_const = False
     for raw in spec.split("*"):
         term = raw.strip()
         if not term:
@@ -162,11 +161,7 @@ def parse_F(spec: str):
             value = float(term)
         except ValueError as exc:
             raise ParameterError(f"unreadable factor {term!r} in F spec") from exc
-        if saw_const:
-            c *= value
-        else:
-            c = value
-            saw_const = True
+        c *= value  # exact for the first factor: 1.0 * x == x, NaN and inf too
     if not 0.0 < c < math.inf:  # also rejects NaN
         raise ParameterError(f"F spec {spec!r}: its constant must be positive and finite, got {c}")
 
@@ -218,20 +213,23 @@ def parse_graph_arg(spec: str) -> SimpleGraph:
         ) from exc
 
 
+_SPHERE_PROFILE = "threshold:0"
+
 # The flags, by dest, that a case reads beyond those every case of its
-# subcommand reads; True marks one the case cannot run without.
+# subcommand reads, each with the value the case takes when it is not given;
+# ... marks one the case cannot run without.
 _EXPERIMENT_FLAGS = {
-    "circle": {"n": False, "ks": False},
-    "sphere": {"dims": False, "count": False, "seeds": False, "f": False},
-    "wrandom-convergence": {"counts": False, "runs": False, "input": False},
+    "circle": {"n": 64, "ks": "3,5", "seed": ...},
+    "sphere": {"dims": "2,3,4", "count": 1500, "seeds": None, "f": _SPHERE_PROFILE, "seed": None},
+    "wrandom-convergence": {"counts": "100,400,1600", "runs": 5, "input": None, "seed": ...},
 }
 _ENSEMBLE_FLAGS = {
-    "cayley": {"n": True, "f": True},
-    "circle": {"n": True},
-    "sphere": {"dim": True, "count": True, "f": False, "seed": True},
-    "wrandom": {"count": True, "input": True, "seed": True},
+    "cayley": {"n": ..., "f": ...},
+    "circle": {"n": ...},
+    "sphere": {"dim": ..., "count": ..., "f": _SPHERE_PROFILE, "seed": ...},
+    "wrandom": {"count": ..., "input": ..., "seed": ...},
 }
-_DENSITY_FLAGS = {"step": {}, "matrix": {"samples": True, "seed": True}}
+_DENSITY_FLAGS = {"step": {}, "matrix": {"samples": ..., "seed": ...}}
 
 # Where the output goes and how the run executes: never echoed, so reports
 # are byte-identical across thread counts.
@@ -242,16 +240,20 @@ def _inputs(args, case: str | None = None, table: dict | None = None) -> dict:
     """The report's inputs: every flag the run was given, by dest, less the
     execution details. With a table of the flags each case reads, a given
     flag that this case does not read, or a required one left out, is a
-    usage error."""
+    usage error, and each flag of the case not given takes its table value
+    on args."""
     given = {k: v for k, v in vars(args).items() if v is not None and k not in _UNECHOED}
     if table is not None:
         reads = table[case]
         stray = sorted(set().union(*table.values()).intersection(given) - set(reads))
         if stray:
             raise ParameterError(f"{args.command} {case} does not read {', '.join(stray)}")
-        missing = [dest for dest, needed in reads.items() if needed and dest not in given]
+        missing = [dest for dest, value in reads.items() if value is ... and dest not in given]
         if missing:
             raise ParameterError(f"{args.command} {case} needs {', '.join(missing)}")
+        for dest, value in reads.items():
+            if dest not in given:
+                setattr(args, dest, value)
     return given
 
 
@@ -329,10 +331,8 @@ def _cmd_make(args) -> dict:
         kernel = circle_halfplane_kernel(args.n)
         params = {"n": args.n}
     elif ens == "sphere":
-        f = args.f or "threshold:0"
-        profile = parse_profile(f)
-        kernel = sphere_kernel(args.dim, profile, args.count, args.seed)
-        params = {"dim": args.dim, "count": args.count, "f": f}
+        kernel = sphere_kernel(args.dim, parse_profile(args.f), args.count, args.seed)
+        params = {"dim": args.dim, "count": args.count, "f": args.f}
     else:  # wrandom
         source = fileio.load_source(args.input)
         if isinstance(source, StepFunction):
@@ -352,24 +352,21 @@ def _cmd_make(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     inputs = _inputs(args, args.name, _EXPERIMENT_FLAGS)
-    seed = args.seed
     if args.name == "circle":
-        n = 64 if args.n is None else args.n
-        results, checks = experiments.circle(n, _number_list(args.ks or "3,5"), seed)
+        results, checks = experiments.circle(args.n, _number_list(args.ks), args.seed)
     elif args.name == "sphere":
-        f = args.f or "threshold:0"
-        seeds = _number_list(args.seeds) if args.seeds else [seed + i for i in range(3)]
-        dims = _number_list(args.dims or "2,3,4")
-        count = 1500 if args.count is None else args.count
-        results, checks = experiments.sphere(dims, count, seeds, parse_profile(f),
-                                             workers=args.threads)
-        results["f"] = f
+        if args.seeds is None and args.seed is None:
+            raise ParameterError("experiment sphere needs seeds or seed")
+        seeds = (_number_list(args.seeds) if args.seeds is not None
+                 else [args.seed + i for i in range(3)])
+        results, checks = experiments.sphere(_number_list(args.dims), args.count, seeds,
+                                             parse_profile(args.f), workers=args.threads)
+        results["f"] = args.f
     else:
         source = fileio.load_step(args.input) if args.input else builtin_rank3_step()
-        counts = _number_list(args.counts or "100,400,1600")
-        runs = 5 if args.runs is None else args.runs
         results, checks = experiments.wrandom_convergence(
-            source, counts, [seed + i for i in range(runs)], workers=args.threads)
+            source, _number_list(args.counts), [args.seed + i for i in range(args.runs)],
+            workers=args.threads)
     return _report("experiment", inputs, results, checks)
 
 
@@ -470,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--f", help="cayley: comma values; sphere: profile spec")
     p_make.add_argument("--input", help="wrandom: source kernel (matrix or step)")
 
-    p_exp = sub.add_parser("experiment", parents=[run, report, seed],
+    p_exp = sub.add_parser("experiment", parents=[run, report, case_seed],
                            help="experiment driver")
     p_exp.add_argument("--name", required=True, choices=list(_EXPERIMENT_FLAGS))
     p_exp.add_argument("--n", type=int)

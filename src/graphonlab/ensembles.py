@@ -15,7 +15,6 @@ from .core import (
     Kernel,
     PermutationAction,
     _draw_atoms,
-    _frozen,
     _largest_move,
     symmetric_kernel,
     weighted_mean,
@@ -39,18 +38,16 @@ STABILIZE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProfileFunction:
-    """A bounded function on [-1, 1]: either a lookup table on a uniform
-    grid with nearest-grid evaluation, or one of the builtins."""
+    """A bounded function on [-1, 1]: a kind and the finite numbers it reads,
+    threshold (cut,), linear (), cosine_series (c0, c1, ...) or table (v0,
+    v1, ...), a lookup on a uniform grid with nearest-grid evaluation."""
 
-    kind: str  # table | threshold | linear | cosine_series
-    table: np.ndarray | None = None
-    cut: float = 0.0
-    coeffs: tuple = ()
+    kind: str
+    params: tuple = ()
 
     def __post_init__(self):
         # a NaN cut compares false everywhere and would give the zero kernel
-        if not (math.isfinite(self.cut) and np.all(np.isfinite(self.coeffs))
-                and (self.table is None or np.all(np.isfinite(self.table)))):
+        if not all(math.isfinite(x) for x in self.params):
             raise ParameterError("profile parameters must be finite")
 
     @staticmethod
@@ -58,39 +55,36 @@ class ProfileFunction:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ParameterError("table needs at least two grid values")
-        return ProfileFunction(kind="table", table=_frozen(v))
+        return ProfileFunction("table", tuple(v.tolist()))
 
     @staticmethod
     def threshold(cut: float) -> "ProfileFunction":
-        return ProfileFunction(kind="threshold", cut=cut)
+        return ProfileFunction("threshold", (float(cut),))
 
     @staticmethod
     def linear() -> "ProfileFunction":
-        return ProfileFunction(kind="linear")
+        return ProfileFunction("linear")
 
     @staticmethod
     def cosine_series(coeffs) -> "ProfileFunction":
-        return ProfileFunction(kind="cosine_series", coeffs=tuple(float(x) for x in coeffs))
+        return ProfileFunction("cosine_series", tuple(float(x) for x in coeffs))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "threshold":
-            return (t > self.cut).astype(float)
+            return (t > self.params[0]).astype(float)
         if self.kind == "linear":
             return t.copy()
         if self.kind == "cosine_series":
             # series in the angle: sum_j c_j cos(j * arccos t)
             phi = np.arccos(np.clip(t, -1.0, 1.0))
             out = np.zeros_like(t)
-            for j, c in enumerate(self.coeffs):
+            for j, c in enumerate(self.params):
                 out += c * np.cos(j * phi)
             return out
-        grid = np.clip(
-            np.rint((t + 1.0) / 2.0 * (self.table.size - 1)).astype(int),
-            0,
-            self.table.size - 1,
-        )
-        return self.table[grid]
+        top = len(self.params) - 1
+        grid = np.clip(np.rint((t + 1.0) / 2.0 * top).astype(int), 0, top)
+        return np.array(self.params)[grid]
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +141,7 @@ def sphere_kernel(dim: int, f: ProfileFunction, N: int, seed: int = 0) -> Kernel
         raise ParameterError(f"need at least two sample points, got {N}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((N, dim + 1))
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-12):  # probability-0 guard
-        bad = norms < 1e-12
-        x[bad] = rng.standard_normal((int(bad.sum()), dim + 1))
-        norms = np.linalg.norm(x, axis=1)
-    x /= norms[:, None]
+    x /= np.linalg.norm(x, axis=1)[:, None]
     gram = x @ x.T  # numpy forms x x^T from one triangle: exactly symmetric
     np.fill_diagonal(gram, 1.0)
     return Kernel(DiscreteSpace.uniform(N), f(np.clip(gram, -1.0, 1.0, out=gram)))

@@ -30,6 +30,7 @@ from .core import (
     canonical_parts,
     kernel_from_matrix,
 )
+from .errors import GraphonError
 
 _FLOAT_FMT = "%.17g"  # round-trips doubles exactly
 
@@ -179,13 +180,16 @@ def format_graph(graph: SimpleGraph) -> str:
 
 @contextlib.contextmanager
 def _utf8(path: str):
-    """The file opened as UTF-8 text; bytes that do not decode are a
-    FormatError, not the ValueError that reads as a numeric failure."""
+    """The file opened as UTF-8 text. Bytes that do not decode, and values
+    or weights the data model rejects, are a FormatError naming the file,
+    not the ValueError or GraphonError that reads as a numeric failure."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except GraphonError as exc:
+            raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def load_kernel(path: str) -> Kernel:

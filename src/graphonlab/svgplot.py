@@ -31,10 +31,11 @@ class SvgCanvas:
         self.height = height
         self.commands: list[str] = []
 
-    def line(self, x1, y1, x2, y2, color="#000000", width=1.0):
+    def line(self, x1, y1, x2, y2, color="#000000", width=1.0, dash=None):
+        dashed = "" if dash is None else f' stroke-dasharray="{dash}"'
         self.commands.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{_fmt(width)}"/>'
+            f'stroke="{color}" stroke-width="{_fmt(width)}"{dashed}/>'
         )
 
     def rect(self, x, y, w, h, fill, stroke="none"):
@@ -149,11 +150,7 @@ def trajectory_plot(sample_sizes, trajectories, path: str, reference) -> None:
     y0 = to_y(0.0)
     canvas.line(_MARGIN, y0, width - _MARGIN, y0, color="#888888")
     for r in reference:
-        canvas.commands.append(
-            f'<line x1="{_fmt(_MARGIN)}" y1="{_fmt(to_y(r))}" '
-            f'x2="{_fmt(width - _MARGIN)}" y2="{_fmt(to_y(r))}" '
-            f'stroke="#999999" stroke-width="1" stroke-dasharray="6 4"/>'
-        )
+        canvas.line(_MARGIN, to_y(r), width - _MARGIN, to_y(r), color="#999999", dash="6 4")
     for ti, tr in enumerate(trajectories):
         pts = [(xs[n], to_y(v)) for n, v in zip(sample_sizes, tr)]
         canvas.polyline(pts, color=_PALETTE[ti % len(_PALETTE)])

@@ -95,6 +95,11 @@ class TestParsers:
         assert main(argv) == EXIT_USAGE
         assert "positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, c", [("lambda*eps", 1.0), ("0.5*lambda*0.3", 0.5 * 0.3),
+                                         ("0.1*0.2*0.3", 0.1 * 0.2 * 0.3), ("2*eps", 2.0)])
+    def test_parse_F_constant_is_the_product_of_the_numbers(self, spec, c):
+        assert parse_F(spec)[1]["c"] == c
+
     def test_parse_F_keeps_negative_powers(self):
         F, _ = parse_F("0.25*lambda^-1")
         assert F(0.5, 0.3) == pytest.approx(0.5)
@@ -521,13 +526,40 @@ class TestExitCodes:
         argv = ["density", "--input", str(path), "--graph", "edge"]
         assert run_cli(argv, capsys)[0] == EXIT_USAGE
 
-    @pytest.mark.parametrize("text", ["2\n0 abc\n1 0\n", "2\n0 1\n1\n", "0\n"])
+    @pytest.mark.parametrize("argv", [
+        ["density", "--input", "{bad}", "--graph", "edge"],
+        ["distance", "{step}", "{bad}", "--seed", "0"],
+    ], ids=["density", "distance"])
+    def test_step_with_an_asymmetric_block_is_input_error(self, argv, step_file, tmp_path,
+                                                          capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("parts: 2\n1 1 2 2\n0 1\n0 0\n")
+        files = {"{bad}": str(bad), "{step}": step_file}
+        assert run_cli([files.get(a, a) for a in argv], capsys)[0] == EXIT_USAGE
+
+    def test_sphere_with_seeds_needs_no_seed(self, capsys):
+        # --seed was required although --seeds wins; it is still echoed when given
+        argv = ["experiment", "--name", "sphere", "--dims", "2", "--count", "50", "--seeds", "1"]
+        code, out = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        code, with_seed = run_cli(argv + ["--seed", "99"], capsys)
+        assert code == EXIT_OK
+        alone, given = json.loads(out), json.loads(with_seed)
+        assert "seed" not in alone["inputs"] and given["inputs"]["seed"] == 99
+        assert (alone["results"], alone["checks"]) == (given["results"], given["checks"])
+
+    @pytest.mark.parametrize("text", [
+        "2\n0 abc\n1 0\n", "2\n0 1\n1\n", "0\n",
+        # values or weights the data model rejects: asymmetric, NaN, a sum of 1.4
+        "2\n0 1\n2 0\n", "2\n0 nan\nnan 0\n", "2\nweights: 0.7 0.7\n0 1\n1 0\n",
+    ])
     def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
-        # a non-numeric token or a ragged row is bad input (exit 2), not a
-        # numeric failure (exit 3)
+        # a non-numeric token, a ragged row or a value the data model rejects
+        # is bad input (exit 2), not a numeric failure (exit 3)
         path = tmp_path / "m.txt"
         path.write_text(text)
-        assert run_cli(["spectrum", "--input", str(path)], capsys)[0] == EXIT_USAGE
+        assert main(["spectrum", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("input error: ")
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "--name", "circle", "--ks", "3,x", "--seed", "0"],
@@ -542,6 +574,15 @@ class TestExitCodes:
         ["density", "--input", "{step}", "--graph", "cycle_2"],
         ["density", "--input", "{step}", "--graph", "path_0"],
         ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--exact-limit", "40"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--F", "0.25**lambda"],
+        ["decompose", "--input", "{matrix}", "--epsilon", "0.3", "--F", "0.25*mu"],
+        ["experiment", "--name", "circle", "--ks", ",", "--seed", "0"],
+        ["make", "--ensemble", "sphere", "--dim", "2", "--N", "30", "--f", "cubic",
+         "--seed", "0", "--output", "{out}"],
+        # a seed is needed, by sphere only without --seeds
+        ["experiment", "--name", "circle"],
+        ["experiment", "--name", "wrandom-convergence"],
+        ["experiment", "--name", "sphere", "--dims", "2", "--count", "50"],
     ])
     def test_malformed_or_ignored_flag_is_usage_error(self, argv, matrix_file, step_file,
                                                       tmp_path, capsys):
@@ -865,8 +906,7 @@ class TestInputs:
         assert set(json.loads(out)["inputs"]) == echoed
 
     @pytest.mark.parametrize("minimal, table", [
-        (["experiment", "--name", "circle", "--seed", "0"],
-         graphonlab.cli._EXPERIMENT_FLAGS),
+        (["experiment", "--name", "circle"], graphonlab.cli._EXPERIMENT_FLAGS),
         (["make", "--ensemble", "circle", "--output", "k.txt"],
          graphonlab.cli._ENSEMBLE_FLAGS),
         (["density", "--input", "m.txt", "--graph", "edge"], graphonlab.cli._DENSITY_FLAGS),

@@ -52,6 +52,12 @@ class TestDiscreteSpace:
         with pytest.raises(InvalidSpaceError):
             DiscreteSpace(np.array([bad, 0.5]))
 
+    def test_rejects_no_atoms(self):
+        with pytest.raises(InvalidSpaceError, match="nonempty"):
+            DiscreteSpace(np.array([]))
+        with pytest.raises(InvalidSpaceError, match="positive"):
+            DiscreteSpace.uniform(0)
+
     def test_immutable(self):
         sp = DiscreteSpace.uniform(3)
         with pytest.raises(ValueError):
@@ -64,6 +70,10 @@ class TestKernelConstruction:
         assert k.n == 1
         assert k.values[0, 0] == 0.5
         assert k.space.weights[0] == 1.0
+
+    def test_values_must_match_the_space(self):
+        with pytest.raises(DimensionMismatchError, match="does not match space size 3"):
+            Kernel(DiscreteSpace.uniform(3), np.zeros((2, 2)))
 
     def test_symmetric_input(self):
         k = kernel_from_matrix([[0, 1], [1, 0]])
@@ -291,6 +301,10 @@ class TestWeightedNorms:
         k = kernel_from_matrix([[1.0, -1.0], [-1.0, 1.0]])
         assert weighted_norm(k, "L2") == pytest.approx(1.0, abs=1e-15)
         assert weighted_norm(k, "Linf") == 1.0
+
+    def test_unknown_norm_rejected(self):
+        with pytest.raises(ValueError, match="unknown norm 'L3'"):
+            weighted_norm(kernel_from_matrix(np.eye(2)), "L3")
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
     def test_norm_ordering(self, n, seed):

@@ -145,6 +145,34 @@ class TestDilation:
         assert max(heur.lower, exact16.lower) >= 0.05
 
 
+PROFILES = {
+    "table": lambda: ProfileFunction.from_table([0, 1]),
+    "threshold": lambda: ProfileFunction.threshold(0.25),
+    "linear": ProfileFunction.linear,
+    "cosine_series": lambda: ProfileFunction.cosine_series([0.5, 0.25]),
+}
+
+
+class TestProfileFunction:
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_equal_profiles_compare_and_hash_alike(self, kind):
+        # a table profile held an ndarray: == raised ValueError, hash TypeError
+        a, b = PROFILES[kind](), PROFILES[kind]()
+        assert a == b and hash(a) == hash(b) and a.kind == kind
+        assert [p for p in PROFILES.values() if p() == a] == [PROFILES[kind]]
+
+    def test_params_are_the_numbers_of_the_kind(self):
+        assert ProfileFunction.from_table(np.array([0, 0.5, 1])).params == (0.0, 0.5, 1.0)
+        assert ProfileFunction.threshold(0).params == (0.0,)
+        assert ProfileFunction.linear().params == ()
+        assert ProfileFunction.from_table([0, 1]) != ProfileFunction.from_table([0, 1, 1])
+
+    def test_table_is_evaluated_at_the_nearest_grid_point(self):
+        f = ProfileFunction.from_table([0.0, 0.3, 1.0])
+        np.testing.assert_array_equal(f(np.array([-1.0, -0.6, -0.4, 0.4, 0.6, 1.0])),
+                                      [0.0, 0.0, 0.3, 0.3, 1.0, 1.0])
+
+
 class TestSphere:
     def test_constant_profile(self):
         f = ProfileFunction.from_table([0.4, 0.4, 0.4])

@@ -113,6 +113,14 @@ def test_worker_count_is_capped_by_units_and_cores(monkeypatch):
     assert experiments._worker_count(64, 1) == 1
 
 
+@pytest.mark.parametrize("count, cores", [(3, 3), (None, 1)])
+def test_worker_count_without_affinity_reads_the_cpu_count(monkeypatch, count, cores):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert experiments._worker_count(64, 6) == cores
+    assert experiments._worker_count(1, 6) == 1
+
+
 def test_wrandom_zero_source_raises_before_sampling(monkeypatch):
     def no_sample(*args):
         raise AssertionError("a sample was drawn")

@@ -339,3 +339,11 @@ class TestHelpers:
         assert target.read_text() == "payload\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert not leftovers
+
+    def test_atomic_write_removes_its_temp_file_when_the_rename_fails(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()  # a file cannot replace a directory
+        with pytest.raises(OSError):
+            write_text_atomic(str(target), "payload\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert not any(target.iterdir())

@@ -22,7 +22,7 @@ from graphonlab import (
     weighted_norm,
 )
 from graphonlab.ensembles import cayley_kernel
-from graphonlab.errors import GridOverflowError, NonDecreasingF, TooLargeError
+from graphonlab.errors import GridOverflowError, NonDecreasingF, ParameterError, TooLargeError
 import graphonlab.regularity as regularity_module
 from graphonlab.regularity import _threshold_schedule, decomposition_report
 from graphonlab.spectral import gap_midpoints
@@ -82,6 +82,12 @@ class TestChooseThreshold:
         dec = decompose(normalized_l2(rng, 6))
         with pytest.raises(NonDecreasingF):
             choose_threshold(dec, lambda l, e: 0.0, 0.3)
+
+    def test_energy_above_one_rejected(self):
+        # the constant kernel 2 has the one eigenvalue 2, energy 4
+        dec = decompose(kernel_from_matrix(np.full((4, 4), 2.0)))
+        with pytest.raises(ValueError, match="energy 4.000000"):
+            choose_threshold(dec, F_quarter, 0.3)
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_F_rejected(self, rng, value):
@@ -225,6 +231,12 @@ class TestDecompositionReport:
 
 
 class TestClusterEigenvectors:
+    @pytest.mark.parametrize("lam", [0.0, -0.35])
+    def test_nonpositive_lam_rejected(self, lam):
+        dec = decompose(kernel_from_matrix(np.full((8, 8), 0.7)))
+        with pytest.raises(ParameterError, match="lam must be positive"):
+            cluster_eigenvectors(dec, lam, 0.2)
+
     def test_constant_eigenvector_single_part(self):
         k = kernel_from_matrix(np.full((8, 8), 0.7))
         dec = decompose(k)

@@ -689,6 +689,15 @@ class TestDecomposeLeading:
                                    rtol=1.5e-15, atol=0)
         assert np.ldexp(scaled.bulk_bound, -990) == pytest.approx(plain.bulk_bound, rel=1.5e-15)
 
+    @pytest.mark.parametrize("top, proven", [([0.9, 0.5, 0.5], False),
+                                             ([0.9, 0.6, 0.5], True)])
+    def test_a_repeated_kept_eigenvalue_is_refused(self, top, proven):
+        # the Ritz intervals of a double eigenvalue overlap, so they do not
+        # prove two distinct eigenvalues; split by 0.1 they do
+        rng = np.random.default_rng(11)
+        kernel = _with_spectrum(rng, 800, top, rng.uniform(-0.05, 0.05, 797))
+        assert (spectral.decompose_leading(kernel, 3, 0.3) is not None) == proven
+
     @pytest.mark.parametrize("rank", [2, 4])
     def test_a_wrong_rank_is_refused(self, rank):
         # with 2 pairs the third eigenvalue stays in the bulk, above lam_mid;
@@ -727,6 +736,15 @@ class TestDecomposeLeading:
         assert refused == eigh_path
         assert all(entry["bulk_bounds"] == [None, None]
                    for entry in json.loads(refused)["results"]["per_count"].values())
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, 0.0, math.nan])
+def test_blocks_needed_is_inf_for_a_residual_that_does_not_fall(rate):
+    assert spectral._blocks_needed(1.0, 1e-3, rate) == math.inf
+
+
+def test_blocks_needed_for_a_falling_residual():
+    assert spectral._blocks_needed(1.0, 1e-3, 0.1) == pytest.approx(3.0, rel=1e-12)
 
 
 def _every_block_stop(sym, r, blocks, margin):
